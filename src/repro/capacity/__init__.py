@@ -6,8 +6,9 @@ Two layers on top of the single-model serving simulator
 * :class:`MultiTenantScheduler` — several compiled models sharing one
   replica fleet, with per-model queues, weighted-fair or
   strict-priority sharing, costed warm swaps of strategy weights, and
-  per-model metrics.  A single tenant with default knobs reproduces the
-  :class:`~repro.serve.FleetScheduler` bit-for-bit.
+  per-model metrics.  It runs the :class:`~repro.serve.FleetScheduler`
+  event loop over a tenant set, so a single tenant with default knobs
+  is the plain fleet, bit-for-bit.
 * :func:`plan_capacity` — search fleet composition (device x replicas x
   batching x weights) for the cheapest configuration meeting every
   model's latency/goodput SLO, priced in normalized board-cost units
@@ -36,7 +37,6 @@ from repro.capacity.multitenant import (
     SHARING_KINDS,
     MultiTenantResult,
     MultiTenantScheduler,
-    SharedReplica,
     Tenant,
 )
 from repro.capacity.planner import (
@@ -58,7 +58,6 @@ __all__ = [
     "MultiTenantResult",
     "MultiTenantScheduler",
     "PerModelBaseline",
-    "SharedReplica",
     "Tenant",
     "TenantDemand",
     "board_cost_units",

@@ -3,7 +3,8 @@
 The single-model :class:`~repro.serve.scheduler.FleetScheduler` answers
 "how does one design behave under load"; this module answers the fleet
 operator's question — *several* models, each with its own traffic and
-SLO, contending for the same boards.  Each tenant gets its own dynamic
+SLO, contending for the same boards.  It runs the fleet scheduler's one
+event loop over a set of tenants: each tenant gets its own dynamic
 batcher, retry heap and admission bound; replicas are shared, and a
 replica switching tenants pays a **warm-swap** cost (reloading the
 strategy's weights over the device's DRAM bandwidth) before the new
@@ -22,238 +23,35 @@ could:
   fallen below its ``min_share`` floor jumps the queue — the starvation
   guard that makes strict priority safe to operate.
 
-Everything runs on the same deterministic virtual clock as the parent
-scheduler, and the event loop is a strict generalization: a
-**single tenant with default weight reproduces the FleetScheduler's
-records and metrics bit-for-bit** (asserted in tests) — the multi-tenant
-machinery is provably inert until a second model shows up.
+This module only validates the tenant set, picks the control-plane
+settings of a shared fleet and splits the results per tenant.  A single
+tenant with default knobs is the plain fleet, so it reproduces the
+``FleetScheduler``'s records and metrics bit-for-bit (asserted in
+tests and by ``repro doctor``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import count
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import CapacityError
-from repro.faults import FaultInjector, FaultSpec, RetryPolicy
+from repro.faults import FaultSpec, RetryPolicy
 from repro.optimizer.strategy import Strategy
-from repro.serve.batcher import DynamicBatcher, InferenceRequest, ServingError
-from repro.serve.metrics import RequestRecord, aggregate_metrics
-from repro.serve.runtime import BatchAttempt, ReplicaStats
-from repro.serve.scheduler import Policy, ServingResult
-from repro.sim.simulator import ServiceModel, build_service_model
+from repro.serve.scheduler import (
+    SHARING_KINDS,
+    FleetScheduler,
+    Policy,
+    ServingResult,
+    Tenant,
+)
 
-SHARING_KINDS = ("weighted_fair", "strict_priority")
-
-
-@dataclass(frozen=True)
-class Tenant:
-    """One model sharing the fleet: its timing model plus its share knobs.
-
-    Attributes:
-        name: Tenant key (unique within a scheduler).
-        service_model: Batched timing model of the tenant's compiled
-            strategy.
-        weight: Weighted-fair share (relative; must be positive).
-        priority: Strict-priority rank (higher dispatches first).
-        min_share: Starvation floor under ``strict_priority`` — the
-            minimum fraction of served replica cycles this tenant may
-            fall to before it jumps the queue.  Floors must sum to < 1.
-        swap_cycles: Cycles a replica spends reloading this tenant's
-            weights when it last served a *different* tenant (the
-            initial load of an idle replica is free).
-        frequency_hz: Accelerator clock (every tenant of one fleet must
-            agree — they share boards).
-        ops_per_request: Arithmetic ops one request represents.
-        reference_gops: Analytic effective GOPS of one replica.
-        slo_cycles: Optional per-tenant latency SLO.
-    """
-
-    name: str
-    service_model: ServiceModel
-    weight: float = 1.0
-    priority: int = 0
-    min_share: float = 0.0
-    swap_cycles: float = 0.0
-    frequency_hz: float = 1e6
-    ops_per_request: float = 0.0
-    reference_gops: float = 0.0
-    slo_cycles: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.name:
-            raise CapacityError("a tenant needs a non-empty name")
-        if not self.weight > 0:
-            raise CapacityError(
-                f"tenant {self.name!r} weight must be positive, "
-                f"got {self.weight}"
-            )
-        if not 0.0 <= self.min_share < 1.0:
-            raise CapacityError(
-                f"tenant {self.name!r} min_share must be in [0, 1), "
-                f"got {self.min_share}"
-            )
-        if self.swap_cycles < 0:
-            raise CapacityError(
-                f"tenant {self.name!r} swap_cycles must be >= 0, "
-                f"got {self.swap_cycles}"
-            )
-        if self.slo_cycles is not None and self.slo_cycles <= 0:
-            raise CapacityError(
-                f"tenant {self.name!r} slo_cycles must be positive, "
-                f"got {self.slo_cycles}"
-            )
-
-    @classmethod
-    def for_strategy(
-        cls,
-        name: str,
-        strategy: Strategy,
-        weight: float = 1.0,
-        priority: int = 0,
-        min_share: float = 0.0,
-        swap_cycles: Optional[float] = None,
-        slo_cycles: Optional[float] = None,
-        verify: bool = True,
-    ) -> "Tenant":
-        """Build a tenant serving ``strategy``.
-
-        ``swap_cycles`` defaults to the time the strategy's weights take
-        to stream over the device's DRAM bandwidth — the physical cost
-        of reprogramming a warm replica with this model.
-        """
-        if verify:
-            from repro.check.invariants import verify_strategy
-
-            verify_strategy(strategy).raise_if_failed()
-        device = strategy.device
-        if swap_cycles is None:
-            swap_cycles = (
-                strategy.weight_transfer_bytes
-                / device.bandwidth_bytes_per_s
-                * device.frequency_hz
-            )
-        return cls(
-            name=name,
-            service_model=build_service_model(strategy),
-            weight=weight,
-            priority=priority,
-            min_share=min_share,
-            swap_cycles=swap_cycles,
-            frequency_hz=device.frequency_hz,
-            ops_per_request=strategy.total_ops,
-            reference_gops=strategy.effective_gops(),
-            slo_cycles=slo_cycles,
-        )
-
-
-class SharedReplica:
-    """One board serving several tenants, with per-tenant accounting.
-
-    The execution math is exactly
-    :meth:`repro.serve.runtime.AcceleratorReplica.execute_attempt`, plus
-    a swap term: when the batch's tenant differs from the one whose
-    weights are loaded, the service time grows by the tenant's
-    ``swap_cycles`` (scaled by any active brownout, like the rest of the
-    service).  With one tenant the swap term is identically zero and the
-    replica is cycle-for-cycle an ``AcceleratorReplica``.
-    """
-
-    def __init__(self, replica_id: int, tenants: Sequence[Tenant]):
-        self.replica_id = replica_id
-        self.tenants = tuple(tenants)
-        self.busy_until = 0.0
-        self.loaded: Optional[int] = None  # tenant whose weights are resident
-        self.swaps = 0
-        self.swap_cycles = 0.0
-        n = len(self.tenants)
-        self._busy = [0.0] * n
-        self._batches = [0] * n
-        self._requests = [0] * n
-        self._failed_batches = [0] * n
-        self._wasted = [0.0] * n
-
-    def swap_cost(self, tenant_index: int) -> float:
-        """Cycles to load ``tenant_index``'s weights right now.
-
-        Zero when they are already resident — and for the first load on
-        an idle replica, which happens before traffic starts.
-        """
-        if self.loaded is None or self.loaded == tenant_index:
-            return 0.0
-        return self.tenants[tenant_index].swap_cycles
-
-    def execute_attempt(
-        self,
-        batch: Sequence[InferenceRequest],
-        dispatch_cycle: float,
-        tenant_index: int,
-        injector=None,
-    ) -> BatchAttempt:
-        """Run one tenant's batch, paying the swap if weights changed."""
-        if not batch:
-            raise ServingError("cannot execute an empty batch")
-        model = self.tenants[tenant_index].service_model
-        swap = self.swap_cost(tenant_index)
-        swapped = swap > 0
-        self.loaded = tenant_index
-        start = max(dispatch_cycle, self.busy_until)
-        if injector is None:
-            service = swap + model.batch_cycles(len(batch))
-            end = start + service
-            self.busy_until = end
-            if swapped:
-                self.swaps += 1
-                self.swap_cycles += swap
-            self._busy[tenant_index] += service
-            self._batches[tenant_index] += 1
-            self._requests[tenant_index] += len(batch)
-            return BatchAttempt(start_cycle=start, end_cycle=end, ok=True)
-        start = injector.available_from(self.replica_id, start)
-        scale = injector.service_scale(self.replica_id, start)
-        service = (swap + model.batch_cycles(len(batch))) * scale
-        end = start + service
-        if swapped:
-            self.swaps += 1
-            self.swap_cycles += swap * scale
-        crash = injector.crash_in(self.replica_id, start, end)
-        if crash is not None:
-            self.busy_until = crash
-            self._wasted[tenant_index] += crash - start
-            self._failed_batches[tenant_index] += 1
-            return BatchAttempt(start, crash, ok=False, failure="crash")
-        self.busy_until = end
-        if injector.transient_failure(self.replica_id):
-            self._wasted[tenant_index] += service
-            self._failed_batches[tenant_index] += 1
-            return BatchAttempt(start, end, ok=False, failure="transient")
-        self._busy[tenant_index] += service
-        self._batches[tenant_index] += 1
-        self._requests[tenant_index] += len(batch)
-        return BatchAttempt(start, end, ok=True)
-
-    def stats_for(self, tenant_index: int) -> ReplicaStats:
-        """This replica's counters restricted to one tenant's work."""
-        return ReplicaStats(
-            replica_id=self.replica_id,
-            batches=self._batches[tenant_index],
-            requests=self._requests[tenant_index],
-            busy_cycles=self._busy[tenant_index],
-            failed_batches=self._failed_batches[tenant_index],
-            wasted_cycles=self._wasted[tenant_index],
-        )
-
-    def __repr__(self) -> str:
-        loaded = (
-            self.tenants[self.loaded].name if self.loaded is not None else "-"
-        )
-        return (
-            f"SharedReplica(id={self.replica_id}, loaded={loaded}, "
-            f"busy_until={self.busy_until:.0f}, swaps={self.swaps})"
-        )
+__all__ = [
+    "SHARING_KINDS",
+    "MultiTenantResult",
+    "MultiTenantScheduler",
+    "Tenant",
+]
 
 
 @dataclass(frozen=True)
@@ -275,9 +73,6 @@ class MultiTenantResult:
     #: Fleet-level control-plane outcome (:mod:`repro.resilience`);
     #: None when no control plane ran or it never acted.
     recovery: Optional[dict] = None
-
-    def metrics_for(self, name: str):
-        return self.per_tenant[name].metrics
 
     @property
     def makespan_seconds(self) -> float:
@@ -340,15 +135,17 @@ class MultiTenantResult:
         return "\n".join(lines)
 
 
-class MultiTenantScheduler:
+class MultiTenantScheduler(FleetScheduler):
     """Serves several models' traffic on one shared replica fleet.
 
-    A strict generalization of :class:`FleetScheduler`: per-tenant
-    batchers, retry heaps and admission bounds around the same
-    deterministic event loop, with the sharing discipline deciding which
-    tenant's batch a free replica takes.  One tenant with default knobs
-    degenerates to the parent scheduler exactly.
+    The :class:`FleetScheduler` event loop over several tenants, with
+    the sharing discipline deciding which tenant's batch a free replica
+    takes.  One tenant with default knobs is the parent scheduler.
     """
+
+    # Shared-board attempt spans include warm-swap cycles, so the
+    # latency-inflation trigger stays off (as for pipelines).
+    latency_trigger = False
 
     def __init__(
         self,
@@ -409,27 +206,10 @@ class MultiTenantScheduler:
             )
         if replicas < 1:
             raise CapacityError(f"a fleet needs >= 1 replica, got {replicas}")
-        if max_queue is not None and max_queue < 1:
-            raise ServingError(f"max_queue must be >= 1, got {max_queue}")
-        self.tenants = tuple(tenants)
-        self.num_replicas = replicas
-        self.policy = Policy(policy)
-        self.sharing = sharing
-        self.max_batch = max_batch
-        self.max_wait_cycles = max_wait_cycles
-        self.frequency_hz = frequencies.pop()
-        self.faults = (
-            FaultSpec.parse(faults) if isinstance(faults, str) else faults
+        self._configure(
+            tenants, replicas, policy, sharing, max_batch, max_wait_cycles,
+            faults, fault_seed, retry, max_queue, resilience,
         )
-        self.fault_seed = fault_seed
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.max_queue = max_queue
-        self.resilience = resilience
-        # Validate the batching knobs and the fault spec eagerly, the
-        # way the parent scheduler does.
-        for tenant in self.tenants:
-            DynamicBatcher(max_batch, self._tenant_max_wait(tenant))
-        self._build_injector()
 
     @classmethod
     def for_strategies(
@@ -457,51 +237,22 @@ class MultiTenantScheduler:
         ]
         return cls(tenants, **kwargs)
 
-    def _tenant_max_wait(self, tenant: Tenant) -> float:
-        if self.max_wait_cycles is not None:
-            return self.max_wait_cycles
-        return 0.5 * tenant.service_model.single_image_cycles
-
-    def _build_replicas(self) -> List[SharedReplica]:
-        return [
-            SharedReplica(i, self.tenants) for i in range(self.num_replicas)
-        ]
-
-    def _build_injector(self) -> Optional[FaultInjector]:
-        if self.faults is None or self.faults.empty:
-            return None
-        return FaultInjector(
-            self.faults, seed=self.fault_seed, replicas=self.num_replicas
+    def _rebuild_replica(self, control, fleet, replica_id, cycle) -> None:
+        control.note_rebuild_failed(
+            replica_id, cycle,
+            "shared fleet: no survivor plan (failover handles the loss)",
         )
 
-    def _pick_replica(
-        self, fleet, rotation: int, clock: float, injector
-    ) -> Tuple[Optional[SharedReplica], float]:
-        """Identical replica choice to the parent scheduler."""
-        if injector is None:
-            if self.policy is Policy.ROUND_ROBIN:
-                target = fleet[rotation % len(fleet)]
-            else:
-                target = min(fleet, key=lambda r: (r.busy_until, r.replica_id))
-            return target, target.busy_until
-        ready = {
-            r.replica_id: injector.available_from(
-                r.replica_id, max(clock, r.busy_until)
+    def _control_dead_fleet(self, control, fleet, clock, injector,
+                            batchers) -> bool:
+        """Log any deaths the attempt path never saw; a shared fleet has
+        no survivor plan to rebuild from, so the mass-fail follows."""
+        control.check_dead_fleet(fleet, clock, injector)
+        for action in control.pop_actions():
+            control.note_rebuild_failed(
+                action.replica, action.cycle, "shared fleet: no survivor plan"
             )
-            for r in fleet
-        }
-        if all(math.isinf(cycle) for cycle in ready.values()):
-            return None, math.inf
-        if self.policy is Policy.ROUND_ROBIN:
-            for offset in range(len(fleet)):
-                candidate = fleet[(rotation + offset) % len(fleet)]
-                at = ready[candidate.replica_id]
-                if at == max(clock, candidate.busy_until):
-                    return candidate, at
-        target = min(fleet, key=lambda r: (ready[r.replica_id], r.replica_id))
-        return target, ready[target.replica_id]
-
-    # -- the event loop ------------------------------------------------------
+        return False
 
     def run(
         self,
@@ -515,395 +266,36 @@ class MultiTenantScheduler:
         stamps per-tenant replay provenance into the metrics (see
         :meth:`repro.traffic.TrafficTrace.arrival_meta`).
         """
-        n = len(self.tenants)
-        index_of = {t.name: i for i, t in enumerate(self.tenants)}
-        missing = [t.name for t in self.tenants if t.name not in arrivals]
+        names = [tenant.name for tenant in self.tenants]
+        missing = [name for name in names if name not in arrivals]
         if missing:
             raise CapacityError(f"no arrival trace for tenant(s): {missing}")
-        unknown = [name for name in arrivals if name not in index_of]
+        unknown = [name for name in arrivals if name not in names]
         if unknown:
             raise CapacityError(f"arrival trace for unknown tenant(s): {unknown}")
         meta = dict(arrival_meta or {})
-
-        requests: List[List[InferenceRequest]] = []
-        for tenant in self.tenants:
-            trace = sorted(float(c) for c in arrivals[tenant.name])
-            if not trace:
-                raise ServingError("cannot serve an empty arrival trace")
-            if trace[0] < 0:
-                raise ServingError("arrival cycles must be non-negative")
-            requests.append(
-                [
-                    InferenceRequest(request_id=i, arrival_cycle=c)
-                    for i, c in enumerate(trace)
-                ]
-            )
-
-        fleet = self._build_replicas()
-        injector = self._build_injector()
-        control = None
-        if self.resilience is not None:
-            from repro.resilience.controller import RecoveryController
-
-            # Shared-replica attempt spans include warm-swap cycles, so
-            # the latency-inflation trigger stays off (like pipelines).
-            control = RecoveryController(
-                self.resilience,
-                num_replicas=self.num_replicas,
-                base_max_batch=self.max_batch,
-                base_max_queue=self.max_queue,
-                fallback_available=False,
-                latency_trigger=False,
-            )
-        protected = [t.min_share > 0 for t in self.tenants]
-        batchers = [
-            DynamicBatcher(self.max_batch, self._tenant_max_wait(t))
-            for t in self.tenants
-        ]
-        backoff_base = [
-            self.retry.backoff_cycles
-            if self.retry.backoff_cycles is not None
-            else 0.25 * t.service_model.single_image_cycles
-            for t in self.tenants
-        ]
-        records: List[List[RequestRecord]] = [[] for _ in range(n)]
-        failures: List[List[RequestRecord]] = [[] for _ in range(n)]
-        retry_heaps: List[List[Tuple[float, int, InferenceRequest]]] = [
-            [] for _ in range(n)
-        ]
-        retry_seq = count()
-        retries = [0] * n
-        next_arrival = [0] * n
-        vtime = [0.0] * n  # weighted-fair virtual time per tenant
-        last_finish = [0.0] * n  # end cycle of each tenant's last batch
-        served_occupancy = [0.0] * n  # replica cycles each tenant consumed
-        clock = 0.0
-        rotation = 0
-
-        def tenant_pending_cycle(t: int) -> float:
-            cycle = math.inf
-            if next_arrival[t] < len(requests[t]):
-                cycle = requests[t][next_arrival[t]].arrival_cycle
-            if retry_heaps[t]:
-                cycle = min(cycle, retry_heaps[t][0][0])
-            return cycle
-
-        def next_pending() -> Tuple[float, int]:
-            """Earliest not-yet-admitted arrival and its tenant.
-
-            Cross-tenant ties go to the lowest tenant index — the same
-            deterministic order tenants were declared in.
-            """
-            best_cycle, best_t = math.inf, -1
-            for t in range(n):
-                cycle = tenant_pending_cycle(t)
-                if cycle < best_cycle:
-                    best_cycle, best_t = cycle, t
-            return best_cycle, best_t
-
-        def next_admissible() -> Tuple[float, int]:
-            """Earliest pending arrival among tenants with batch room.
-
-            The pre-dispatch admission gate uses this instead of
-            :func:`next_pending` so one tenant's full batch (plus older
-            backlog) cannot freeze every other tenant out of admission —
-            with a single tenant the two are identical whenever the gate
-            can pass.
-            """
-            best_cycle, best_t = math.inf, -1
-            for t in range(n):
-                if batchers[t].has_full_batch():
-                    continue
-                cycle = tenant_pending_cycle(t)
-                if cycle < best_cycle:
-                    best_cycle, best_t = cycle, t
-            return best_cycle, best_t
-
-        def admit_from(t: int) -> None:
-            """Admit tenant ``t``'s earliest pending request (retries win
-            ties).
-
-            Exactly the parent's admission, per tenant: fresh arrivals
-            are shed when the tenant's queue is at ``max_queue``;
-            retries are always admitted — unless their deadline already
-            passed by admission time, in which case the retry is dropped
-            rather than re-queued for a doomed attempt.  Under the
-            control plane's shed rung, tenants without a WFQ floor get
-            the tightened admission bound.
-            """
-            trace_cycle = (
-                requests[t][next_arrival[t]].arrival_cycle
-                if next_arrival[t] < len(requests[t])
-                else math.inf
-            )
-            if retry_heaps[t] and retry_heaps[t][0][0] <= trace_cycle:
-                cycle, _, request = heappop(retry_heaps[t])
-                at = max(clock, cycle)
-                deadline_at = (
-                    request.origin_cycle + self.retry.deadline_cycles
-                    if self.retry.deadline_cycles is not None
-                    else math.inf
-                )
-                if at >= deadline_at:
-                    drop_failed(t, request, at, at, -1, 0)
-                    return
-                _activate(t, cycle)
-                batchers[t].add(request)
-                return
-            request = requests[t][next_arrival[t]]
-            next_arrival[t] += 1
-            max_queue = (
-                control.tenant_queue_limit(self.max_queue, protected[t])
-                if control is not None
-                else self.max_queue
-            )
-            if max_queue is not None and len(batchers[t]) >= max_queue:
-                failures[t].append(
-                    RequestRecord(
-                        request_id=request.request_id,
-                        arrival_cycle=request.origin_cycle,
-                        dispatch_cycle=request.arrival_cycle,
-                        completion_cycle=request.arrival_cycle,
-                        replica_id=-1,
-                        batch_size=0,
-                        attempts=request.attempts,
-                        outcome="shed",
-                    )
-                )
-                return
-            _activate(t, request.arrival_cycle)
-            batchers[t].add(request)
-
-        def _activate(t: int, arrival_cycle: float) -> None:
-            """Catch a *genuinely idle* tenant's virtual time up.
-
-            A tenant idle for a long stretch holds a stale (tiny)
-            virtual time and would monopolize the fleet on return; the
-            start-time-fair-queueing fix is to restart it no earlier
-            than the busiest competitor's clock.  "Idle" means the new
-            request arrived after the tenant's last batch finished — an
-            empty *batcher* alone does not qualify, because under
-            saturation the backlog waits in the unadmitted trace and the
-            batcher drains to empty at every dispatch.
-            """
-            if len(batchers[t]) or arrival_cycle < last_finish[t]:
-                return  # already active, or backlogged rather than idle
-            active_vtimes = [
-                vtime[u] for u in range(n) if u != t and len(batchers[u])
-            ]
-            if active_vtimes:
-                vtime[t] = max(vtime[t], min(active_vtimes))
-
-        def drop_failed(
-            t: int,
-            request: InferenceRequest,
-            start: float,
-            end: float,
-            replica_id: int,
-            batch_size: int,
-        ) -> None:
-            failures[t].append(
-                RequestRecord(
-                    request_id=request.request_id,
-                    arrival_cycle=request.origin_cycle,
-                    dispatch_cycle=start,
-                    completion_cycle=end,
-                    replica_id=replica_id,
-                    batch_size=batch_size,
-                    attempts=request.attempts,
-                    outcome="failed",
-                )
-            )
-
-        def share_key(t: int) -> Tuple:
-            """Deterministic tenant ordering at equal dispatch instants."""
-            if self.sharing == "weighted_fair":
-                return (vtime[t], t)
-            # Strict priority with a starvation floor: a tenant below
-            # its configured share of served cycles jumps the queue.
-            total = sum(served_occupancy)
-            share = served_occupancy[t] / total if total > 0 else 0.0
-            starving = self.tenants[t].min_share > 0 and (
-                share < self.tenants[t].min_share
-            )
-            return (0 if starving else 1, -self.tenants[t].priority, t)
-
-        def pending_work() -> bool:
-            return any(
-                next_arrival[t] < len(requests[t])
-                or retry_heaps[t]
-                or len(batchers[t])
-                for t in range(n)
-            )
-
-        while pending_work():
-            active = [t for t in range(n) if len(batchers[t])]
-            if not active:
-                cycle, _ = next_pending()
-                clock = max(clock, cycle)
-                while True:
-                    cycle, t = next_pending()
-                    if cycle > clock:
-                        break
-                    admit_from(t)
-                continue
-            target, ready_at = self._pick_replica(
-                fleet, rotation, clock, injector
-            )
-            if target is None:
-                # Log any deaths the attempt path never saw; a shared
-                # fleet has no survivor plan to rebuild from, so this
-                # only feeds the recovery log before the mass-fail.
-                if control is not None:
-                    control.check_dead_fleet(fleet, clock, injector)
-                    for action in control.pop_actions():
-                        if action.kind == "rebuild":
-                            control.note_rebuild_failed(
-                                action.replica, action.cycle,
-                                "shared fleet: no survivor plan",
-                            )
-                # Dead fleet: everything queued, retrying or still to
-                # arrive fails — exactly the parent's behaviour, per
-                # tenant.
-                for t in range(n):
-                    for request in batchers[t].pending:
-                        at = max(clock, request.arrival_cycle)
-                        drop_failed(t, request, at, at, -1, 0)
-                    while retry_heaps[t]:
-                        cycle, _, request = heappop(retry_heaps[t])
-                        at = max(clock, cycle)
-                        drop_failed(t, request, at, at, -1, 0)
-                    while next_arrival[t] < len(requests[t]):
-                        request = requests[t][next_arrival[t]]
-                        next_arrival[t] += 1
-                        at = max(clock, request.arrival_cycle)
-                        drop_failed(t, request, at, at, -1, 0)
-                break
-            # Which tenant's batch would this replica take, and when?
-            chosen, chosen_key, dispatch_at = -1, None, math.inf
-            for t in active:
-                if batchers[t].has_full_batch():
-                    at = max(clock, ready_at)
-                else:
-                    at = max(clock, batchers[t].next_deadline(), ready_at)
-                key = (at,) + share_key(t)
-                if chosen_key is None or key < chosen_key:
-                    chosen, chosen_key, dispatch_at = t, key, at
-            # Arrivals at or before the dispatch instant join first —
-            # they may fill their tenant's batch and change the choice
-            # (the parent's admit-before-dispatch rule, gated on the
-            # *arriving* tenant's batch room so a backlogged competitor
-            # is admitted into contention, not frozen out of selection).
-            pending_cycle, pending_tenant = next_admissible()
-            if pending_cycle <= dispatch_at:
-                clock = max(clock, pending_cycle)
-                admit_from(pending_tenant)
-                continue
-            clock = dispatch_at
-            batch = batchers[chosen].pop_batch(clock)
-            attempt = target.execute_attempt(batch, clock, chosen, injector)
-            rotation += 1
-            if control is not None:
-                control.observe(
-                    target.replica_id, attempt, len(batch), injector
-                )
-                for action in control.pop_actions():
-                    if action.kind == "shrink_batch":
-                        for b in batchers:
-                            b.max_batch = control.max_batch
-                    elif action.kind == "rebuild":
-                        control.note_rebuild_failed(
-                            action.replica, action.cycle,
-                            "shared fleet: no survivor plan "
-                            "(failover handles the loss)",
-                        )
-                    # "shed": admission reads tenant_queue_limit directly
-            occupancy = attempt.end_cycle - attempt.start_cycle
-            served_occupancy[chosen] += occupancy
-            last_finish[chosen] = attempt.end_cycle
-            if self.sharing == "weighted_fair":
-                vtime[chosen] += occupancy / self.tenants[chosen].weight
-            if attempt.ok:
-                for request in batch:
-                    records[chosen].append(
-                        RequestRecord(
-                            request_id=request.request_id,
-                            arrival_cycle=request.origin_cycle,
-                            dispatch_cycle=attempt.start_cycle,
-                            completion_cycle=attempt.end_cycle,
-                            replica_id=target.replica_id,
-                            batch_size=len(batch),
-                            attempts=request.attempts,
-                        )
-                    )
-                continue
-            for request in batch:
-                backoff = self.retry.backoff(
-                    request.attempts, backoff_base[chosen]
-                )
-                rearrival = attempt.end_cycle + backoff
-                deadline_at = (
-                    request.origin_cycle + self.retry.deadline_cycles
-                    if self.retry.deadline_cycles is not None
-                    else math.inf
-                )
-                if (
-                    request.attempts >= self.retry.max_attempts
-                    or rearrival >= deadline_at
-                ):
-                    drop_failed(
-                        chosen,
-                        request,
-                        attempt.start_cycle,
-                        attempt.end_cycle,
-                        target.replica_id,
-                        len(batch),
-                    )
-                else:
-                    retries[chosen] += 1
-                    heappush(
-                        retry_heaps[chosen],
-                        (rearrival, next(retry_seq), request.retry_at(rearrival)),
-                    )
-
+        outcome = self._serve([arrivals[name] for name in names])
         per_tenant: Dict[str, ServingResult] = {}
         events: List[float] = []
-        for t, tenant in enumerate(self.tenants):
-            records[t].sort(key=lambda r: r.request_id)
-            failures[t].sort(key=lambda r: r.request_id)
-            metrics = aggregate_metrics(
-                records[t],
-                [replica.stats_for(t) for replica in fleet],
-                frequency_hz=self.frequency_hz,
-                ops_per_request=tenant.ops_per_request,
-                single_image_cycles=tenant.service_model.single_image_cycles,
-                reference_gops=tenant.reference_gops,
-                failures=failures[t],
-                retries=retries[t],
-                slo_cycles=tenant.slo_cycles,
-                arrival=meta.get(tenant.name),
-            )
-            per_tenant[tenant.name] = ServingResult(
-                records=tuple(records[t]),
-                metrics=metrics,
-                failures=tuple(failures[t]),
-            )
-            everything = records[t] + failures[t]
+        for index, name in enumerate(names):
+            result = self._tenant_result(outcome, index, meta.get(name))
+            per_tenant[name] = result
+            everything = result.records + result.failures
             events.append(min(r.arrival_cycle for r in everything))
             events.append(max(r.completion_cycle for r in everything))
         recovery = None
-        if control is not None:
+        if outcome.control is not None:
             all_records = sorted(
-                (r for tenant_records in records for r in tenant_records),
+                (r for records in outcome.records for r in records),
                 key=lambda r: (r.arrival_cycle, r.completion_cycle),
             )
-            recovery = control.finalize(all_records, self.frequency_hz)
+            recovery = outcome.control.finalize(all_records, self.frequency_hz)
         return MultiTenantResult(
             per_tenant=per_tenant,
             sharing=self.sharing,
             weights={t.name: t.weight for t in self.tenants},
-            swaps=sum(r.swaps for r in fleet),
-            swap_cycles=sum(r.swap_cycles for r in fleet),
+            swaps=sum(r.swaps for r in outcome.fleet),
+            swap_cycles=sum(r.swap_cycles for r in outcome.fleet),
             makespan_cycles=max(events) - min(events),
             recovery=recovery,
         )

@@ -377,20 +377,6 @@ class RecoveryController:
             _Action(rung.kind, cycle, value=rung.max_batch)
         )
 
-    def tenant_queue_limit(
-        self, base: Optional[int], protected: bool
-    ) -> Optional[int]:
-        """Admission bound for one tenant under the current rung.
-
-        The shed rung targets *low-priority* tenants — those without a
-        WFQ starvation floor (``min_share == 0``).  Floor-protected
-        tenants keep their base admission bound: the floor is the
-        protection mechanism.
-        """
-        if protected:
-            return base
-        return self.max_queue
-
     # -- rebuild bookkeeping (pipelined fleets) ------------------------------
 
     def note_rebuilt(

@@ -104,16 +104,14 @@ def handover_cycles(plan, reference_hz: Optional[float] = None) -> float:
     ``max(stage weight bytes / device bandwidth)``, expressed in cycles
     of ``reference_hz`` (the fleet's reference clock by default).
     """
+    from repro.serve.runtime import weight_load_cycles
+
     if reference_hz is None:
         reference_hz = plan.fleet.reference_frequency_hz
-    seconds = max(
-        (
-            p.strategy.weight_transfer_bytes / p.device.bandwidth_bytes_per_s
-            for p in plan.placements
-        ),
+    return max(
+        (weight_load_cycles(p.strategy, reference_hz) for p in plan.placements),
         default=0.0,
     )
-    return seconds * reference_hz
 
 
 def replan_cycles(policy, frequency_hz: float) -> float:

@@ -21,6 +21,7 @@ which keeps every serving simulation exactly reproducible.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
@@ -135,6 +136,21 @@ class DynamicBatcher:
         if not self._pending:
             return None
         return self._pending[0].arrival_cycle + self.max_wait_cycles
+
+    def dispatch_cycle(self, now: float, ready_cycle: float) -> float:
+        """When the next batch is cut for a replica free from ``ready_cycle``.
+
+        A full batch goes as soon as both the clock and the replica are
+        there; a partial one also waits for its oldest request's
+        deadline.  Infinite when the queue is empty.
+        """
+        pending = self._pending
+        if not pending:
+            return math.inf
+        if len(pending) >= self.max_batch:
+            return max(now, ready_cycle)
+        return max(now, pending[0].arrival_cycle + self.max_wait_cycles,
+                   ready_cycle)
 
     def ready_at(self, now: float) -> bool:
         """Whether a batch should be cut at virtual time ``now``."""

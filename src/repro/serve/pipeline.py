@@ -91,16 +91,12 @@ class PipelineServiceModel:
         spans.extend(fn(batch_size) for fn in self.transfer_cycles)
         return max(spans)
 
-    def throughput_per_cycle(self, batch_size: int) -> float:
-        """Steady-state images per reference cycle under full batches."""
-        return batch_size / self.bottleneck_cycles(batch_size)
-
 
 class PipelineReplica:
     """One pipeline instance: a chain of stage executors plus links.
 
     Presents the same surface the scheduler's event loop dispatches to
-    (``busy_until`` / ``execute`` / ``execute_attempt`` / ``stats``),
+    (``busy_until`` / ``execute_attempt`` / ``health``),
     with ``busy_until`` meaning *the head stage's* availability —
     downstream stages drain concurrently with newly admitted batches.
     """
@@ -134,10 +130,6 @@ class PipelineReplica:
     def busy_until(self) -> float:
         """When the head stage can admit the next batch."""
         return self._stage_busy_until[0]
-
-    @property
-    def wasted_cycles(self) -> float:
-        return sum(self._stage_wasted_cycles)
 
     def execute(
         self, batch: Sequence[InferenceRequest], dispatch_cycle: float
@@ -176,8 +168,11 @@ class PipelineReplica:
         batch: Sequence[InferenceRequest],
         dispatch_cycle: float,
         injector=None,
+        tenant: int = 0,
     ) -> BatchAttempt:
         """Push one batch down the pipeline under an optional injector.
+
+        A pipeline serves a single tenant: ``tenant`` is always 0.
 
         With no injector this is exactly :meth:`execute`.  With one, the
         traversal is first planned fault-aware: the head start skips the
@@ -283,17 +278,6 @@ class PipelineReplica:
             for index in range(len(self.model.stages))
         ]
 
-    def stats(self) -> ReplicaStats:
-        """Aggregate stats (head-stage view), for scheduler compatibility."""
-        return ReplicaStats(
-            replica_id=self.replica_id,
-            batches=self.batches,
-            requests=self.requests,
-            busy_cycles=self._stage_busy_cycles[0],
-            failed_batches=self.failed_batches,
-            wasted_cycles=self.wasted_cycles,
-        )
-
     def __repr__(self) -> str:
         return (
             f"PipelineReplica(id={self.replica_id}, "
@@ -351,6 +335,12 @@ class PipelineFleetScheduler(FleetScheduler):
     one batcher, which under a crash fault doubles as a spare board:
     batches from a downed pipeline fail over to the survivors.
     """
+
+    # Pipeline attempts span downstream-stage queueing, so the
+    # latency-inflation trigger (calibrated against pure service time)
+    # is off — a cleanly overloaded pipeline must not trip the ladder;
+    # failures and confirmed deaths still do.
+    latency_trigger = False
 
     def __init__(
         self,
@@ -424,7 +414,7 @@ class PipelineFleetScheduler(FleetScheduler):
             stages=len(self.service_model.stages),
         )
 
-    def _collect_stats(self, fleet) -> List[ReplicaStats]:
+    def _collect_stats(self, fleet, tenant: int) -> List[ReplicaStats]:
         stats: List[ReplicaStats] = []
         for replica in fleet:
             stats.extend(replica.stage_stats())
@@ -434,24 +424,6 @@ class PipelineFleetScheduler(FleetScheduler):
             stats.extend(self._active_control.archived_stats)
         stats.sort(key=lambda s: s.replica_id)
         return stats
-
-    def _build_control(self):
-        """Pipeline attempts span downstream-stage queueing, so the
-        latency-inflation trigger (calibrated against pure service
-        time) is disabled — a cleanly overloaded pipeline must not trip
-        the ladder; failures and confirmed deaths still do."""
-        if self.resilience is None:
-            return None
-        from repro.resilience.controller import RecoveryController
-
-        return RecoveryController(
-            self.resilience,
-            num_replicas=self.num_replicas,
-            base_max_batch=self.max_batch,
-            base_max_queue=self.max_queue,
-            fallback_available=False,
-            latency_trigger=False,
-        )
 
     def _dead_stage(self, replica_id: int, cycle: float) -> List[int]:
         """Stages of ``replica_id`` whose crash window covers ``cycle``."""

@@ -25,6 +25,13 @@ Two placement policies:
   earliest (ties to the lowest id), the classic join-shortest-queue
   flavour for batch service.
 
+Tenants: the one event loop serves a tuple of :class:`Tenant` models,
+each with its own batcher, retry heap and admission bound, on shared
+replicas.  A plain :class:`FleetScheduler` has one implicit tenant;
+:class:`~repro.capacity.MultiTenantScheduler` passes several, with a
+sharing discipline (weighted fair queueing or strict priority) choosing
+between tenants and a warm-swap charge when a replica changes model.
+
 Resilience (:mod:`repro.faults`): with a :class:`FaultSpec` attached,
 the same loop tracks replica health (up/draining/down), skips down
 replicas, retries failed batches with exponential backoff and a
@@ -42,17 +49,25 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import count
-from typing import List, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.errors import CapacityError
 from repro.faults import FaultInjector, FaultSpec, RetryPolicy
 from repro.optimizer.strategy import Strategy
 from repro.resilience.controller import RecoveryController, ResiliencePolicy
 from repro.serve.batcher import DynamicBatcher, InferenceRequest, ServingError
 from repro.serve.metrics import RequestRecord, ServingMetrics, aggregate_metrics
-from repro.serve.runtime import AcceleratorReplica, build_fleet
+from repro.serve.runtime import (
+    AcceleratorReplica,
+    ReplicaStats,
+    weight_load_cycles,
+)
 from repro.sim.simulator import ServiceModel, build_service_model
+
+_busy_until = attrgetter("busy_until")
 
 
 class Policy(str, Enum):
@@ -115,8 +130,137 @@ def synthetic_arrivals(
     return [float(t) for t in times]
 
 
+#: Disciplines deciding which tenant's batch a free replica takes.
+SHARING_KINDS = ("weighted_fair", "strict_priority")
+
+
+@dataclass(frozen=True)
+class Tenant:
+    """One model served by a fleet: its timing model plus its share knobs.
+
+    A plain :class:`FleetScheduler` serves one implicit tenant built from
+    its arguments; :class:`~repro.capacity.MultiTenantScheduler` serves
+    several on shared replicas.
+
+    Attributes:
+        name: Tenant key (unique within a scheduler).
+        service_model: Batched timing model of the tenant's compiled
+            strategy.
+        weight: Weighted-fair share (relative; must be positive).
+        priority: Strict-priority rank (higher dispatches first).
+        min_share: Starvation floor under ``strict_priority`` — the
+            minimum fraction of served replica cycles this tenant may
+            fall to before it jumps the queue.  Floors must sum to < 1.
+        swap_cycles: Cycles a replica spends reloading this tenant's
+            weights when it last served a *different* tenant (the
+            initial load of an idle replica is free).
+        frequency_hz: Accelerator clock (every tenant of one fleet must
+            agree — they share boards).
+        ops_per_request: Arithmetic ops one request represents.
+        reference_gops: Analytic effective GOPS of one replica.
+        slo_cycles: Optional per-tenant latency SLO.
+    """
+
+    name: str
+    service_model: ServiceModel
+    weight: float = 1.0
+    priority: int = 0
+    min_share: float = 0.0
+    swap_cycles: float = 0.0
+    frequency_hz: float = 1e6
+    ops_per_request: float = 0.0
+    reference_gops: float = 0.0
+    slo_cycles: Optional[float] = None
+
+    def __post_init__(self):
+        if not self.name:
+            raise CapacityError("a tenant needs a non-empty name")
+        if not self.weight > 0:
+            raise CapacityError(
+                f"tenant {self.name!r} weight must be positive, "
+                f"got {self.weight}"
+            )
+        if not 0.0 <= self.min_share < 1.0:
+            raise CapacityError(
+                f"tenant {self.name!r} min_share must be in [0, 1), "
+                f"got {self.min_share}"
+            )
+        if self.swap_cycles < 0:
+            raise CapacityError(
+                f"tenant {self.name!r} swap_cycles must be >= 0, "
+                f"got {self.swap_cycles}"
+            )
+        if self.slo_cycles is not None and self.slo_cycles <= 0:
+            raise CapacityError(
+                f"tenant {self.name!r} slo_cycles must be positive, "
+                f"got {self.slo_cycles}"
+            )
+
+    @classmethod
+    def for_strategy(
+        cls,
+        name: str,
+        strategy: Strategy,
+        weight: float = 1.0,
+        priority: int = 0,
+        min_share: float = 0.0,
+        swap_cycles: Optional[float] = None,
+        slo_cycles: Optional[float] = None,
+        verify: bool = True,
+    ) -> "Tenant":
+        """Build a tenant serving ``strategy``.
+
+        ``swap_cycles`` defaults to the time the strategy's weights take
+        to stream over the device's DRAM bandwidth — the physical cost
+        of reprogramming a warm replica with this model.
+        """
+        if verify:
+            from repro.check.invariants import verify_strategy
+
+            verify_strategy(strategy).raise_if_failed()
+        if swap_cycles is None:
+            swap_cycles = weight_load_cycles(strategy)
+        return cls(
+            name=name,
+            service_model=build_service_model(strategy),
+            weight=weight,
+            priority=priority,
+            min_share=min_share,
+            swap_cycles=swap_cycles,
+            frequency_hz=strategy.device.frequency_hz,
+            ops_per_request=strategy.total_ops,
+            reference_gops=strategy.effective_gops(),
+            slo_cycles=slo_cycles,
+        )
+
+
+class _Outcome(NamedTuple):
+    """What the event loop leaves behind, indexed by tenant."""
+
+    records: List[List[RequestRecord]]
+    failures: List[List[RequestRecord]]
+    retries: List[int]
+    stats: List[List[ReplicaStats]]
+    fleet: list
+    control: Optional[RecoveryController]
+
+
 class FleetScheduler:
-    """Serves request traces against N replicas of one compiled design."""
+    """Serves request traces against N replicas of one compiled design.
+
+    The event loop runs over a tuple of tenants: this class serves one
+    implicit tenant built from its arguments, and
+    :class:`~repro.capacity.MultiTenantScheduler` passes several that
+    share the replicas.
+    """
+
+    #: Whether an attempt's span is pure service time, so the control
+    #: plane may read latency inflation as degradation (brownouts).
+    #: Pipelines (downstream queueing) and shared boards (warm swaps)
+    #: turn it off.
+    latency_trigger = True
+    #: Lower-resource model served by the ladder's warm-swap rung.
+    fallback_model: Optional[ServiceModel] = None
 
     def __init__(
         self,
@@ -169,38 +313,55 @@ class FleetScheduler:
             fallback_swap_cycles: Virtual-clock price of one warm swap
                 (the fallback strategy's weight-transfer cost).
         """
-        self.policy = Policy(policy)
         if max_wait_cycles is None:
             max_wait_cycles = 0.5 * service_model.single_image_cycles
+        if slo_cycles is not None and slo_cycles <= 0:
+            raise ServingError(f"slo_cycles must be positive, got {slo_cycles}")
+        if fallback_swap_cycles < 0:
+            raise ServingError("fallback_swap_cycles must be >= 0")
         self.service_model = service_model
+        self.fallback_model = fallback_model
+        self.fallback_swap_cycles = fallback_swap_cycles
+        tenant = Tenant(
+            name="default",
+            service_model=service_model,
+            frequency_hz=frequency_hz,
+            ops_per_request=ops_per_request,
+            reference_gops=reference_gops,
+            slo_cycles=slo_cycles,
+        )
+        self._configure(
+            (tenant,), replicas, policy, "weighted_fair", max_batch,
+            max_wait_cycles, faults, fault_seed, retry, max_queue, resilience,
+        )
+
+    def _configure(
+        self, tenants, replicas, policy, sharing, max_batch, max_wait_cycles,
+        faults, fault_seed, retry, max_queue, resilience,
+    ) -> None:
+        """Settings every fleet shape shares, validated eagerly."""
+        self.policy = Policy(policy)
+        if max_queue is not None and max_queue < 1:
+            raise ServingError(f"max_queue must be >= 1, got {max_queue}")
+        if replicas < 1:
+            raise ServingError(f"a fleet needs >= 1 replica, got {replicas}")
+        self.tenants = tuple(tenants)
+        self.sharing = sharing
+        self.num_replicas = replicas
         self.max_batch = max_batch
         self.max_wait_cycles = max_wait_cycles
-        self.num_replicas = replicas
-        self.frequency_hz = frequency_hz
-        self.ops_per_request = ops_per_request
-        self.reference_gops = reference_gops
+        self.frequency_hz = self.tenants[0].frequency_hz
         self.faults = (
             FaultSpec.parse(faults) if isinstance(faults, str) else faults
         )
         self.fault_seed = fault_seed
         self.retry = retry if retry is not None else RetryPolicy()
-        if max_queue is not None and max_queue < 1:
-            raise ServingError(f"max_queue must be >= 1, got {max_queue}")
         self.max_queue = max_queue
-        if slo_cycles is not None and slo_cycles <= 0:
-            raise ServingError(f"slo_cycles must be positive, got {slo_cycles}")
-        self.slo_cycles = slo_cycles
         self.resilience = resilience
-        self.fallback_model = fallback_model
-        self.fallback_swap_cycles = fallback_swap_cycles
-        if fallback_swap_cycles < 0:
-            raise ServingError("fallback_swap_cycles must be >= 0")
         self._active_control: Optional[RecoveryController] = None
-        # build_fleet validates replicas >= 1; the batcher validates
-        # max_batch / max_wait_cycles; building the injector validates
-        # the fault spec against the fleet shape.
-        build_fleet(service_model, replicas)
-        DynamicBatcher(max_batch, max_wait_cycles)
+        # The batchers validate max_batch / max_wait_cycles; building the
+        # injector validates the fault spec against the fleet shape.
+        self._new_batchers()
         self._build_injector()
 
     @classmethod
@@ -248,12 +409,7 @@ class FleetScheduler:
 
                 verify_strategy(fallback).raise_if_failed()
             fallback_model = build_service_model(fallback)
-            device = strategy.device
-            fallback_swap = (
-                fallback.weight_transfer_bytes
-                / device.bandwidth_bytes_per_s
-                * device.frequency_hz
-            )
+            fallback_swap = weight_load_cycles(fallback)
         return cls(
             build_service_model(strategy),
             replicas=replicas,
@@ -275,24 +431,13 @@ class FleetScheduler:
 
     @classmethod
     def for_graph_strategy(
-        cls,
-        strategy,
-        replicas: int = 1,
-        policy: Union[str, Policy] = Policy.LEAST_LOADED,
-        max_batch: int = 8,
-        max_wait_cycles: Optional[float] = None,
-        faults: Union[FaultSpec, str, None] = None,
-        fault_seed: int = 0,
-        retry: Optional[RetryPolicy] = None,
-        max_queue: Optional[int] = None,
-        slo_cycles: Optional[float] = None,
-        resilience: Optional[ResiliencePolicy] = None,
-        verify: bool = True,
+        cls, strategy, verify: bool = True, **knobs
     ) -> "FleetScheduler":
         """Build a fleet serving a branch-aware graph strategy.
 
-        Identical to :meth:`for_strategy` except the service model comes
-        from the graph strategy's per-segment flattening and admission
+        Takes the serving knobs of :meth:`for_strategy` (graph
+        strategies have no fallback rung); the service model comes from
+        the graph strategy's per-segment flattening and admission
         verification runs the branch-aware validators (branch coverage,
         join transfer accounting).
         """
@@ -304,19 +449,10 @@ class FleetScheduler:
 
         return cls(
             build_graph_service_model(strategy),
-            replicas=replicas,
-            policy=policy,
-            max_batch=max_batch,
-            max_wait_cycles=max_wait_cycles,
             frequency_hz=strategy.device.frequency_hz,
             ops_per_request=strategy.total_ops,
             reference_gops=strategy.effective_gops(),
-            faults=faults,
-            fault_seed=fault_seed,
-            retry=retry,
-            max_queue=max_queue,
-            slo_cycles=slo_cycles,
-            resilience=resilience,
+            **knobs,
         )
 
     # -- capacity helpers ----------------------------------------------------
@@ -333,9 +469,28 @@ class FleetScheduler:
 
     # -- the event loop ------------------------------------------------------
 
+    def _new_batchers(self) -> List[DynamicBatcher]:
+        """One dynamic batcher per tenant.
+
+        Without ``max_wait_cycles`` a partial batch waits at most half
+        its tenant's single-image latency.
+        """
+        return [
+            DynamicBatcher(
+                self.max_batch,
+                self.max_wait_cycles
+                if self.max_wait_cycles is not None
+                else 0.5 * tenant.service_model.single_image_cycles,
+            )
+            for tenant in self.tenants
+        ]
+
     def _build_replicas(self) -> List[AcceleratorReplica]:
         """The executors one run dispatches to (overridable: pipelines)."""
-        return build_fleet(self.service_model, self.num_replicas)
+        return [
+            AcceleratorReplica.shared(i, self.tenants)
+            for i in range(self.num_replicas)
+        ]
 
     def _build_injector(self) -> Optional[FaultInjector]:
         """A fresh injector per run (overridable: pipelines add links)."""
@@ -345,9 +500,9 @@ class FleetScheduler:
             self.faults, seed=self.fault_seed, replicas=self.num_replicas
         )
 
-    def _collect_stats(self, fleet) -> List:
-        """Per-executor stats for the metrics (overridable: per stage)."""
-        return [replica.stats() for replica in fleet]
+    def _collect_stats(self, fleet, tenant: int) -> List[ReplicaStats]:
+        """Per-executor stats of one tenant (overridable: per stage)."""
+        return [replica.stats(tenant) for replica in fleet]
 
     # -- the control plane (inert unless a resilience policy is attached) ----
 
@@ -361,21 +516,27 @@ class FleetScheduler:
             base_max_batch=self.max_batch,
             base_max_queue=self.max_queue,
             fallback_available=self.fallback_model is not None,
-            latency_trigger=True,
-            baseline_fn=self.service_model.batch_cycles,
+            latency_trigger=self.latency_trigger,
+            baseline_fn=(
+                self.service_model.batch_cycles
+                if self.latency_trigger
+                else None
+            ),
         )
 
     def _apply_control(
-        self, control: RecoveryController, fleet, batcher: DynamicBatcher
+        self, control: RecoveryController, fleet,
+        batchers: List[DynamicBatcher],
     ) -> None:
-        """Drain the controller's decisions into the running fleet."""
+        """Drain the controller's decisions into the running fleet (the
+        shed rung needs nothing here: admission reads the controller's
+        ``max_queue``)."""
         for action in control.pop_actions():
             if action.kind == "shrink_batch":
-                batcher.max_batch = control.max_batch
+                for batcher in batchers:
+                    batcher.max_batch = control.max_batch
             elif action.kind == "fallback_swap":
                 self._apply_fallback(control, fleet, action.cycle)
-            elif action.kind == "shed":
-                pass  # admission reads control.max_queue directly
             elif action.kind == "rebuild":
                 self._rebuild_replica(control, fleet, action.replica,
                                       action.cycle)
@@ -391,7 +552,7 @@ class FleetScheduler:
         accepts new work.
         """
         for replica in fleet:
-            replica.service_model = self.fallback_model
+            replica.models[0] = self.fallback_model
             replica.busy_until = (
                 max(replica.busy_until, cycle) + self.fallback_swap_cycles
             )
@@ -412,7 +573,7 @@ class FleetScheduler:
 
     def _control_dead_fleet(
         self, control: RecoveryController, fleet, clock: float, injector,
-        batcher: DynamicBatcher,
+        batchers: List[DynamicBatcher],
     ) -> bool:
         """Give the control plane one shot before the mass-fail fallback.
 
@@ -423,7 +584,7 @@ class FleetScheduler:
         """
         if not control.check_dead_fleet(fleet, clock, injector):
             return False
-        self._apply_control(control, fleet, batcher)
+        self._apply_control(control, fleet, batchers)
         return bool(control.rebuilt)
 
     def _pick_replica(
@@ -441,7 +602,9 @@ class FleetScheduler:
             if self.policy is Policy.ROUND_ROBIN:
                 target = fleet[rotation % len(fleet)]
             else:
-                target = min(fleet, key=lambda r: (r.busy_until, r.replica_id))
+                # The fleet is in replica-id order, so the first minimum
+                # is the lowest id among equally loaded replicas.
+                target = min(fleet, key=_busy_until)
             return target, target.busy_until
         # A rebuilt replica runs the re-planned survivor pipeline: the
         # dead device is no longer part of it, so the original fault
@@ -451,32 +614,25 @@ class FleetScheduler:
             if self._active_control is not None
             else {}
         )
-        ready = {
-            r.replica_id: (
-                max(clock, r.busy_until)
-                if r.replica_id in rebuilt
-                else injector.available_from(
-                    r.replica_id, max(clock, r.busy_until)
-                )
-            )
+        ready = [
+            max(clock, r.busy_until)
+            if r.replica_id in rebuilt
+            else injector.available_from(r.replica_id, max(clock, r.busy_until))
             for r in fleet
-        }
-        if all(math.isinf(cycle) for cycle in ready.values()):
+        ]
+        earliest = min(ready)
+        if math.isinf(earliest):
             return None, math.inf
         if self.policy is Policy.ROUND_ROBIN:
             for offset in range(len(fleet)):
-                candidate = fleet[(rotation + offset) % len(fleet)]
-                at = ready[candidate.replica_id]
+                index = (rotation + offset) % len(fleet)
                 # "Up right now": no down window delayed its start.
-                if at == max(clock, candidate.busy_until):
-                    return candidate, at
-            # Everyone is down this instant: take the first to recover.
-        target = min(fleet, key=lambda r: (ready[r.replica_id], r.replica_id))
-        return target, ready[target.replica_id]
-
-    def health_report(self, fleet, clock: float, injector) -> List[str]:
-        """Health of every replica at ``clock`` (up/draining/down)."""
-        return [replica.health(clock, injector) for replica in fleet]
+                if ready[index] == max(clock, fleet[index].busy_until):
+                    return fleet[index], ready[index]
+            # Everyone is down this instant: take the first to recover
+            # (the lowest id among ties, as the fleet is in id order).
+        index = ready.index(earliest)
+        return fleet[index], earliest
 
     def run(
         self,
@@ -490,46 +646,127 @@ class FleetScheduler:
         metrics so a ``--json`` payload alone suffices to replay the
         run; it does not affect scheduling.
         """
-        if len(arrival_cycles) == 0:
-            raise ServingError("cannot serve an empty arrival trace")
-        arrivals = sorted(float(t) for t in arrival_cycles)
-        if arrivals[0] < 0:
-            raise ServingError("arrival cycles must be non-negative")
-        requests = [
-            InferenceRequest(request_id=i, arrival_cycle=t)
-            for i, t in enumerate(arrivals)
-        ]
+        outcome = self._serve([arrival_cycles])
+        recovery = (
+            outcome.control.finalize(outcome.records[0], self.frequency_hz)
+            if outcome.control is not None
+            else None
+        )
+        return self._tenant_result(outcome, 0, arrival, recovery)
+
+    def _tenant_result(
+        self,
+        outcome: _Outcome,
+        index: int,
+        arrival: Optional[dict] = None,
+        recovery: Optional[dict] = None,
+    ) -> ServingResult:
+        """One tenant's records, failures and aggregated metrics."""
+        tenant = self.tenants[index]
+        records, failures = outcome.records[index], outcome.failures[index]
+        metrics = aggregate_metrics(
+            records,
+            outcome.stats[index],
+            frequency_hz=self.frequency_hz,
+            ops_per_request=tenant.ops_per_request,
+            single_image_cycles=tenant.service_model.single_image_cycles,
+            reference_gops=tenant.reference_gops,
+            failures=failures,
+            retries=outcome.retries[index],
+            slo_cycles=tenant.slo_cycles,
+            arrival=arrival,
+            recovery=recovery,
+        )
+        return ServingResult(
+            records=tuple(records),
+            metrics=metrics,
+            failures=tuple(failures),
+        )
+
+    def _serve(self, traces: Sequence[Sequence[float]]) -> _Outcome:
+        """Serve one arrival trace per tenant to completion.
+
+        Each tenant has its own batcher, retry heap and admission bound;
+        the replicas are shared.  When a replica can take work, every
+        tenant with queued requests proposes its dispatch instant (the
+        module's dispatch rule) and the earliest wins.  Ties go to the
+        sharing discipline:
+
+        * ``weighted_fair`` — start-time fair queueing: each batch
+          advances its tenant's virtual time by the replica cycles it
+          occupied over the tenant's weight, and the smallest virtual
+          time goes first;
+        * ``strict_priority`` — the highest ``priority`` goes first,
+          except that a tenant whose share of served replica cycles is
+          below its ``min_share`` floor jumps the queue.
+
+        Arrivals and retries at or before the dispatch instant are
+        admitted first; cross-tenant ties admit the lowest tenant index.
+        """
+        tenants = self.tenants
+        n = len(tenants)
+        requests: List[List[InferenceRequest]] = []
+        # Each tenant's sorted arrival cycles, closed by an infinite one.
+        arrival_at: List[List[float]] = []
+        for trace in traces:
+            if len(trace) == 0:
+                raise ServingError("cannot serve an empty arrival trace")
+            arrivals = sorted(float(t) for t in trace)
+            if arrivals[0] < 0:
+                raise ServingError("arrival cycles must be non-negative")
+            requests.append(
+                [
+                    InferenceRequest(request_id=i, arrival_cycle=t)
+                    for i, t in enumerate(arrivals)
+                ]
+            )
+            arrivals.append(math.inf)
+            arrival_at.append(arrivals)
         fleet = self._build_replicas()
         injector = self._build_injector()
         control = self._build_control()
         self._active_control = control
-        batcher = DynamicBatcher(self.max_batch, self.max_wait_cycles)
-        backoff_base = self.retry.backoff_cycles
-        if backoff_base is None:
-            backoff_base = 0.25 * self.service_model.single_image_cycles
-        records: List[RequestRecord] = []
-        failures: List[RequestRecord] = []
-        retry_heap: List[Tuple[float, int, InferenceRequest]] = []
+        batchers = self._new_batchers()
+        retry = self.retry
+        deadline = retry.deadline_cycles
+        backoff_base = [
+            retry.backoff_cycles
+            if retry.backoff_cycles is not None
+            else 0.25 * tenant.service_model.single_image_cycles
+            for tenant in tenants
+        ]
+        max_queue = self.max_queue
+        protected = [tenant.min_share > 0 for tenant in tenants]
+        fair = self.sharing == "weighted_fair"
+        records: List[List[RequestRecord]] = [[] for _ in tenants]
+        failures: List[List[RequestRecord]] = [[] for _ in tenants]
+        retry_heaps: List[List[Tuple[float, int, InferenceRequest]]] = [
+            [] for _ in tenants
+        ]
         retry_seq = count()
-        retries = 0
+        retries = [0] * n
+        next_arrival = [0] * n
+        tenant_ids = range(n)
+        # Each tenant's earliest not-yet-admitted arrival (trace or retry).
+        pending_at = [cycles[0] for cycles in arrival_at]
+        vtime = [0.0] * n  # weighted-fair virtual time
+        last_finish = [0.0] * n  # end cycle of the tenant's last batch
+        served = [0.0] * n  # replica cycles the tenant occupied
+        queued = 0  # requests waiting in any batcher
         clock = 0.0
         rotation = 0
-        next_arrival = 0
+        # Without faults the policy's pick depends only on the replicas,
+        # so it holds until the next dispatch.
+        target, ready_at, stale = None, math.inf, True
 
-        def next_pending_cycle() -> float:
-            """Earliest not-yet-admitted arrival (trace or retry)."""
-            cycle = math.inf
-            if next_arrival < len(requests):
-                cycle = requests[next_arrival].arrival_cycle
-            if retry_heap:
-                cycle = min(cycle, retry_heap[0][0])
-            return cycle
-
-        def admit_one() -> None:
-            """Admit the earliest pending request (retries win ties).
+        def admit(t: int) -> None:
+            """Admit tenant ``t``'s earliest pending request (retries win
+            ties).
 
             Fresh arrivals are subject to admission control: with
-            ``max_queue`` set and the queue full, the request is shed.
+            ``max_queue`` set and the tenant's queue full, the request
+            is shed (under the control plane's shed rung, tenants
+            without a ``min_share`` floor get the tightened bound).
             Retries are always admitted — they already hold completed
             queueing credit and shedding them would waste the backoff —
             unless their deadline has already passed by admission time:
@@ -538,49 +775,57 @@ class FleetScheduler:
             a request admitted at or after its deadline would only burn
             a doomed service attempt.
             """
-            nonlocal next_arrival
-            trace_cycle = (
-                requests[next_arrival].arrival_cycle
-                if next_arrival < len(requests)
-                else math.inf
-            )
-            if retry_heap and retry_heap[0][0] <= trace_cycle:
-                rearrival, _, request = heappop(retry_heap)
-                at = max(clock, rearrival)
-                deadline_at = (
-                    request.origin_cycle + self.retry.deadline_cycles
-                    if self.retry.deadline_cycles is not None
-                    else math.inf
+            nonlocal queued
+            heap, i = retry_heaps[t], next_arrival[t]
+            fresh = arrival_at[t][i]
+            if heap and heap[0][0] <= fresh:
+                cycle, _, request = heappop(heap)
+                pending_at[t] = (
+                    heap[0][0] if heap and heap[0][0] < fresh else fresh
                 )
-                if at >= deadline_at:
-                    drop_failed(request, at, at, -1, 0)
+                at = max(clock, cycle)
+                if deadline is not None and (
+                    at >= request.origin_cycle + deadline
+                ):
+                    drop(t, request, at, at)
                     return
-                batcher.add(request)
-                return
-            request = requests[next_arrival]
-            next_arrival += 1
-            max_queue = (
-                control.max_queue if control is not None else self.max_queue
-            )
-            if max_queue is not None and len(batcher) >= max_queue:
-                failures.append(
-                    RequestRecord(
-                        request_id=request.request_id,
-                        arrival_cycle=request.origin_cycle,
-                        dispatch_cycle=request.arrival_cycle,
-                        completion_cycle=request.arrival_cycle,
-                        replica_id=-1,
-                        batch_size=0,
-                        attempts=request.attempts,
-                        outcome="shed",
-                    )
+            else:
+                request, cycle = requests[t][i], fresh
+                next_arrival[t] = i + 1
+                fresh = arrival_at[t][i + 1]
+                pending_at[t] = (
+                    heap[0][0] if heap and heap[0][0] < fresh else fresh
                 )
-                return
-            batcher.add(request)
+                # The shed rung tightens admission only for tenants
+                # without a starvation floor: the floor protects the rest.
+                limit = (
+                    max_queue
+                    if control is None or protected[t]
+                    else control.max_queue
+                )
+                if limit is not None and len(batchers[t]) >= limit:
+                    drop(t, request, cycle, cycle, outcome="shed")
+                    return
+            # A tenant idle for a long stretch holds a stale (small)
+            # virtual time and would monopolize the fleet on return, so
+            # it restarts no earlier than the least-served active
+            # competitor.  "Idle" means the request arrived after the
+            # tenant's last batch finished: under saturation the backlog
+            # waits in the unadmitted trace and the batcher drains to
+            # empty at every dispatch.
+            if n > 1 and not len(batchers[t]) and cycle >= last_finish[t]:
+                active = [
+                    vtime[u] for u in range(n) if u != t and len(batchers[u])
+                ]
+                if active:
+                    vtime[t] = max(vtime[t], min(active))
+            batchers[t].add(request)
+            queued += 1
 
-        def drop_failed(request: InferenceRequest, start: float, end: float,
-                        replica_id: int, batch_size: int) -> None:
-            failures.append(
+        def drop(t: int, request: InferenceRequest, start: float,
+                 end: float, replica_id: int = -1, batch_size: int = 0,
+                 outcome: str = "failed") -> None:
+            failures[t].append(
                 RequestRecord(
                     request_id=request.request_id,
                     arrival_cycle=request.origin_cycle,
@@ -589,74 +834,116 @@ class FleetScheduler:
                     replica_id=replica_id,
                     batch_size=batch_size,
                     attempts=request.attempts,
-                    outcome="failed",
+                    outcome=outcome,
                 )
             )
 
-        while next_arrival < len(requests) or retry_heap or len(batcher):
-            if not len(batcher):
-                # Idle: jump the clock to the next arrival or retry.
-                clock = max(clock, next_pending_cycle())
-                while next_pending_cycle() <= clock:
-                    admit_one()
-                continue
-            target, ready_at = self._pick_replica(
-                fleet, rotation, clock, injector
+        def share_key(t: int) -> Tuple:
+            """Tenant order at equal dispatch instants."""
+            if fair:
+                return (vtime[t], t)
+            total = sum(served)
+            share = served[t] / total if total > 0 else 0.0
+            starving = tenants[t].min_share > 0 and (
+                share < tenants[t].min_share
             )
+            return (0 if starving else 1, -tenants[t].priority, t)
+
+        def next_admissible() -> Tuple[float, int]:
+            """Earliest pending arrival among tenants with batch room, so
+            one tenant's full batch cannot freeze the others out."""
+            best, who = math.inf, -1
+            for t in tenant_ids:
+                if pending_at[t] < best and not batchers[t].has_full_batch():
+                    best, who = pending_at[t], t
+            return best, who
+
+        while True:
+            if not queued:
+                # Idle: jump the clock to the next arrival or retry.
+                cycle = min(pending_at)
+                if cycle == math.inf:
+                    break  # every request completed, failed or was shed
+                if cycle > clock:
+                    clock = cycle
+                while cycle <= clock:
+                    admit(pending_at.index(cycle))
+                    cycle = min(pending_at)
+                continue
+            if stale:
+                target, ready_at = self._pick_replica(
+                    fleet, rotation, clock, injector
+                )
+                stale = injector is not None
             if target is None:
                 # Before declaring the fleet dead, give the control
                 # plane one shot: a crash that opened while the fleet
                 # sat idle was never seen by the attempt path, and a
                 # pipelined fleet can re-plan over the survivors.
                 if control is not None and self._control_dead_fleet(
-                    control, fleet, clock, injector, batcher
+                    control, fleet, clock, injector, batchers
                 ):
                     continue
-                # Every replica is permanently down: the queue, pending
+                # Every replica is permanently down: the queues, pending
                 # retries, and all future arrivals fail — nothing will
                 # ever serve them.
-                for request in batcher.pending:
-                    at = max(clock, request.arrival_cycle)
-                    drop_failed(request, at, at, -1, 0)
-                while retry_heap:
-                    cycle, _, request = heappop(retry_heap)
-                    at = max(clock, cycle)
-                    drop_failed(request, at, at, -1, 0)
-                while next_arrival < len(requests):
-                    request = requests[next_arrival]
-                    next_arrival += 1
-                    at = max(clock, request.arrival_cycle)
-                    drop_failed(request, at, at, -1, 0)
+                for t in range(n):
+                    for request in batchers[t].pending:
+                        at = max(clock, request.arrival_cycle)
+                        drop(t, request, at, at)
+                    heap = retry_heaps[t]
+                    while heap:
+                        cycle, _, request = heappop(heap)
+                        at = max(clock, cycle)
+                        drop(t, request, at, at)
+                    for request in requests[t][next_arrival[t]:]:
+                        at = max(clock, request.arrival_cycle)
+                        drop(t, request, at, at)
                 break
-            # When would the pending batch be dispatched?
-            if batcher.has_full_batch():
-                dispatch_at = max(clock, ready_at)
-            else:
-                dispatch_at = max(clock, batcher.next_deadline(), ready_at)
-            # Arrivals at or before that instant join the batch first
-            # (they may fill it and move the dispatch earlier).
-            if (
-                not batcher.has_full_batch()
-                and next_pending_cycle() <= dispatch_at
-            ):
-                clock = max(clock, next_pending_cycle())
-                admit_one()
-                continue
+            # Which tenant's batch would the replica take, and when?
+            chosen, dispatch_at = -1, math.inf
+            for t in tenant_ids:
+                at = batchers[t].dispatch_cycle(clock, ready_at)
+                if at < dispatch_at or (
+                    at == dispatch_at
+                    and chosen >= 0
+                    and share_key(t) < share_key(chosen)
+                ):
+                    chosen, dispatch_at = t, at
+            # Arrivals at or before that instant join first (they may
+            # fill a batch and move the dispatch earlier).
+            cycle = min(pending_at)
+            if cycle <= dispatch_at:
+                t = pending_at.index(cycle)
+                if batchers[t].has_full_batch():
+                    cycle, t = next_admissible()
+                if cycle <= dispatch_at:
+                    if cycle > clock:
+                        clock = cycle
+                    admit(t)
+                    continue
             clock = dispatch_at
-            batch = batcher.pop_batch(clock)
+            batch = batchers[chosen].pop_batch(clock)
+            queued -= len(batch)
             exec_injector = injector
             if control is not None and target.replica_id in control.rebuilt:
                 exec_injector = None  # survivor plan: old schedule is void
-            attempt = target.execute_attempt(batch, clock, exec_injector)
+            attempt = target.execute_attempt(batch, clock, exec_injector, chosen)
             rotation += 1
+            stale = True
             if control is not None:
                 control.observe(
                     target.replica_id, attempt, len(batch), injector
                 )
-                self._apply_control(control, fleet, batcher)
+                self._apply_control(control, fleet, batchers)
+            occupancy = attempt.end_cycle - attempt.start_cycle
+            served[chosen] += occupancy
+            last_finish[chosen] = attempt.end_cycle
+            vtime[chosen] += occupancy / tenants[chosen].weight
             if attempt.ok:
+                done = records[chosen]
                 for request in batch:
-                    records.append(
+                    done.append(
                         RequestRecord(
                             request_id=request.request_id,
                             arrival_cycle=request.origin_cycle,
@@ -673,18 +960,14 @@ class FleetScheduler:
             # run out.  Re-arrivals merge back into the admission stream,
             # so surviving replicas pick the work up — failover.
             for request in batch:
-                backoff = self.retry.backoff(request.attempts, backoff_base)
+                backoff = retry.backoff(request.attempts, backoff_base[chosen])
                 rearrival = attempt.end_cycle + backoff
-                deadline_at = (
-                    request.origin_cycle + self.retry.deadline_cycles
-                    if self.retry.deadline_cycles is not None
-                    else math.inf
-                )
-                if (
-                    request.attempts >= self.retry.max_attempts
-                    or rearrival >= deadline_at
+                if request.attempts >= retry.max_attempts or (
+                    deadline is not None
+                    and rearrival >= request.origin_cycle + deadline
                 ):
-                    drop_failed(
+                    drop(
+                        chosen,
                         request,
                         attempt.start_cycle,
                         attempt.end_cycle,
@@ -692,37 +975,19 @@ class FleetScheduler:
                         len(batch),
                     )
                 else:
-                    retries += 1
+                    retries[chosen] += 1
                     heappush(
-                        retry_heap,
+                        retry_heaps[chosen],
                         (rearrival, next(retry_seq), request.retry_at(rearrival)),
                     )
-        records.sort(key=lambda r: r.request_id)
-        failures.sort(key=lambda r: r.request_id)
-        recovery = (
-            control.finalize(records, self.frequency_hz)
-            if control is not None
-            else None
-        )
-        metrics = aggregate_metrics(
-            records,
-            self._collect_stats(fleet),
-            frequency_hz=self.frequency_hz,
-            ops_per_request=self.ops_per_request,
-            single_image_cycles=self.service_model.single_image_cycles,
-            reference_gops=self.reference_gops,
-            failures=failures,
-            retries=retries,
-            slo_cycles=self.slo_cycles,
-            arrival=arrival,
-            recovery=recovery,
-        )
+                    if rearrival < pending_at[chosen]:
+                        pending_at[chosen] = rearrival
+        for t in range(n):
+            records[t].sort(key=lambda r: r.request_id)
+            failures[t].sort(key=lambda r: r.request_id)
+        stats = [self._collect_stats(fleet, t) for t in range(n)]
         self._active_control = None
-        return ServingResult(
-            records=tuple(records),
-            metrics=metrics,
-            failures=tuple(failures),
-        )
+        return _Outcome(records, failures, retries, stats, fleet, control)
 
     def run_open_loop(
         self,

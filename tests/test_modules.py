@@ -216,3 +216,40 @@ class TestCodegen:
         assert "concat_channels" in code
         # inner branch engines rendered
         assert "inception3a_b3" in code.replace(".", "_")
+
+
+class TestArtifacts:
+    """Inception networks digest structurally, so the artifacts that
+    stamp a network digest (codegen manifests, saved strategies) work."""
+
+    def test_digest_covers_the_channel_spec(self, net, spec):
+        from dataclasses import replace
+
+        from repro.check.artifacts import network_digest
+
+        same = Network("mini", InputSpec(8, 12, 12), [
+            InceptionModule(name="inc", spec=replace(spec))
+        ])
+        wider = Network("mini", InputSpec(8, 12, 12), [
+            InceptionModule(name="inc", spec=replace(spec, b1=5))
+        ])
+        assert network_digest(net) == network_digest(same)
+        assert network_digest(net) != network_digest(wider)
+
+    def test_compile_emits_project_and_strategy_round_trips(self, tmp_path):
+        from repro.optimizer.serialize import load_strategy, save_strategy
+        from repro.toolflow import compile_model
+
+        net = Network("mini", InputSpec(8, 12, 12), [
+            ConvLayer(name="c1", out_channels=8, kernel=3, pad=1),
+            InceptionModule(
+                name="inc",
+                spec=InceptionSpec(b1=4, b3_reduce=6, b3=8, b5_reduce=2,
+                                   b5=4, pool_proj=4),
+            ),
+        ])
+        compiled = compile_model(net, device="testchip")
+        assert compiled.project is not None
+        path = save_strategy(compiled.strategy, tmp_path / "strategy.json")
+        loaded = load_strategy(path, network=net)
+        assert loaded.latency_cycles == compiled.strategy.latency_cycles
