@@ -88,6 +88,19 @@ class TestDeadline:
         batcher.add(req(0, 42))
         assert batcher.ready_at(42)
 
+    def test_dispatch_cycle(self):
+        batcher = DynamicBatcher(max_batch=2, max_wait_cycles=10)
+        assert batcher.dispatch_cycle(0, 0) == float("inf")
+        batcher.add(req(0, 100))
+        # A partial batch waits for its deadline and the replica.
+        assert batcher.dispatch_cycle(100, 50) == 110
+        assert batcher.dispatch_cycle(100, 130) == 130
+        assert batcher.dispatch_cycle(120, 50) == 120
+        # A full batch goes as soon as the clock and the replica allow.
+        batcher.add(req(1, 104))
+        assert batcher.dispatch_cycle(104, 50) == 104
+        assert batcher.dispatch_cycle(104, 107) == 107
+
     def test_full_batch_ready_before_deadline(self):
         batcher = DynamicBatcher(max_batch=2, max_wait_cycles=1000)
         batcher.add(req(0, 0))
