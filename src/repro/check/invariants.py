@@ -419,16 +419,20 @@ def verify_graph_strategy(
 def verify_plan(plan, check_cost_model: bool = True) -> VerificationReport:
     """Validate a :class:`~repro.partition.plan.PartitionPlan`.
 
-    Checks stage coverage and ordering, stage-to-device binding, link
-    consistency (one transfer per cut, wired to the right fleet link,
-    carrying the actual cut tensor), per-stage strategy validity (via
-    :func:`verify_strategy` on each stage, against its own device), and
-    the pipeline bottleneck/latency math.
+    Checks stage coverage and ordering over the model's units,
+    stage-to-device binding, link consistency (one transfer per cut,
+    wired to the right fleet link, carrying the actual cut tensor — the
+    output of the unit before the cut, a block's join on a DAG),
+    per-stage strategy validity (via :func:`verify_strategy` or
+    :func:`verify_graph_strategy` on each stage, against its own
+    device), and the pipeline bottleneck/latency math.
     """
+    from repro.optimizer.graph_dp import GraphStrategy
+
     report = VerificationReport(
         f"plan[{plan.network.name} across {plan.fleet.name}]"
     )
-    network = plan.network
+    units = plan.units
     fleet = plan.fleet
 
     expected = 0
@@ -461,21 +465,27 @@ def verify_plan(plan, check_cost_model: bool = True) -> VerificationReport:
                     f"stage strategy targets {placement.strategy.device.name}, "
                     f"fleet slot {placement.device_index} is {bound.name}",
                 )
-        stage_layers = placement.stop - placement.start
-        if len(placement.strategy.network) != stage_layers:
+        stage_units = units[placement.start:placement.stop]
+        stage_layers = sum(len(unit) for unit in stage_units)
+        if len(placement.nodes) != stage_layers:
             report.add(
                 V_TILING, where,
                 f"covers {stage_layers} layers but its strategy covers "
-                f"{len(placement.strategy.network)}",
+                f"{len(placement.nodes)}",
             )
+        verify_stage = (
+            verify_graph_strategy
+            if isinstance(placement.strategy, GraphStrategy)
+            else verify_strategy
+        )
         report.extend(
-            verify_strategy(placement.strategy, check_cost_model=check_cost_model),
+            verify_stage(placement.strategy, check_cost_model=check_cost_model),
             where,
         )
-    if expected != len(network):
+    if expected != len(units):
         report.add(
             V_TILING, "stages",
-            f"cover {expected} layers, network has {len(network)}",
+            f"cover {expected} units, the model has {len(units)}",
         )
 
     # Links: one transfer per adjacent stage pair, carrying the cut tensor.
@@ -506,16 +516,15 @@ def verify_plan(plan, check_cost_model: bool = True) -> VerificationReport:
             )
         if index < len(plan.placements) - 1:
             cut = plan.placements[index].stop
-            if 0 < cut <= len(network):
+            if 0 < cut <= len(units):
                 sender = plan.placements[index].strategy.device
-                expected_bytes = (
-                    network[cut - 1].output_size * sender.element_bytes
-                )
+                tail = units[cut - 1][-1]
+                expected_bytes = tail.output_size * sender.element_bytes
                 if transfer.tensor_bytes != expected_bytes:
                     report.add(
                         V_LINKS, where,
                         f"carries {transfer.tensor_bytes} bytes, the cut "
-                        f"tensor after layer {cut - 1} is {expected_bytes}",
+                        f"tensor after {tail.name} is {expected_bytes}",
                     )
 
     # Bottleneck math.

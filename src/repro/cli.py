@@ -187,16 +187,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.json:
         strategy = result.strategy
         if isinstance(result, GraphCompileResult):
-            payload = {
-                "kind": "graph_strategy",
-                "graph": result.graph.name,
-                "device": result.device.name,
-                "latency_cycles": strategy.latency_cycles,
-                "segments": [
-                    {"kind": s.kind, "nodes": s.node_names()}
-                    for s in strategy.segments
-                ],
-            }
+            payload = strategy.to_dict()
         else:
             from repro.optimizer.serialize import strategy_to_dict
 
@@ -449,15 +440,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         workers=args.workers,
         verify=not args.no_verify,
     )
-    from repro.partition.graph_cut import GraphPartitionPlan
-
-    if isinstance(plan, GraphPartitionPlan) and (
-        args.simulate or args.serve is not None or args.save
-    ):
-        raise ReproError(
-            "--simulate/--serve/--save are chain-only for now; graph "
-            "partition plans support the report and --json views"
-        )
+    if args.simulate or args.serve is not None or args.save:
+        plan.require_chain_stages("--simulate/--serve/--save")
     if args.json:
         payload = plan.to_dict()
         if args.stats and plan.telemetry is not None:
@@ -545,13 +529,8 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         workers=args.workers,
         verify=not args.no_verify,
     )
-    from repro.partition.graph_cut import GraphPartitionPlan
-
-    if isinstance(plan, GraphPartitionPlan):
-        raise ReproError(
-            "repro replan is chain-only: online re-partitioning re-runs "
-            "the cut-point DP, which graph plans do not use"
-        )
+    if args.save:
+        plan.require_chain_stages("--save")
     started = time.perf_counter()
     survivor = replan_survivors(
         plan,

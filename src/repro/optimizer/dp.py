@@ -175,7 +175,11 @@ class FrontierOptimizer:
         return min(feasible, key=lambda p: p.latency_cycles)
 
     def materialize(self, plan: _Plan) -> Strategy:
-        """Turn a plan into a full Strategy with group designs."""
+        """Turn a plan into a full Strategy with group designs.
+
+        A plan from a sub-range query ``frontier(start, stop)`` becomes
+        a strategy over ``network.slice(start, stop)``.
+        """
         designs = []
         for start, stop in plan.groups:
             design = self.search.fusion(start, stop)
@@ -184,10 +188,16 @@ class FrontierOptimizer:
                     f"group [{start}:{stop}] became infeasible on materialize"
                 )
             designs.append(design)
+        first, last = plan.groups[0][0], plan.groups[-1][1]
+        network = (
+            self.network
+            if first == 0 and last == len(self.network)
+            else self.network.slice(first, last)
+        )
         return Strategy(
-            self.network,
+            network,
             self.device,
-            list(plan.groups),
+            [(s - first, e - first) for s, e in plan.groups],
             designs,
             telemetry=self.telemetry,
         )

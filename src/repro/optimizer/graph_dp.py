@@ -38,7 +38,7 @@ store built by chain compiles warms graph compiles and vice versa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import OptimizationError, ResourceError
@@ -301,6 +301,19 @@ class GraphStrategy:
                 f"feature-map bytes, constraint is {transfer_constraint_bytes}"
             )
 
+    def to_dict(self) -> dict:
+        """JSON view: graph, device, latency and per-segment node lists."""
+        return {
+            "kind": "graph_strategy",
+            "graph": self.graph.name,
+            "device": self.device.name,
+            "latency_cycles": self.latency_cycles,
+            "segments": [
+                {"kind": s.kind, "nodes": s.node_names()}
+                for s in self.segments
+            ],
+        }
+
     # -- reporting ------------------------------------------------------------
 
     def _segment_lines(self, indent: str = "") -> List[str]:
@@ -400,14 +413,18 @@ class _GPlan:
     transfer_bytes: int
     latency_cycles: int
     builders: Tuple[Callable[[], Segment], ...]
+    #: Top-level blocks ``[start, stop)`` a :meth:`GraphOptimizer.frontier`
+    #: plan covers (None inside the search).
+    span: Optional[Tuple[int, int]] = None
 
 
 class GraphOptimizer:
     """Exact (transfer, latency) frontiers over a series-parallel graph.
 
     Mirrors :class:`~repro.optimizer.dp.FrontierOptimizer`'s surface for
-    graphs: one shared evaluation context, a frontier query, a best-plan
-    lookup under the paper's T, and materialization into a
+    graphs: one shared evaluation context, a frontier query over a range
+    of top-level blocks (the partitioner's units), a best-plan lookup
+    under the paper's T, and materialization into a
     :class:`GraphStrategy`.
     """
 
@@ -431,8 +448,9 @@ class GraphOptimizer:
         )
         self.workers = workers
         self._tree = graph.decompose()
-        self._frontier: Optional[List[_GPlan]] = None
+        self._frontiers: Dict[Tuple[int, int], List[_GPlan]] = {}
         self._chain_runs: Dict[Tuple[str, ...], FrontierOptimizer] = {}
+        self._blocks: Dict[str, List[_GPlan]] = {}
 
     @property
     def telemetry(self):
@@ -469,17 +487,20 @@ class GraphOptimizer:
         return cached
 
     def _chain_frontier(
-        self, graph: Graph, names: Tuple[str, ...]
+        self, graph: Graph, names: Tuple[str, ...], start: int, stop: int
     ) -> List[_GPlan]:
+        """Frontier of ``names[start:stop]``: a range query on the run's
+        one chain search."""
         optimizer = self._run_optimizer(graph, names)
+        members = names[start:stop]
         plans = []
-        for plan in optimizer.frontier(0, len(names)):
+        for plan in optimizer.frontier(start, stop):
             plans.append(
                 _GPlan(
                     transfer_bytes=plan.transfer_bytes,
                     latency_cycles=plan.latency_cycles,
                     builders=(
-                        lambda p=plan, o=optimizer, n=names: ChainSegment(
+                        lambda p=plan, o=optimizer, n=members: ChainSegment(
                             nodes=n, strategy=o.materialize(p)
                         ),
                     ),
@@ -505,30 +526,43 @@ class GraphOptimizer:
         ]
         return _prune(combined)
 
-    def _series_frontier(self, graph: Graph, series: SPSeries) -> List[_GPlan]:
+    def _series_frontier(
+        self,
+        graph: Graph,
+        series: SPSeries,
+        start: int = 0,
+        stop: Optional[int] = None,
+    ) -> List[_GPlan]:
+        """Frontier of the blocks ``[start, stop)`` of ``series``.
+
+        Each maximal run of leaves is one chain search, queried on the
+        part of the run inside the range; each parallel block
+        contributes its frontier, computed once.
+        """
+        blocks = series.blocks
+        stop = len(blocks) if stop is None else stop
         frontier: Optional[List[_GPlan]] = None
-        run: List[str] = []
-
-        def flush_run() -> None:
-            nonlocal frontier, run
-            if not run:
-                return
-            chain = self._chain_frontier(graph, tuple(run))
-            frontier = chain if frontier is None else self._combine(frontier, chain)
-            run = []
-
-        for block in series.blocks:
-            if isinstance(block, SPLeaf):
-                run.append(block.node)
-                continue
-            flush_run()
-            parallel = self._parallel_frontier(graph, block)
+        index = start
+        while index < stop:
+            block = blocks[index]
+            if isinstance(block, SPParallel):
+                part = self._parallel_frontier(graph, block)
+                index += 1
+            else:
+                first = last = index
+                while first > 0 and isinstance(blocks[first - 1], SPLeaf):
+                    first -= 1
+                while last < len(blocks) and isinstance(blocks[last], SPLeaf):
+                    last += 1
+                run = tuple(leaf.node for leaf in blocks[first:last])
+                end = min(last, stop)
+                part = self._chain_frontier(
+                    graph, run, index - first, end - first
+                )
+                index = end
             frontier = (
-                parallel
-                if frontier is None
-                else self._combine(frontier, parallel)
+                part if frontier is None else self._combine(frontier, part)
             )
-        flush_run()
         return frontier if frontier is not None else []
 
     def _join_cost(
@@ -548,6 +582,9 @@ class GraphOptimizer:
     def _parallel_frontier(
         self, graph: Graph, block: SPParallel
     ) -> List[_GPlan]:
+        cached = self._blocks.get(block.join)
+        if cached is not None:
+            return cached
         fork_ref = block.fork if block.fork is not None else graph.input_name
         fork_shape = graph.producer_shape(fork_ref)
         spec = InputSpec(*fork_shape)
@@ -639,7 +676,8 @@ class GraphOptimizer:
         fused = self._fused_candidate(graph, block, subgraphs, fork_shape)
         if fused is not None:
             plans.append(fused)
-        return _prune(plans)
+        pruned = self._blocks[block.join] = _prune(plans)
+        return pruned
 
     def _fused_candidate(
         self,
@@ -728,11 +766,21 @@ class GraphOptimizer:
 
     # -- queries --------------------------------------------------------------
 
-    def frontier(self) -> List[_GPlan]:
-        """Non-dominated (transfer, latency) plans for the whole graph."""
-        if self._frontier is None:
-            self._frontier = self._series_frontier(self.graph, self._tree)
-        return self._frontier
+    def frontier(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> List[_GPlan]:
+        """Non-dominated (transfer, latency) plans for the top-level
+        blocks ``[start, stop)`` of the decomposition (default: the
+        whole graph)."""
+        key = (start, len(self._tree.blocks) if stop is None else stop)
+        cached = self._frontiers.get(key)
+        if cached is None:
+            cached = [
+                replace(plan, span=key)
+                for plan in self._series_frontier(self.graph, self._tree, *key)
+            ]
+            self._frontiers[key] = cached
+        return cached
 
     def best_plan(self, transfer_constraint_bytes: int) -> _GPlan:
         """Cheapest plan whose feature-map transfer fits the constraint."""
@@ -756,9 +804,34 @@ class GraphOptimizer:
         return min(feasible, key=lambda p: p.latency_cycles)
 
     def materialize(self, plan: _GPlan) -> GraphStrategy:
-        """Turn a plan into a full GraphStrategy with segment designs."""
+        """Turn a plan into a full GraphStrategy with segment designs.
+
+        A plan from ``frontier(start, stop)`` covers the subgraph of
+        those top-level blocks, fed by the tensor crossing into block
+        ``start``.
+        """
+        blocks = self._tree.blocks
+        start, stop = plan.span
+        graph = self.graph
+        if (start, stop) != (0, len(blocks)):
+            names = [
+                name
+                for block in blocks[start:stop]
+                for name in sp_leaf_names(block)
+            ]
+            input_name = (
+                graph.input_name
+                if start == 0
+                else sp_leaf_names(blocks[start - 1])[-1]
+            )
+            graph = graph.subgraph(
+                names,
+                name=f"{graph.name}[u{start}:u{stop}]",
+                input_name=input_name,
+                input_spec=InputSpec(*graph.producer_shape(input_name)),
+            )
         return GraphStrategy(
-            self.graph,
+            graph,
             self.device,
             [builder() for builder in plan.builders],
             telemetry=self.telemetry,

@@ -118,6 +118,10 @@ class Strategy:
             )
         return peak
 
+    def node_names(self) -> List[str]:
+        """Every layer this strategy covers, in execution order."""
+        return [info.name for info in self.network]
+
     def choices(self) -> List[LayerChoice]:
         """The per-layer C_i triples."""
         result: List[LayerChoice] = []

@@ -1,26 +1,19 @@
-"""Multi-FPGA model partitioning: split one network across a device fleet.
+"""Multi-FPGA model partitioning: split one model across a device fleet.
 
 The layer between the single-device optimizer and the serving runtime:
 
 * :mod:`repro.partition.fleet` — the hardware model (devices + links);
-* :mod:`repro.partition.cut` — the cut-point DP minimizing the pipeline
-  bottleneck, built on the existing single-device DP and the shared
-  evaluation layer;
-* :mod:`repro.partition.graph_cut` — the same DP over the DAG IR,
-  cutting only on true DAG edges (parallel fork-join blocks stay whole
-  on one board);
+* :mod:`repro.partition.cut` — the one cut-point DP minimizing the
+  pipeline bottleneck over a model's top-level units (a chain's layers,
+  a DAG's nodes and whole fork-join blocks), pricing stages with the
+  existing single-device searches through the shared evaluation layer;
 * :mod:`repro.partition.plan` — the :class:`PartitionPlan` artifact with
-  per-stage strategies, serialization, and simulate/serve hooks.
+  per-stage strategies, serialization, and simulate/serve hooks (chain
+  plans only for those three).
 """
 
 from repro.partition.cut import CutOptimizer, partition_network
 from repro.partition.fleet import DEFAULT_LINK_BANDWIDTH, DeviceFleet, Link
-from repro.partition.graph_cut import (
-    GraphCutOptimizer,
-    GraphPartitionPlan,
-    GraphStagePlacement,
-    partition_graph,
-)
 from repro.partition.plan import (
     PartitionPlan,
     StagePlacement,
@@ -33,15 +26,11 @@ __all__ = [
     "CutOptimizer",
     "DEFAULT_LINK_BANDWIDTH",
     "DeviceFleet",
-    "GraphCutOptimizer",
-    "GraphPartitionPlan",
-    "GraphStagePlacement",
     "Link",
     "PartitionPlan",
     "StagePlacement",
     "StageTransfer",
     "load_plan",
-    "partition_graph",
     "partition_network",
     "plan_from_dict",
 ]

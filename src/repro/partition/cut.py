@@ -1,4 +1,4 @@
-"""Cut-point DP: split a network across a fleet to maximize pipeline rate.
+"""Cut-point DP: split a model across a fleet to maximize pipeline rate.
 
 The single-device DP (Algorithm 1) minimizes the *latency* of one board;
 a fleet runs stages concurrently, so the number that matters is the
@@ -9,14 +9,21 @@ partition search therefore minimizes the **bottleneck**:
                                      transfer(cut tensor at k over link d-1->d),
                                      stage(k, i, device d) )
 
-where ``stage(k, i, device)`` is the latency of the *existing*
-single-device DP on layers ``[k, i)`` — every candidate range is a
-Pareto-frontier query against one shared
-:class:`~repro.optimizer.dp.FrontierOptimizer` per distinct device, all
-of them sharing one signature-keyed
-:class:`~repro.perf.cost.EvalContext`.  Because the frontier recursion
-for the full range already visits every sub-range, partitioning costs
-barely more than one single-device compile per distinct device model.
+over the model's top-level units (:func:`~repro.partition.plan.model_units`):
+a chain network's layers, or a DAG's nodes and whole fork-join blocks —
+the only sound DAG cuts, since cutting inside a parallel region would
+put the fork tensor on two boards.  ``stage(k, i, device)`` is the
+latency of the *existing* single-device DP on units ``[k, i)``: every
+candidate range is a Pareto-frontier query against one search per
+distinct device — a :class:`~repro.optimizer.dp.FrontierOptimizer` for
+a chain, a :class:`~repro.optimizer.graph_dp.GraphOptimizer` for a DAG
+(which answers a unit range by combining range queries on its leaf
+runs' chain searches with per-block frontiers computed once) — all of
+them sharing one signature-keyed :class:`~repro.perf.cost.EvalContext`.
+Because the frontier recursion for the full range already visits every
+sub-range, partitioning costs barely more than one single-device compile
+per distinct device model.  The cut tensor is the output of the unit
+before the cut (a block's join).
 
 Ties on the bottleneck break toward lower end-to-end latency, then
 toward fewer devices, so a 1-device fleet (or a fleet whose extra boards
@@ -25,25 +32,37 @@ cannot help) degenerates to exactly the single-device strategy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import PartitionError
 from repro.hardware.device import FPGADevice
+from repro.nn.graph import Graph
 from repro.nn.network import Network
 from repro.optimizer.dp import FrontierOptimizer, _Plan
-from repro.optimizer.strategy import Strategy
+from repro.optimizer.graph_dp import GraphOptimizer, _GPlan
 from repro.partition.fleet import DeviceFleet
-from repro.partition.plan import PartitionPlan, StagePlacement, StageTransfer
+from repro.partition.plan import (
+    PartitionPlan,
+    StagePlacement,
+    StageTransfer,
+    model_units,
+)
 from repro.perf.cost import CostModel, EvalContext
+
+#: One stage search per distinct device: its ``frontier(start, stop)``
+#: answers unit ranges, its ``materialize`` builds the stage strategy.
+Search = Union[FrontierOptimizer, GraphOptimizer]
+StagePlan = Union[_Plan, _GPlan]
 
 _INF = float("inf")
 
 
 class CutOptimizer:
-    """Partition search over one network and one device fleet.
+    """Partition search over one model and one device fleet.
 
     Args:
-        network: The (accelerated-prefix) network to split.
+        network: The (accelerated-prefix) chain :class:`Network` or
+            (accelerated) DAG :class:`Graph` to split.
         fleet: Devices in pipeline order plus the links between them.
         transfer_constraint_bytes: Optional per-stage DRAM feature-map
             budget (the paper's T, applied to each board separately);
@@ -57,7 +76,7 @@ class CutOptimizer:
 
     def __init__(
         self,
-        network: Network,
+        network: Union[Network, Graph],
         fleet: DeviceFleet,
         transfer_constraint_bytes: Optional[int] = None,
         explore_tile_sizes: bool = False,
@@ -68,6 +87,7 @@ class CutOptimizer:
         if len(network) == 0:
             raise PartitionError("cannot partition an empty network")
         self.network = network
+        self.units = model_units(network)
         self.fleet = fleet
         self.transfer_constraint_bytes = transfer_constraint_bytes
         self.context: CostModel = context if context is not None else EvalContext()
@@ -76,19 +96,29 @@ class CutOptimizer:
             node_budget=node_budget,
             workers=workers,
         )
-        # One frontier optimizer per *distinct* device model: a
-        # homogeneous N-board fleet shares a single search.
-        self._optimizers: Dict[FPGADevice, FrontierOptimizer] = {}
-        self._stage_cache: Dict[Tuple[FPGADevice, int, int], Optional[_Plan]] = {}
+        # One search per *distinct* device model: a homogeneous N-board
+        # fleet shares a single search.
+        self._optimizers: Dict[FPGADevice, Search] = {}
+        self._stage_cache: Dict[
+            Tuple[FPGADevice, int, int], Optional[StagePlan]
+        ] = {}
 
     @property
     def telemetry(self):
         return self.context.stats
 
-    def _optimizer_for(self, device: FPGADevice) -> FrontierOptimizer:
+    def _optimizer_for(self, device: FPGADevice) -> Search:
         optimizer = self._optimizers.get(device)
         if optimizer is None:
-            optimizer = FrontierOptimizer(
+            # The one chain/DAG branch: the search decides whether a
+            # stage materializes into a Strategy over its layer slice or
+            # a GraphStrategy over its unit range's subgraph.
+            search = (
+                GraphOptimizer
+                if isinstance(self.network, Graph)
+                else FrontierOptimizer
+            )
+            optimizer = search(
                 self.network, device, context=self.context,
                 **self._optimizer_kwargs,
             )
@@ -100,15 +130,17 @@ class CutOptimizer:
         if self.transfer_constraint_bytes is not None:
             return self.transfer_constraint_bytes
         total = 0
-        for index in range(start, stop):
-            info = self.network[index]
-            total += (info.input_size + info.output_size) * device.element_bytes
+        for unit in self.units[start:stop]:
+            for info in unit:
+                total += (info.input_size + info.output_size) * (
+                    device.element_bytes
+                )
         return total
 
     def stage_plan(
         self, device: FPGADevice, start: int, stop: int
-    ) -> Optional[_Plan]:
-        """Best single-device plan for layers ``[start, stop)``.
+    ) -> Optional[StagePlan]:
+        """Best single-device plan for units ``[start, stop)``.
 
         None when the range is infeasible on the device (resources or
         the per-stage transfer budget).
@@ -127,15 +159,15 @@ class CutOptimizer:
         return plan
 
     def _stage_seconds(
-        self, device: FPGADevice, plan: Optional[_Plan]
+        self, device: FPGADevice, plan: Optional[StagePlan]
     ) -> float:
         if plan is None:
             return _INF
         return device.cycles_to_seconds(plan.latency_cycles)
 
     def _cut_tensor_bytes(self, cut: int, sender: FPGADevice) -> int:
-        """Bytes of the feature map crossing a cut after layer ``cut - 1``."""
-        return self.network[cut - 1].output_size * sender.element_bytes
+        """Bytes of the feature map crossing a cut after unit ``cut - 1``."""
+        return self.units[cut - 1][-1].output_size * sender.element_bytes
 
     def solve(self) -> PartitionPlan:
         """Run the cut DP and materialize the best plan.
@@ -143,12 +175,12 @@ class CutOptimizer:
         Raises:
             PartitionError: When no assignment fits the fleet at all.
         """
-        n = len(self.network)
+        n = len(self.units)
         devices = self.fleet.devices
         num_devices = len(devices)
 
         # value[d][i]: lexicographic (bottleneck_s, total_latency_s) of
-        # the best pipeline running layers [0, i) on devices 0..d, with
+        # the best pipeline running units [0, i) on devices 0..d, with
         # device d's stage non-empty and ending at i.
         value: List[Dict[int, Tuple[float, float]]] = [
             {} for _ in range(num_devices)
@@ -207,7 +239,7 @@ class CutOptimizer:
         if chosen is None:
             raise PartitionError(
                 f"no feasible partition of {self.network.name!r} "
-                f"({n} layers) onto fleet {self.fleet.name}"
+                f"({n} units) onto fleet {self.fleet.name}"
             )
 
         # Backtrack the cut points.
@@ -223,7 +255,7 @@ class CutOptimizer:
 
     def _materialize(self, boundaries: List[int]) -> PartitionPlan:
         """Build the PartitionPlan (with full stage strategies)."""
-        n = len(self.network)
+        n = len(self.units)
         placements: List[StagePlacement] = []
         transfers: List[StageTransfer] = []
         for stage_id in range(len(boundaries) - 1):
@@ -234,28 +266,7 @@ class CutOptimizer:
                 raise PartitionError(
                     f"stage [{start}:{stop}] became infeasible on materialize"
                 )
-            subnet = (
-                self.network
-                if start == 0 and stop == n
-                else self.network.slice(start, stop)
-            )
-            optimizer = self._optimizer_for(device)
-            designs = []
-            for group_start, group_stop in plan.groups:
-                design = optimizer.search.fusion(group_start, group_stop)
-                if design is None:
-                    raise PartitionError(
-                        f"group [{group_start}:{group_stop}] became "
-                        f"infeasible on materialize"
-                    )
-                designs.append(design)
-            strategy = Strategy(
-                subnet,
-                device,
-                [(s - start, e - start) for s, e in plan.groups],
-                designs,
-                telemetry=self.telemetry,
-            )
+            strategy = self._optimizer_for(device).materialize(plan)
             strategy.validate(self._stage_budget(device, start, stop))
             placements.append(
                 StagePlacement(
@@ -292,7 +303,7 @@ class CutOptimizer:
 
 
 def partition_network(
-    network: Network,
+    network: Union[Network, Graph],
     fleet: DeviceFleet,
     transfer_constraint_bytes: Optional[int] = None,
     explore_tile_sizes: bool = False,
@@ -302,8 +313,10 @@ def partition_network(
 ) -> PartitionPlan:
     """Split ``network`` across ``fleet``, minimizing the pipeline bottleneck.
 
-    The multi-device analogue of :func:`repro.optimizer.dp.optimize`;
-    see :class:`CutOptimizer` for the knobs.
+    The multi-device analogue of :func:`repro.optimizer.dp.optimize`
+    (and, given a DAG :class:`Graph`, of
+    :func:`repro.optimizer.graph_dp.optimize_graph`); see
+    :class:`CutOptimizer` for the knobs.
     """
     optimizer = CutOptimizer(
         network,

@@ -1,12 +1,16 @@
 """PartitionPlan: the artifact a multi-FPGA partition search produces.
 
-A plan assigns a contiguous layer range of one network to every used
-fleet device — each range carrying the full single-device
-:class:`~repro.optimizer.strategy.Strategy` the existing DP chose for it
-— plus the inter-device transfers crossing each cut.  It is to the
+A plan assigns a contiguous range of one model's top-level **units** to
+every used fleet device, plus the inter-device transfers crossing each
+cut.  A chain network's units are its layers, and each range carries
+the full single-device :class:`~repro.optimizer.strategy.Strategy` the
+existing DP chose for it.  A DAG's units are its top-level nodes and
+whole fork-join blocks (:func:`model_units`), and each range carries a
+:class:`~repro.optimizer.graph_dp.GraphStrategy`.  It is to the
 partition layer what ``Strategy`` is to the single-device optimizer: the
 serializable hand-off between search, simulation, code generation and
-serving.
+serving — the last three for chain plans only, since they consume
+``Strategy``.
 
 Timing is expressed in **seconds**, not cycles: a heterogeneous fleet
 has no single clock, so stage latencies convert through each device's
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +37,9 @@ from repro.check.artifacts import (
     save_artifact,
 )
 from repro.errors import ArtifactSchemaError, ArtifactVersionError, PartitionError
+from repro.nn.graph import Graph, sp_leaf_names
 from repro.nn.network import Network
+from repro.optimizer.graph_dp import GraphStrategy
 from repro.optimizer.serialize import strategy_from_dict, strategy_to_dict
 from repro.optimizer.strategy import Strategy
 from repro.partition.fleet import DeviceFleet, Link
@@ -45,15 +51,32 @@ PLAN_SCHEMA_VERSION = 1
 PLAN_ARTIFACT_KIND = "partition_plan"
 
 
+def model_units(model: Union[Network, Graph]) -> List[Tuple]:
+    """The model's cut-atomic units, each a tuple of node infos.
+
+    A chain's units are its layers.  A DAG's units are the blocks of
+    its top-level series-parallel decomposition: a single node, or a
+    whole fork-join block — cutting inside one would put the fork tensor
+    on two boards.  Infos are in execution order, so a unit's last info
+    (a block's join) produces the tensor crossing a cut after it.
+    """
+    if isinstance(model, Graph):
+        return [
+            tuple(model.node(name) for name in sp_leaf_names(block))
+            for block in model.decompose().blocks
+        ]
+    return [(info,) for info in model]
+
+
 @dataclass(frozen=True)
 class StagePlacement:
-    """One pipeline stage: a layer range bound to one fleet device."""
+    """One pipeline stage: a unit range bound to one fleet device."""
 
     stage_id: int
     device_index: int  # position in the fleet (== stage_id for used prefix)
-    start: int  # first layer index in the full network
-    stop: int  # one past the last layer index
-    strategy: Strategy
+    start: int  # first unit index in the full model
+    stop: int  # one past the last unit index
+    strategy: Union[Strategy, GraphStrategy]
 
     @property
     def device(self):
@@ -65,8 +88,9 @@ class StagePlacement:
         return self.strategy.latency_seconds()
 
     @property
-    def num_layers(self) -> int:
-        return self.stop - self.start
+    def nodes(self) -> Tuple[str, ...]:
+        """Model layers/nodes this stage executes."""
+        return tuple(self.strategy.node_names())
 
 
 @dataclass(frozen=True)
@@ -83,17 +107,18 @@ class StageTransfer:
 
 
 class PartitionPlan:
-    """A complete mapping of one network onto a device fleet.
+    """A complete mapping of one model onto a device fleet.
 
-    Stages cover the network contiguously and run as a pipeline: stage
-    ``s`` feeds stage ``s + 1`` through ``transfers[s]``.  A plan over a
-    single device has no transfers and is exactly the single-device
-    strategy.
+    Stages cover the model's units contiguously and run as a pipeline:
+    stage ``s`` feeds stage ``s + 1`` through ``transfers[s]``.  A plan
+    over a single device has no transfers and is exactly the
+    single-device strategy.  ``network`` is the chain
+    :class:`Network` or the DAG :class:`Graph` that was split.
     """
 
     def __init__(
         self,
-        network: Network,
+        network: Union[Network, Graph],
         fleet: DeviceFleet,
         placements: Sequence[StagePlacement],
         transfers: Sequence[StageTransfer],
@@ -107,6 +132,7 @@ class PartitionPlan:
                 f"{len(placements)} stages need {len(placements) - 1} "
                 f"transfers, got {len(transfers)}"
             )
+        units = model_units(network)
         expected = 0
         for placement in placements:
             if placement.start != expected:
@@ -116,11 +142,13 @@ class PartitionPlan:
                     f"expected {expected}"
                 )
             expected = placement.stop
-        if expected != len(network):
+        if expected != len(units):
             raise PartitionError(
-                f"stages cover {expected} layers, network has {len(network)}"
+                f"stages cover {expected} units, {network.name!r} has "
+                f"{len(units)}"
             )
         self.network = network
+        self.units = units
         self.fleet = fleet
         self.placements = list(placements)
         self.transfers = list(transfers)
@@ -175,6 +203,18 @@ class PartitionPlan:
             return None
         return self.baseline_latency_seconds / self.bottleneck_seconds
 
+    def require_chain_stages(self, action: str) -> None:
+        """Reject ``action`` on a plan whose stages hold graph strategies.
+
+        The fleet simulator, the pipelined serving fleet and the plan
+        artifact consume per-stage :class:`Strategy` objects.
+        """
+        if any(isinstance(p.strategy, GraphStrategy) for p in self.placements):
+            raise PartitionError(
+                f"{action} is chain-only; this plan's stages hold graph "
+                f"strategies (report, to_dict and replan support them)"
+            )
+
     # -- hooks into the rest of the stack ------------------------------------
 
     def simulate(
@@ -197,6 +237,7 @@ class PartitionPlan:
         """
         from repro.sim.fleet import simulate_partition
 
+        self.require_chain_stages("simulate()")
         return simulate_partition(
             self,
             data=data,
@@ -243,6 +284,7 @@ class PartitionPlan:
         """
         from repro.serve.pipeline import PipelineFleetScheduler
 
+        self.require_chain_stages("serve()")
         if verify:
             from repro.check.invariants import verify_plan
 
@@ -289,7 +331,11 @@ class PartitionPlan:
                     "stage_id": p.stage_id,
                     "device_index": p.device_index,
                     "range": [p.start, p.stop],
-                    "strategy": strategy_to_dict(p.strategy),
+                    "strategy": (
+                        p.strategy.to_dict()
+                        if isinstance(p.strategy, GraphStrategy)
+                        else strategy_to_dict(p.strategy)
+                    ),
                 }
                 for p in self.placements
             ],
@@ -308,6 +354,7 @@ class PartitionPlan:
 
     def save(self, path: Union[str, Path]) -> Path:
         """Atomically write the plan artifact (envelope + payload JSON)."""
+        self.require_chain_stages("save()")
         return save_artifact(
             path, PLAN_ARTIFACT_KIND, self.to_dict(), digests=self.digests()
         )
@@ -330,12 +377,17 @@ class PartitionPlan:
         lines.append("-" * len(header))
         bottleneck = self.bottleneck_seconds
         for p in self.placements:
-            first = self.network[p.start].name
-            last = self.network[p.stop - 1].name
-            span = first if p.num_layers == 1 else f"{first}..{last}"
+            first = self.units[p.start][0].name
+            last = self.units[p.stop - 1][-1].name
+            span = first if first == last else f"{first}..{last}"
+            groups = (
+                p.strategy.segments
+                if isinstance(p.strategy, GraphStrategy)
+                else p.strategy.designs
+            )
             lines.append(
                 f"{p.stage_id:>5} {p.device.name:<10} {span:<18} "
-                f"{len(p.strategy.designs):>6} "
+                f"{len(groups):>6} "
                 f"{p.latency_seconds * 1e3:>11.2f} "
                 f"{p.latency_seconds / bottleneck * 100:>5.0f}%"
             )

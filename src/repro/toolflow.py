@@ -41,7 +41,6 @@ from repro.optimizer.graph_dp import GraphStrategy, optimize_graph
 from repro.optimizer.strategy import Strategy
 from repro.partition.cut import partition_network
 from repro.partition.fleet import DeviceFleet, Link
-from repro.partition.graph_cut import GraphPartitionPlan, partition_graph
 from repro.partition.plan import PartitionPlan
 from repro.perf.cost import CostModel, SearchTelemetry
 from repro.sim.simulator import SimulationResult, simulate_strategy
@@ -420,7 +419,7 @@ def compile_model(
 
 
 def partition_model(
-    model: Union[str, Path, Network],
+    model: Union[str, Path, Network, Graph],
     devices: Union[str, Sequence, DeviceFleet] = "zc706,zc706",
     link: Optional[Link] = None,
     transfer_constraint_bytes: Optional[int] = None,
@@ -437,12 +436,16 @@ def partition_model(
     The multi-device sibling of :func:`compile_model`: the same model
     resolution and accelerated-prefix trimming, but the optimization
     axis gains device boundaries — the cut-point DP of
-    :mod:`repro.partition.cut` places each contiguous layer range on one
+    :mod:`repro.partition.cut` places each contiguous unit range on one
     fleet device, pricing every candidate stage with the single-device
-    DP through a shared evaluation context.
+    DP through a shared evaluation context.  A chain's units are its
+    layers; a branching (DAG) model's are its top-level nodes and whole
+    fork–join blocks, so stages cut only on DAG edges and each stage
+    carries a :class:`~repro.optimizer.graph_dp.GraphStrategy`.
 
     Args:
-        model: Prototxt path, prototxt text, or an in-memory Network.
+        model: Prototxt path, prototxt text, or an in-memory Network or
+            Graph.
         devices: Fleet spec — ``"zc706,zcu102"``, a sequence of catalog
             names / :class:`FPGADevice` objects, or a ready
             :class:`~repro.partition.fleet.DeviceFleet`.
@@ -458,33 +461,18 @@ def partition_model(
 
     Returns:
         A :class:`~repro.partition.plan.PartitionPlan` with one
-        single-device :class:`Strategy` per stage plus ``simulate()``
-        and ``serve()`` hooks.  A 1-device fleet returns a plan whose
-        stage strategy is exactly the single-device optimum.
-
-    A branching (DAG) model is routed to
-    :func:`repro.partition.graph_cut.partition_graph` — stages cut on
-    DAG edges, whole fork–join blocks kept on one device — and returns
-    a :class:`~repro.partition.graph_cut.GraphPartitionPlan`.
+        single-device strategy per stage; chain plans add working
+        ``simulate()``, ``serve()`` and ``save()`` hooks.  A 1-device
+        fleet returns a plan whose stage strategy is exactly the
+        single-device optimum.
     """
-    resolved = _resolve_model(model)
-    if isinstance(resolved, Graph):
-        return _partition_graph_model(
-            resolved,
-            devices,
-            link=link,
-            transfer_constraint_bytes=transfer_constraint_bytes,
-            accelerated_only=accelerated_only,
-            explore_tile_sizes=explore_tile_sizes,
-            node_budget=node_budget,
-            workers=workers,
-            context=context,
-            verify=verify,
-            store=store,
-        )
-    network = resolved
+    network = _resolve_model(model)
     if accelerated_only:
-        network = network.accelerated_prefix()
+        network = (
+            network.accelerated_subgraph()
+            if isinstance(network, Graph)
+            else network.accelerated_prefix()
+        )
     if len(network) == 0:
         raise OptimizationError("no accelerator-eligible layers in the model")
     if isinstance(devices, DeviceFleet):
@@ -506,47 +494,6 @@ def partition_model(
         from repro.check.invariants import verify_plan
 
         verify_plan(plan).raise_if_failed()
-    return plan
-
-
-def _partition_graph_model(
-    graph: Graph,
-    devices: Union[str, Sequence, DeviceFleet],
-    link: Optional[Link] = None,
-    transfer_constraint_bytes: Optional[int] = None,
-    accelerated_only: bool = True,
-    explore_tile_sizes: bool = False,
-    node_budget: int = 250_000,
-    workers: Optional[int] = None,
-    context: Optional[CostModel] = None,
-    verify: bool = True,
-    store=None,
-) -> GraphPartitionPlan:
-    """The DAG leg of :func:`partition_model`."""
-    if accelerated_only:
-        graph = graph.accelerated_subgraph()
-    if len(graph) == 0:
-        raise OptimizationError("no accelerator-eligible layers in the model")
-    if isinstance(devices, DeviceFleet):
-        fleet = devices
-    else:
-        fleet = DeviceFleet.from_spec(devices, link=link)
-    context = _store_context(context, store)
-    plan = partition_graph(
-        graph,
-        fleet,
-        transfer_constraint_bytes=transfer_constraint_bytes,
-        explore_tile_sizes=explore_tile_sizes,
-        node_budget=node_budget,
-        context=context,
-        workers=workers,
-    )
-    _flush_context(context)
-    if verify:
-        from repro.check.invariants import verify_graph_strategy
-
-        for placement in plan.placements:
-            verify_graph_strategy(placement.strategy).raise_if_failed()
     return plan
 
 

@@ -311,6 +311,42 @@ class TestPartition:
         assert "unknown fault kind 'meteor'" in err
         assert err.count("\n") <= 1  # one line, no traceback
 
+    def test_partition_dag_json(self, capsys):
+        code = main(
+            ["partition", "tiny_resnet", "--devices", "testchip,testchip",
+             "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["network"] == "tiny_resnet"
+        assert payload["fleet"]["devices"] == ["testchip", "testchip"]
+        kinds = {stage["strategy"]["kind"] for stage in payload["stages"]}
+        assert kinds == {"graph_strategy"}
+        assert len(payload["transfers"]) == len(payload["stages"]) - 1
+
+    def test_replan_dag(self, capsys):
+        code = main(
+            ["replan", "tiny_resnet", "--devices", "testchip,testchip",
+             "--dead-stage", "1", "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["original"]["stages"]) == 2
+        assert payload["survivor"]["fleet"]["devices"] == ["testchip"]
+        assert payload["handover_cycles"] > 0
+
+    def test_partition_dag_simulate_is_clean_error(self, capsys):
+        code = main(
+            ["partition", "tiny_resnet", "--devices", "testchip,testchip",
+             "--simulate"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "chain-only" in captured.err
+        assert captured.err.count("\n") <= 1
+
 
 class TestServeSim:
     def test_serves_and_prints_metrics(self, capsys):

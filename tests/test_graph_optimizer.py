@@ -29,7 +29,7 @@ from repro.nn.layers import ConcatLayer, ConvLayer, EltwiseLayer, InputSpec
 from repro.optimizer.dp import optimize
 from repro.optimizer.graph_dp import optimize_graph
 from repro.partition.fleet import DeviceFleet
-from repro.partition.graph_cut import partition_graph
+from repro.partition.cut import partition_network
 from repro.perf.cost import EvalContext, layer_signature
 from repro.sim.graph import build_graph_service_model, simulate_graph_strategy
 
@@ -133,7 +133,7 @@ class TestDownstreamAgreement:
     def test_graph_partition_covers_graph(self, testchip):
         graph = models.tiny_branch()
         fleet = DeviceFleet.from_spec("testchip,testchip")
-        plan = partition_graph(graph, fleet)
+        plan = partition_network(graph, fleet)
         covered = sorted(n for p in plan.placements for n in p.nodes)
         assert covered == sorted(info.name for info in graph.infos)
         for placement in plan.placements:

@@ -4,15 +4,20 @@ Everything runs at testchip/tiny_cnn scale — the same code paths the
 vgg_e acceptance run exercises, minus the search time.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from repro.check.invariants import V_LINKS, verify_plan
 from repro.errors import PartitionError
 from repro.hardware.device import get_device
 from repro.nn import models
 from repro.nn.functional import forward, init_weights
+from repro.nn.graph import Graph
+from repro.optimizer.dp import FrontierOptimizer
+from repro.optimizer.graph_dp import GraphOptimizer, GraphStrategy
 from repro.optimizer.serialize import strategy_to_dict
 from repro.partition import (
     DEFAULT_LINK_BANDWIDTH,
@@ -23,6 +28,7 @@ from repro.partition import (
     load_plan,
     partition_network,
 )
+from repro.resilience import replan_survivors
 from repro.sim.gantt import render_fleet_gantt
 from repro.toolflow import compile_model, partition_model
 
@@ -36,6 +42,12 @@ def two_chip_plan():
 @pytest.fixture(scope="module")
 def single_compiled():
     return compile_model(models.tiny_cnn(), device="testchip")
+
+
+@pytest.fixture(scope="module")
+def dag_plan():
+    """tiny_resnet (a DAG with a skip block) across two testchips."""
+    return partition_model(models.tiny_resnet(), devices="testchip,testchip")
 
 
 class TestLink:
@@ -157,6 +169,82 @@ class TestCutDP:
         )
         optimizer.solve()
         assert len(optimizer._optimizers) == 1
+        (search,) = optimizer._optimizers.values()
+        assert type(search) is FrontierOptimizer
+
+    def test_shared_search_for_homogeneous_fleet_on_a_dag(self):
+        """One graph search per distinct device, not one per unit range."""
+        optimizer = CutOptimizer(
+            models.tiny_resnet().accelerated_subgraph(),
+            DeviceFleet.from_spec("testchip,testchip"),
+        )
+        plan = optimizer.solve()
+        assert plan.num_stages == 2
+        assert len(optimizer._optimizers) == 1
+        (search,) = optimizer._optimizers.values()
+        assert type(search) is GraphOptimizer
+
+    def test_one_search_per_distinct_device(self):
+        optimizer = CutOptimizer(
+            models.tiny_cnn().accelerated_prefix(),
+            DeviceFleet.from_spec("testchip,zc706,testchip"),
+        )
+        optimizer.solve()
+        assert len(optimizer._optimizers) == 2
+
+    def test_chain_graph_partitions_like_the_network(self):
+        network = models.tiny_cnn().accelerated_prefix()
+        fleet = DeviceFleet.from_spec("testchip,testchip")
+        chain = partition_network(network, fleet)
+        graph = partition_network(Graph.from_network(network), fleet)
+        assert [(p.start, p.stop) for p in graph.placements] == [
+            (p.start, p.stop) for p in chain.placements
+        ]
+        assert graph.stage_seconds == chain.stage_seconds
+        assert graph.bottleneck_seconds == chain.bottleneck_seconds
+        assert all(
+            isinstance(p.strategy, GraphStrategy) for p in graph.placements
+        )
+
+
+class TestDagPlan:
+    def test_verify_plan_passes(self, dag_plan):
+        assert verify_plan(dag_plan).ok
+
+    def test_verify_plan_rejects_corrupted_cut_tensor(self, dag_plan):
+        corrupted = PartitionPlan(
+            dag_plan.network,
+            dag_plan.fleet,
+            dag_plan.placements,
+            [
+                dataclasses.replace(t, tensor_bytes=t.tensor_bytes + 2)
+                for t in dag_plan.transfers
+            ],
+        )
+        report = verify_plan(corrupted)
+        assert not report.ok
+        assert [v.code for v in report.violations] == [V_LINKS]
+
+    def test_replan_survivors(self, dag_plan):
+        survivor = replan_survivors(dag_plan, 1)
+        assert survivor.num_stages == 1
+        assert isinstance(survivor.placements[0].strategy, GraphStrategy)
+        assert verify_plan(survivor).ok
+
+    def test_report_uses_the_plan_layout(self, dag_plan):
+        text = dag_plan.report()
+        assert "Partition of tiny_resnet" in text
+        assert "cut tensor" in text
+
+    @pytest.mark.parametrize("action", ["simulate", "serve"])
+    def test_strategy_consumers_are_chain_only(self, dag_plan, action):
+        with pytest.raises(PartitionError, match="chain-only"):
+            getattr(dag_plan, action)()
+
+    def test_save_is_chain_only(self, dag_plan, tmp_path):
+        with pytest.raises(PartitionError, match="chain-only"):
+            dag_plan.save(tmp_path / "plan.json")
+        assert not (tmp_path / "plan.json").exists()
 
 
 class TestPlanArtifact:
