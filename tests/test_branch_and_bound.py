@@ -6,11 +6,12 @@ from repro.errors import OptimizationError
 from repro.hardware.device import FPGADevice, get_device
 from repro.hardware.resources import ResourceVector
 from repro.nn import models
-from repro.nn.layers import ConvLayer, InputSpec
+from repro.nn.layers import ConvLayer, InputSpec, PoolLayer
 from repro.nn.network import Network
 from repro.optimizer.branch_and_bound import GroupSearch, fuse_group
 from repro.optimizer.exhaustive import best_group_design
 from repro.perf.implement import Algorithm
+from repro.toolflow import compile_model
 
 
 @pytest.fixture
@@ -87,6 +88,20 @@ class TestConstraints:
         )
         search = GroupSearch(tiny, starved)
         assert search.fusion(0, len(tiny)) is None
+
+    def test_fifo_overhead_past_device_is_infeasible(self, testchip):
+        # 45 FIFO channels need 18,000 LUTs, more than testchip's 16,000;
+        # pools do not count toward the fusion-depth cap, so only the
+        # resource guard stops this group.
+        layers = [ConvLayer(name="c", out_channels=4, kernel=3, pad=1)] + [
+            PoolLayer(name=f"p{i}", kernel=3, stride=1, pad=1) for i in range(45)
+        ]
+        net = Network("long", InputSpec(2, 6, 6), layers)
+        assert GroupSearch(net, testchip).fusion(0, 46) is None
+        result = compile_model(net, device=testchip)
+        assert result.strategy.boundaries[-1][1] == 46
+        for design in result.strategy.designs:
+            assert design.resources.fits(testchip.resources)
 
     def test_design_fits_device(self, tiny, testchip):
         design = GroupSearch(tiny, testchip).fusion(0, len(tiny))

@@ -12,12 +12,15 @@ Covers the three properties the refactor must preserve:
 3. *Telemetry* — the context reports what the search actually did.
 """
 
+import sys
+
 import pytest
 
 from repro.hardware.device import get_device
 from repro.nn import models
 from repro.nn.layers import ConvLayer, InputSpec, PoolLayer
 from repro.nn.network import Network
+from repro.optimizer.branch_and_bound import GroupSearch
 from repro.optimizer.dp import optimize, optimize_many
 from repro.optimizer.exhaustive import exhaustive_optimize
 from repro.perf.cost import EvalContext, device_signature, layer_signature
@@ -158,10 +161,42 @@ class TestStrategyPreservation:
 
     def test_workers_preserve_strategy(self, tiny, testchip):
         budget = tiny.feature_map_bytes()
-        serial = optimize(tiny, testchip, budget)
-        threaded = optimize(tiny, testchip, budget, workers=2)
+        serial_ctx, threaded_ctx = EvalContext(), EvalContext()
+        serial = optimize(tiny, testchip, budget, context=serial_ctx)
+        threaded = optimize(
+            tiny, testchip, budget, workers=2, context=threaded_ctx
+        )
         assert choice_triples(serial) == choice_triples(threaded)
         assert serial.latency_cycles == threaded.latency_cycles
+        # Threads share the search's candidate rows; every search must
+        # still walk exactly the serial tree.
+        assert threaded_ctx.stats.nodes_visited == serial_ctx.stats.nodes_visited
+        assert threaded_ctx.stats.nodes_pruned == serial_ctx.stats.nodes_pruned
+
+    def test_shared_rows_survive_thread_contention(self):
+        zc706 = get_device("zc706")
+        network = models.vgg_fused_prefix()
+        serial_ctx, threaded_ctx = EvalContext(), EvalContext()
+        serial = GroupSearch(network, zc706, context=serial_ctx)
+        serial.precompute()
+        threaded = GroupSearch(network, zc706, context=threaded_ctx)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded.precompute(workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded._fusion_cache == serial._fusion_cache
+        assert threaded_ctx.stats.nodes_visited == serial_ctx.stats.nodes_visited
+        assert threaded_ctx.stats.nodes_pruned == serial_ctx.stats.nodes_pruned
+        # A lost race would append a point twice and shift every later
+        # row off its parallelism.
+        for menu, layer_rows in zip(threaded._menus, threaded._rows):
+            for option, rows in zip(menu.options, layer_rows):
+                parallelisms = option[3]
+                assert [row[-1].parallelism for row in rows] == (
+                    parallelisms[: len(rows)]
+                )
 
     def test_optimize_many_honors_knobs(self, tiny, testchip):
         budgets = [tiny.min_fused_transfer_bytes(), tiny.feature_map_bytes()]
