@@ -1,15 +1,25 @@
 """Tests for Algorithm 2 (the fused-group branch-and-bound)."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import OptimizationError
 from repro.hardware.device import FPGADevice, get_device
 from repro.hardware.resources import ResourceVector
 from repro.nn import models
-from repro.nn.layers import ConvLayer, InputSpec, PoolLayer
+from repro.nn.layers import ConvLayer, InputSpec, LRNLayer, PoolLayer
 from repro.nn.network import Network
-from repro.optimizer.branch_and_bound import GroupSearch, fuse_group
+from repro.optimizer.branch_and_bound import (
+    NO_LAYERS,
+    GroupSearch,
+    extend_floors,
+    fuse_group,
+)
 from repro.optimizer.exhaustive import best_group_design
+from repro.perf.cost import EvalContext
 from repro.perf.implement import Algorithm
 from repro.toolflow import compile_model
 
@@ -142,3 +152,136 @@ class TestNodeBudget:
         exact = GroupSearch(tiny, testchip, node_budget=0).fusion(0, len(tiny))
         oracle = best_group_design(tiny, 0, len(tiny), testchip)
         assert exact.latency_cycles == oracle.latency_cycles
+
+
+@st.composite
+def small_chains(draw):
+    """Chains of 1-3 layers, at most two of them convolutions (the
+    exhaustive oracle enumerates every combination of their menus)."""
+    kinds = draw(
+        st.lists(st.sampled_from(["conv", "pool", "lrn"]), min_size=1, max_size=3)
+        .filter(lambda kinds: kinds.count("conv") <= 2)
+    )
+    layers = []
+    for i, kind in enumerate(kinds):
+        if kind == "conv":
+            kernel = draw(st.sampled_from([1, 3, 5]))
+            layers.append(ConvLayer(
+                name=f"c{i}",
+                out_channels=draw(st.integers(1, 1024)),
+                kernel=kernel,
+                stride=draw(st.sampled_from([1, 2])),
+                pad=kernel // 2,
+            ))
+        elif kind == "pool":
+            layers.append(PoolLayer(name=f"p{i}", kernel=3, stride=1, pad=1))
+        else:
+            layers.append(LRNLayer(name=f"n{i}", local_size=3))
+    # Wide, small maps make weight traffic matter, so the DRAM floors
+    # decide prunes.
+    spec = InputSpec(
+        draw(st.integers(1, 1024)), draw(st.integers(2, 32)), draw(st.integers(2, 32))
+    )
+    return Network("chain", spec, layers)
+
+
+class TestAdmissibleBounds:
+    """Every pruning bound is a true lower bound, so an unbudgeted search
+    always returns the optimum — also at vc709's fractional 85.3 B/cycle."""
+
+    @pytest.mark.parametrize("device_name", ["testchip", "zc706", "vc709"])
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(network=small_chains())
+    def test_unbudgeted_search_matches_exhaustive(self, device_name, network):
+        device = get_device(device_name)
+        design = GroupSearch(network, device, node_budget=0).fusion(0, len(network))
+        oracle = best_group_design(network, 0, len(network), device)
+        if oracle is None:
+            assert design is None
+        else:
+            assert design is not None
+            assert design.latency_cycles == oracle.latency_cycles
+
+    @pytest.mark.parametrize(
+        "channels, height, width, layers",
+        [
+            (47, 4, 6, [
+                ConvLayer(name="c0", out_channels=558, kernel=3, pad=1),
+                PoolLayer(name="p1", kernel=3, stride=1, pad=1),
+            ]),
+            (960, 5, 2, [
+                ConvLayer(name="c0", out_channels=622, kernel=1, stride=2),
+                LRNLayer(name="n1", local_size=3),
+            ]),
+            (780, 3, 29, [
+                ConvLayer(name="c0", out_channels=235, kernel=3, pad=1),
+                PoolLayer(name="p1", kernel=3, stride=1, pad=1),
+                ConvLayer(name="c2", out_channels=94, kernel=1, stride=2),
+            ]),
+        ],
+    )
+    def test_fractional_rate_keeps_the_optimum(self, channels, height, width, layers):
+        # Dividing the transfer floors by vc709's whole 85 B/cycle instead
+        # of its exact 85.33 pruned the optimum of each of these chains.
+        vc709 = get_device("vc709")
+        network = Network("chain", InputSpec(channels, height, width), layers)
+        design = GroupSearch(network, vc709, node_budget=0).fusion(0, len(network))
+        oracle = best_group_design(network, 0, len(network), vc709)
+        assert design.latency_cycles == oracle.latency_cycles
+
+    def test_floors_are_the_knapsack_optimum(self):
+        rng = random.Random(7)
+        max_dsp = 40
+        menus = [
+            [
+                (rng.randrange(0, 25), rng.randrange(0, 500), rng.randrange(0, 900))
+                for _ in range(rng.randrange(1, 6))
+            ]
+            for _ in range(4)
+        ]
+        floors = NO_LAYERS
+        for depth in range(len(menus) - 1, -1, -1):
+            floors = extend_floors(floors, menus[depth], max_dsp)
+            suffix = menus[depth:]
+            dsps, fills, transfers = floors
+            for free in range(max_dsp + 1):
+                fitting = [
+                    combo
+                    for combo in itertools.product(*suffix)
+                    if sum(row[0] for row in combo) <= free
+                ]
+                j = sum(1 for d in dsps if d <= free)
+                if not fitting:
+                    assert j == 0
+                    continue
+                # The floors relax only the other resources: over the
+                # DSP-feasible completions they are exact, so no feasible
+                # completion can beat them.
+                assert fills[j - 1] == min(
+                    sum(row[1] for row in combo) for combo in fitting
+                )
+                assert transfers[j - 1] == min(
+                    sum(row[2] for row in combo) for combo in fitting
+                )
+
+
+def test_alexnet_groups_finish_under_budget():
+    searches = {}
+
+    class Recording(EvalContext):
+        def record_search(self, network_name, device_name, start, stop,
+                          seconds, nodes_visited, nodes_pruned):
+            super().record_search(network_name, device_name, start, stop,
+                                  seconds, nodes_visited, nodes_pruned)
+            searches[(start, stop)] = nodes_visited
+
+    result = compile_model(models.alexnet(), device="zc706", context=Recording())
+    assert result.strategy.latency_cycles == 1_424_226
+    # Every search finishes under the default 250,000-node budget, so
+    # every group is searched to proven optimality.
+    assert searches
+    assert max(searches.values()) < 250_000

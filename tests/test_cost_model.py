@@ -189,6 +189,10 @@ class TestStrategyPreservation:
         assert threaded._fusion_cache == serial._fusion_cache
         assert threaded_ctx.stats.nodes_visited == serial_ctx.stats.nodes_visited
         assert threaded_ctx.stats.nodes_pruned == serial_ctx.stats.nodes_pruned
+        # Threads also share the knapsack floor tables: each suffix is
+        # built once, to the same values as the serial run's.
+        assert threaded._floors
+        assert threaded._floors == serial._floors
         # A lost race would append a point twice and shift every later
         # row off its parallelism.
         for menu, layer_rows in zip(threaded._menus, threaded._rows):
