@@ -34,6 +34,7 @@ This module replaces those ad-hoc caches with one first-class layer:
 
 from __future__ import annotations
 
+import functools
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
@@ -84,7 +85,14 @@ def layer_signature(info: LayerInfo) -> Hashable:
     the key.
     """
     layer = info.layer
-    return (type(layer).__name__, replace(layer, name=""), info.input_shape)
+    return (type(layer).__name__, _nameless(layer), info.input_shape)
+
+
+@functools.lru_cache(maxsize=4096)
+def _nameless(layer):
+    """``layer`` with its name blanked, built once per distinct layer: the
+    search asks for the same few layers' signatures on every lookup."""
+    return replace(layer, name="")
 
 
 @dataclass
