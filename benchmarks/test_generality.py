@@ -15,9 +15,7 @@ from conftest import MB, write_result
 
 
 def run_zoo(zc706):
-    # Prefixes keep the bench minutes-scale; node_budget trades provable
-    # optimality for speed on these deep chains (strategies remain valid
-    # and near-optimal — see docs/optimizer.md).
+    # Prefixes keep the bench short.
     results = {}
     for name, network in (
         ("zfnet_prefix6", models.zfnet().prefix(6, name="zfnet_prefix6")),
@@ -25,10 +23,7 @@ def run_zoo(zc706):
         ("googlenet_prefix2", models.googlenet_prefix(2)),
     ):
         budget = network.feature_map_bytes()
-        results[name] = (
-            network,
-            optimize(network, zc706, budget, node_budget=30_000),
-        )
+        results[name] = (network, optimize(network, zc706, budget))
     return results
 
 

@@ -24,10 +24,6 @@ from repro.perf.cost import EvalContext, layer_signature
 
 from conftest import FIG5_CONSTRAINTS_MB, MB, write_result
 
-#: Keep each fusion search exact-enough but bounded; both runs use the
-#: same budget so the comparison is apples to apples.
-NODE_BUDGET = 20_000
-
 
 def _run_sweep(network, device, context):
     began = time.perf_counter()
@@ -35,7 +31,6 @@ def _run_sweep(network, device, context):
         network,
         device,
         [mb * MB for mb in FIG5_CONSTRAINTS_MB],
-        node_budget=NODE_BUDGET,
         context=context,
     )
     return strategies, time.perf_counter() - began
@@ -69,8 +64,7 @@ def test_signature_cache_reduces_evaluations(zc706):
 
     lines = [
         f"optimize_many sweep of {network.name} on {zc706.name} "
-        f"({', '.join(f'{mb}MB' for mb in FIG5_CONSTRAINTS_MB)}; "
-        f"node budget {NODE_BUDGET:,}):",
+        f"({', '.join(f'{mb}MB' for mb in FIG5_CONSTRAINTS_MB)}):",
         f"  layers: {len(network)} ({unique} distinct signatures)",
         f"  index-keyed cache (legacy):  {evals_before:>5} implement() "
         f"evaluations, {before_s:6.1f} s",

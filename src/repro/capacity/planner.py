@@ -446,7 +446,6 @@ def plan_capacity(
     fault_seed: int = 0,
     transfer_constraint_bytes: Optional[int] = None,
     context=None,
-    store=None,
     verify: bool = True,
     log=None,
 ) -> CapacityPlan:
@@ -466,9 +465,9 @@ def plan_capacity(
             guarantees SLOs under that disturbance, not just in fair
             weather.
         transfer_constraint_bytes: The paper's T, forwarded to compiles.
-        context / store: Shared cost-evaluation context / persistent
-            cost store — every model x device compile in the search
-            reuses one context (see :mod:`repro.dse`).
+        context: Shared cost-evaluation context — every model x device
+            compile in the search reuses it; build it with a persistent
+            ``store`` to warm from and flush to (see :mod:`repro.dse`).
         verify: Run invariant validators on each compiled strategy.
         log: Optional ``print``-like progress callback.
 
@@ -492,9 +491,8 @@ def plan_capacity(
         raise CapacityError(f"max_replicas must be >= 1, got {max_replicas}")
     if not batch_sizes:
         raise CapacityError("capacity planning needs >= 1 batch size")
-    from repro.optimizer.dp import _flush_context, _store_context
+    from repro.optimizer.dp import _flush_context
 
-    context = _store_context(context, store)
     trace = TrafficTrace.record(
         {d.name: d.arrival for d in demands},
         num_requests={d.name: d.num_requests for d in demands},
@@ -581,7 +579,6 @@ def plan_per_model_fleets(
     fault_seed: int = 0,
     transfer_constraint_bytes: Optional[int] = None,
     context=None,
-    store=None,
     verify: bool = True,
 ) -> PerModelBaseline:
     """Price the naive alternative: a dedicated fleet per model.
@@ -596,9 +593,8 @@ def plan_per_model_fleets(
     """
     if not demands:
         raise CapacityError("capacity planning needs >= 1 tenant demand")
-    from repro.optimizer.dp import _flush_context, _store_context
+    from repro.optimizer.dp import _flush_context
 
-    context = _store_context(context, store)
     # One recording shared with plan_capacity: tenant streams are seeded
     # by position, so each model sees the identical trace either way.
     trace = TrafficTrace.record(

@@ -275,12 +275,15 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
         from repro.hardware.device import get_device
         from repro.nn import models
         from repro.optimizer.dp import optimize
+        from repro.perf.cost import EvalContext
 
         root = Path(state["dir"]) / "doctor_store"
         network = models.tiny_cnn()
         device = get_device("testchip")
         budget = network.feature_map_bytes()
-        baseline = optimize(network, device, budget, store=CostStore(root))
+        baseline = optimize(
+            network, device, budget, context=EvalContext(store=CostStore(root))
+        )
         shards = CostStore(root).shard_paths()
         if not shards:
             raise ReproError("store-backed compile wrote no shard files")
@@ -298,7 +301,9 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
             )
         # The lookup path must heal around the damage: serve misses,
         # recompute, and rewrite the shard on flush — same cost out.
-        recomputed = optimize(network, device, budget, store=CostStore(root))
+        recomputed = optimize(
+            network, device, budget, context=EvalContext(store=CostStore(root))
+        )
         if recomputed.latency_cycles != baseline.latency_cycles:
             raise ReproError("self-healed store changed the strategy cost")
         CostStore(root).load_shard(victim)  # the flush rewrote the shard
@@ -332,6 +337,7 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
         from repro.nn.functional import forward_graph, init_graph_weights
         from repro.nn.graph import Graph
         from repro.optimizer.dp import optimize
+        from repro.perf.cost import EvalContext
         from repro.optimizer.graph_dp import optimize_graph
         from repro.sim.graph import simulate_graph_strategy
 

@@ -59,14 +59,16 @@ def _parse_size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"cannot parse size {text!r}") from None
 
 
-def _store_from_args(args: argparse.Namespace):
-    """``--cache [DIR]`` -> CostStore (empty DIR means the default root)."""
+def _context_from_args(args: argparse.Namespace):
+    """``--cache [DIR]`` -> a store-backed EvalContext (empty DIR means
+    the default store root); None without ``--cache``."""
     cache = getattr(args, "cache", None)
     if cache is None:
         return None
     from repro.dse.store import CostStore
+    from repro.perf.cost import EvalContext
 
-    return CostStore(cache or None)
+    return EvalContext(store=CostStore(cache or None))
 
 
 def _load_model(name_or_path: str):
@@ -182,7 +184,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         output_dir=Path(args.out) if args.out else None,
         workers=args.workers,
         verify=not args.no_verify,
-        store=_store_from_args(args),
+        context=_context_from_args(args),
     )
     if args.json:
         strategy = result.strategy
@@ -240,7 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     constraints = [_parse_size(c) for c in args.constraints.split(",")]
     strategies = optimize_many(
         network, device, constraints, workers=args.workers,
-        store=_store_from_args(args),
+        context=_context_from_args(args),
     )
     baseline = None
     if args.baseline:
@@ -521,7 +523,6 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         latency_s=args.link_latency_us * 1e-6,
     )
     fleet = DeviceFleet.from_spec(args.devices, link=link)
-    store = _store_from_args(args)
     plan = partition_model(
         network,
         devices=fleet,
@@ -536,7 +537,7 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         plan,
         args.dead_stage,
         transfer_constraint_bytes=args.transfer,
-        store=store,
+        context=_context_from_args(args),
         workers=args.workers,
     )
     wall_s = time.perf_counter() - started
@@ -862,7 +863,6 @@ def _cmd_plan_capacity(args: argparse.Namespace) -> int:
     demands = [_parse_tenant_demand(spec) for spec in args.tenant]
     devices = [d.strip() for d in args.devices.split(",") if d.strip()]
     batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
-    store = _store_from_args(args)
     common = dict(
         devices=devices,
         max_replicas=args.max_replicas,
@@ -872,7 +872,7 @@ def _cmd_plan_capacity(args: argparse.Namespace) -> int:
         faults=args.faults,
         fault_seed=args.fault_seed,
         transfer_constraint_bytes=args.transfer,
-        store=store,
+        context=_context_from_args(args),
         verify=not args.no_verify,
     )
     plan = plan_capacity(

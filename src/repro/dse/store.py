@@ -246,9 +246,10 @@ class CostStore:
     Thread-safe within a process (one lock guards the in-memory shard
     views) and safe across processes (per-shard file locks around every
     read-merge-write).  Pass one to
-    :class:`~repro.perf.cost.EvalContext` via its ``store`` argument —
-    or to ``optimize`` / ``compile_model`` / ``bandwidth_sweep`` via
-    their ``store`` arguments — and evaluations persist across runs.
+    :class:`~repro.perf.cost.EvalContext` via its ``store`` argument,
+    and that context to ``optimize`` / ``compile_model`` /
+    ``partition_model`` via their ``context`` arguments, and
+    evaluations persist across runs.
     """
 
     def __init__(self, root: Union[str, Path, None] = None):

@@ -81,19 +81,12 @@ def bandwidth_sweep(
     device: FPGADevice,
     transfer_constraint_bytes: int,
     factors: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-    store=None,
 ) -> List[SweepPoint]:
-    """Optimal strategies across bandwidth-scaled device variants.
-
-    ``store`` (a :class:`repro.dse.CostStore` or its root path) makes
-    the sweep warm from and feed the persistent cost cache, so repeated
-    sweeps — and other tools evaluating the same layers — skip the
-    engine search entirely.
-    """
+    """Optimal strategies across bandwidth-scaled device variants."""
     # One signature-keyed context serves every variant: bandwidth does
     # not change engine design points, only which ones the search picks,
     # so later sweep points run almost entirely from cache.
-    context = EvalContext(store=store)
+    context = EvalContext()
     points = []
     for factor in factors:
         variant = scale_bandwidth(device, factor)
@@ -103,7 +96,6 @@ def bandwidth_sweep(
         points.append(
             SweepPoint(label=f"{factor:g}x BW", device=variant, strategy=strategy)
         )
-    context.flush_store()
     return points
 
 
@@ -112,10 +104,9 @@ def fabric_sweep(
     device: FPGADevice,
     transfer_constraint_bytes: int,
     factors: Sequence[float] = (0.5, 1.0, 2.0),
-    store=None,
 ) -> List[SweepPoint]:
     """Optimal strategies across fabric-scaled device variants."""
-    context = EvalContext(store=store)
+    context = EvalContext()
     points = []
     for factor in factors:
         variant = scale_fabric(device, factor)
@@ -125,7 +116,6 @@ def fabric_sweep(
         points.append(
             SweepPoint(label=f"{factor:g}x fabric", device=variant, strategy=strategy)
         )
-    context.flush_store()
     return points
 
 

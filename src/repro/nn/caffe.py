@@ -7,16 +7,18 @@ nested messages in braces, scalar ``key: value`` fields, repeated fields,
 quoted strings, booleans and enums, and ``#`` comments.
 
 Parsing happens in two stages: :func:`parse_prototxt` produces a generic
-:class:`Message` tree, and a lowering pass turns it into the IR:
-:func:`network_from_prototxt` produces a linear-chain
-:class:`repro.nn.network.Network` (rejecting any branching), while
-:func:`graph_from_prototxt` produces a DAG
-:class:`repro.nn.graph.Graph`, accepting multi-``bottom``/multi-``top``
-layers (``Concat``, ``Eltwise``) and resolving Caffe's named-blob
-wiring, including in-place tops.  Both fold standalone ReLU layers into
-their preceding convolution (as the paper's architecture does).  Every
-lowering failure — unknown blob, unsupported axis/operation, a cycle in
-the wiring, a non-series-parallel topology — is a single-line
+:class:`Message` tree, and one lowering pass turns it into a DAG
+:class:`repro.nn.graph.Graph` (:func:`graph_from_prototxt`), resolving
+Caffe's named-blob wiring — multi-``bottom``/multi-``top`` layers
+(``Concat``, ``Eltwise``) and in-place tops included — and folding each
+standalone ReLU into its producing convolution when nothing else reads
+the pre-ReLU blob (as the paper's architecture does).  A chain is the
+degenerate graph: :func:`network_from_prototxt` is the same lowering
+viewed as a :class:`repro.nn.network.Network`, and
+:func:`model_from_prototxt` returns whichever of the two fits.  One
+writer, :func:`graph_to_prototxt`, serializes both.  Every lowering
+failure — unknown blob, unsupported axis/operation, a cycle in the
+wiring, a non-series-parallel topology — is a single-line
 :class:`~repro.errors.ParseError` carrying the offending prototxt line
 and field.
 """
@@ -24,6 +26,7 @@ and field.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ParseError, ShapeError
@@ -256,7 +259,7 @@ def parse_prototxt(text: str) -> Message:
     return _Parser(text).parse()
 
 
-# -- lowering to Network ----------------------------------------------------
+# -- lowering ---------------------------------------------------------------
 
 
 def _input_spec(root: Message) -> InputSpec:
@@ -384,83 +387,6 @@ def _lower_fc(name: str, msg: Message) -> FCLayer:
     return FCLayer(name=name, out_features=num_output, relu=False)
 
 
-def network_from_prototxt(text: str, fold_relu: bool = True) -> Network:
-    """Lower prototxt text to a :class:`Network`.
-
-    Standalone ReLU layers are folded into the preceding conv/FC layer
-    when ``fold_relu`` is set (the accelerator integrates ReLU into the
-    convolution engines).  The bottom/top wiring must form a single linear
-    chain; anything else raises :class:`ParseError`.
-    """
-    root = parse_prototxt(text)
-    spec = _input_spec(root)
-    name = root.get_str("name", "network")
-
-    layers: List[Layer] = []
-    previous_top: Optional[str] = None
-    for entry in root.get_all("layer") + root.get_all("layers"):
-        if not isinstance(entry, Message):
-            raise ParseError(
-                f"line {root.line_of('layer')}: field 'layer' must be a "
-                f"message, got {entry!r}"
-            )
-        layer_type = entry.get_str("type")
-        layer_name = entry.get_str("name")
-        if layer_type is None:
-            raise ParseError(
-                f"line {entry.line}: layer missing field 'type'"
-            )
-        if layer_name is None:
-            raise ParseError(
-                f"line {entry.line}: layer missing field 'name'"
-            )
-        if layer_type in ("Input", "Data", "Dropout", "Accuracy"):
-            continue
-        bottoms = [b for b in entry.get_all("bottom") if isinstance(b, str)]
-        tops = [t for t in entry.get_all("top") if isinstance(t, str)]
-        if previous_top is not None and bottoms and bottoms[0] not in (
-            previous_top,
-            layers[-1].name if layers else previous_top,
-        ):
-            raise ParseError(
-                f"line {entry.line_of('bottom')}: layer {layer_name!r} field "
-                f"'bottom' value {bottoms[0]!r} breaks the linear chain "
-                f"(expected {previous_top!r})"
-            )
-        if layer_type == "Convolution":
-            layers.append(_lower_conv(layer_name, entry))
-        elif layer_type == "Pooling":
-            layers.append(_lower_pool(layer_name, entry))
-        elif layer_type == "LRN":
-            layers.append(_lower_lrn(layer_name, entry))
-        elif layer_type == "InnerProduct":
-            layers.append(_lower_fc(layer_name, entry))
-        elif layer_type == "ReLU":
-            if fold_relu and layers and isinstance(layers[-1], (ConvLayer, FCLayer)):
-                layers[-1] = _set_relu(layers[-1])
-            else:
-                layers.append(ReLULayer(name=layer_name))
-        elif layer_type == "Softmax":
-            layers.append(SoftmaxLayer(name=layer_name))
-        else:
-            raise ParseError(
-                f"line {entry.line_of('type')}: layer {layer_name!r} field "
-                f"'type' has unsupported value {layer_type!r}"
-            )
-        if tops:
-            previous_top = tops[0]
-    return Network(name, spec, layers)
-
-
-def _set_relu(layer: Layer) -> Layer:
-    from dataclasses import replace
-
-    return replace(layer, relu=True)
-
-
-# -- lowering to Graph -------------------------------------------------------
-
-
 def _input_blob_name(root: Message) -> str:
     name = root.get_str("input")
     if name is not None:
@@ -505,34 +431,67 @@ def _lower_eltwise(name: str, msg: Message) -> EltwiseLayer:
     return EltwiseLayer(name=name, operation=operation)
 
 
-def graph_from_prototxt(
-    text: str, fold_relu: bool = True, require_series_parallel: bool = True
-) -> Graph:
-    """Lower prototxt text to a DAG :class:`~repro.nn.graph.Graph`.
+#: Caffe layer type -> lowering of its ``layer`` message.
+_LOWERINGS = {
+    "Convolution": _lower_conv,
+    "Pooling": _lower_pool,
+    "LRN": _lower_lrn,
+    "InnerProduct": _lower_fc,
+    "Concat": _lower_concat,
+    "Eltwise": _lower_eltwise,
+    "ReLU": lambda name, msg: ReLULayer(name=name),
+    "Softmax": lambda name, msg: SoftmaxLayer(name=name),
+}
 
-    The branching sibling of :func:`network_from_prototxt`: ``bottom``/
-    ``top`` wiring is resolved through Caffe's named blobs (in-place
-    tops shadow their blob), multi-``bottom`` ``Concat`` and ``Eltwise``
-    layers become join nodes, and standalone ReLU layers fold into their
-    producing conv/FC when ``fold_relu`` is set.
 
-    Raises:
-        ParseError: One line with the offending prototxt line and field,
-            for unknown blobs, unsupported Concat axes or Eltwise
-            operations, cyclic wiring and — unless
-            ``require_series_parallel`` is off — topologies the
-            series-parallel optimizer cannot decompose.
+def _fold_relus(nodes: List[GraphNode]) -> List[GraphNode]:
+    """Fold each ReLU node into its conv/FC producer (the accelerator
+    integrates ReLU into the convolution engines).
+
+    A ReLU folds only when it is its producer's sole consumer, so a
+    layer reading the pre-ReLU blob keeps seeing it.  Consumers of a
+    folded ReLU read the producer instead; chained ReLUs fold one after
+    another.  ``nodes`` is in declaration order, producers first.
     """
+    uses: Dict[str, int] = {}
+    for node in nodes:
+        for ref in node.inputs:
+            uses[ref] = uses.get(ref, 0) + 1
+    kept: List[GraphNode] = []
+    position: Dict[str, int] = {}
+    alias: Dict[str, str] = {}
+    for node in nodes:
+        inputs = tuple(alias.get(ref, ref) for ref in node.inputs)
+        if isinstance(node.layer, ReLULayer) and len(inputs) == 1:
+            index = position.get(inputs[0])
+            producer = None if index is None else kept[index]
+            if (
+                producer is not None
+                and isinstance(producer.layer, (ConvLayer, FCLayer))
+                and uses[producer.name] == 1
+            ):
+                kept[index] = replace(
+                    producer, layer=replace(producer.layer, relu=True)
+                )
+                alias[node.name] = producer.name
+                uses[producer.name] = uses.get(node.name, 0)
+                continue
+        position[node.name] = len(kept)
+        kept.append(replace(node, inputs=inputs))
+    return kept
+
+
+def _lower_graph(text: str) -> Tuple[Graph, Dict[str, Message]]:
+    """Lower prototxt text to a graph plus each node's layer message."""
     root = parse_prototxt(text)
     spec = _input_spec(root)
     name = root.get_str("name", "network")
     input_blob = _input_blob_name(root)
 
     nodes: List[GraphNode] = []
-    node_lines: Dict[str, int] = {}
+    entries: Dict[str, Message] = {}
     # blob name -> producing node name (input_blob for the graph input).
     producer: Dict[str, str] = {input_blob: input_blob}
-    node_by_name: Dict[str, GraphNode] = {}
 
     def resolve(entry: Message, layer_name: str, bottoms: List[str]) -> List[str]:
         refs = []
@@ -545,20 +504,6 @@ def graph_from_prototxt(
                 )
             refs.append(ref)
         return refs
-
-    def add_node(entry: Message, layer: Layer, inputs: List[str],
-                 tops: List[str]) -> None:
-        if layer.name in node_by_name:
-            raise ParseError(
-                f"line {entry.line_of('name')}: layer field 'name' "
-                f"value {layer.name!r} is duplicated"
-            )
-        node = GraphNode(name=layer.name, layer=layer, inputs=tuple(inputs))
-        nodes.append(node)
-        node_by_name[layer.name] = node
-        node_lines[layer.name] = entry.line
-        for top in tops or [layer.name]:
-            producer[top] = layer.name
 
     for entry in root.get_all("layer") + root.get_all("layers"):
         if not isinstance(entry, Message):
@@ -584,233 +529,160 @@ def graph_from_prototxt(
                     producer[top] = ref
             continue
         inputs = resolve(entry, layer_name, bottoms or [input_blob])
-        if layer_type == "Convolution":
-            add_node(entry, _lower_conv(layer_name, entry), inputs, tops)
-        elif layer_type == "Pooling":
-            add_node(entry, _lower_pool(layer_name, entry), inputs, tops)
-        elif layer_type == "LRN":
-            add_node(entry, _lower_lrn(layer_name, entry), inputs, tops)
-        elif layer_type == "InnerProduct":
-            add_node(entry, _lower_fc(layer_name, entry), inputs, tops)
-        elif layer_type == "Concat":
-            add_node(entry, _lower_concat(layer_name, entry), inputs, tops)
-        elif layer_type == "Eltwise":
-            add_node(entry, _lower_eltwise(layer_name, entry), inputs, tops)
-        elif layer_type == "ReLU":
-            ref = inputs[0]
-            target = node_by_name.get(ref)
-            if (
-                fold_relu
-                and target is not None
-                and isinstance(target.layer, (ConvLayer, FCLayer))
-                and not target.layer.relu
-            ):
-                folded = GraphNode(
-                    name=target.name,
-                    layer=_set_relu(target.layer),
-                    inputs=target.inputs,
-                )
-                nodes[nodes.index(target)] = folded
-                node_by_name[target.name] = folded
-                for top in tops or bottoms[:1]:
-                    producer[top] = target.name
-            else:
-                add_node(entry, ReLULayer(name=layer_name), inputs, tops)
-        elif layer_type == "Softmax":
-            add_node(entry, SoftmaxLayer(name=layer_name), inputs, tops)
-        else:
+        lower = _LOWERINGS.get(layer_type)
+        if lower is None:
             raise ParseError(
                 f"line {entry.line_of('type')}: layer {layer_name!r} field "
                 f"'type' has unsupported value {layer_type!r}"
             )
+        layer = lower(layer_name, entry)
+        if layer_name in entries:
+            raise ParseError(
+                f"line {entry.line_of('name')}: layer field 'name' "
+                f"value {layer_name!r} is duplicated"
+            )
+        nodes.append(GraphNode(name=layer_name, layer=layer, inputs=tuple(inputs)))
+        entries[layer_name] = entry
+        for top in tops or [layer_name]:
+            producer[top] = layer_name
 
-    def _offending_line(message: str) -> int:
-        for node_name, line in node_lines.items():
-            if f"'{node_name}'" in message or f"{node_name!r}" in message:
-                return line
+    def offending_line(message: str) -> int:
+        for node_name, entry in entries.items():
+            if f"{node_name!r}" in message:
+                return entry.line
         return root.line_of("layer")
 
     try:
-        graph = Graph(name, spec, nodes, input_name=input_blob)
+        graph = Graph(name, spec, _fold_relus(nodes), input_name=input_blob)
+        graph.decompose()
     except ShapeError as exc:
         raise ParseError(
-            f"line {_offending_line(str(exc))}: field 'layer': {exc}"
+            f"line {offending_line(str(exc))}: field 'layer': {exc}"
         ) from None
-    if require_series_parallel:
-        try:
-            graph.decompose()
-        except ShapeError as exc:
+    return graph, entries
+
+
+def graph_from_prototxt(text: str) -> Graph:
+    """Lower prototxt text to a DAG :class:`~repro.nn.graph.Graph`.
+
+    ``bottom``/``top`` wiring is resolved through Caffe's named blobs
+    (in-place tops shadow their blob), multi-``bottom`` ``Concat`` and
+    ``Eltwise`` layers become join nodes, and a standalone ReLU folds
+    into its producing conv/FC when it is that producer's only consumer.
+
+    Raises:
+        ParseError: One line with the offending prototxt line and field,
+            for unknown blobs, unsupported Concat axes or Eltwise
+            operations, cyclic wiring and topologies the series-parallel
+            optimizer cannot decompose.
+    """
+    return _lower_graph(text)[0]
+
+
+def network_from_prototxt(text: str) -> Network:
+    """Lower prototxt text to a linear-chain :class:`Network`.
+
+    The chain view of :func:`graph_from_prototxt`: the same lowering,
+    then :meth:`~repro.nn.graph.Graph.to_network`.
+
+    Raises:
+        ParseError: As :func:`graph_from_prototxt`, and when the wiring
+            branches (pointing at the first layer that leaves the chain).
+    """
+    graph, entries = _lower_graph(text)
+    for info in graph:
+        ref = info.inputs[-1]
+        if len(info.inputs) > 1 or graph.consumers(ref)[0] != info.name:
             raise ParseError(
-                f"line {_offending_line(str(exc))}: field 'layer': {exc}"
-            ) from None
-    return graph
+                f"line {entries[info.name].line_of('bottom')}: layer "
+                f"{info.name!r} field 'bottom' value {ref!r} breaks the "
+                f"linear chain"
+            )
+    return graph.to_network()
 
 
-def model_from_prototxt(text: str, fold_relu: bool = True):
+def model_from_prototxt(text: str) -> Union[Network, Graph]:
     """Lower prototxt to the thinnest IR that fits its topology.
 
-    Returns a chain :class:`Network` when the wiring is linear (through
-    :func:`network_from_prototxt`, so chain models stay bit-identical to
-    the historical parser) and a :class:`~repro.nn.graph.Graph`
-    otherwise.
+    Parses once through :func:`graph_from_prototxt` and returns a chain
+    :class:`Network` when the wiring is linear, the
+    :class:`~repro.nn.graph.Graph` otherwise.
     """
-    graph = graph_from_prototxt(text, fold_relu=fold_relu)
-    if graph.is_chain:
-        return network_from_prototxt(text, fold_relu=fold_relu)
-    return graph
+    graph = graph_from_prototxt(text)
+    return graph.to_network() if graph.is_chain else graph
 
 
 # -- serialization ----------------------------------------------------------
 
 
-def _conv_block(layer: ConvLayer, bottom: str) -> str:
-    lines = [
-        "layer {",
-        f'  name: "{layer.name}"',
-        '  type: "Convolution"',
-        f'  bottom: "{bottom}"',
-        f'  top: "{layer.name}"',
-        "  convolution_param {",
-        f"    num_output: {layer.out_channels}",
-        f"    kernel_size: {layer.kernel}",
-        f"    stride: {layer.stride}",
-        f"    pad: {layer.pad}",
-    ]
-    if layer.groups != 1:
-        lines.append(f"    group: {layer.groups}")
-    lines.extend(["  }", "}"])
-    if layer.relu:
-        lines.extend(
-            [
-                "layer {",
-                f'  name: "relu_{layer.name}"',
-                '  type: "ReLU"',
-                f'  bottom: "{layer.name}"',
-                f'  top: "{layer.name}"',
-                "}",
-            ]
-        )
-    return "\n".join(lines)
-
-
-def _pool_block(layer: PoolLayer, bottom: str) -> str:
-    return "\n".join(
-        [
-            "layer {",
-            f'  name: "{layer.name}"',
-            '  type: "Pooling"',
-            f'  bottom: "{bottom}"',
-            f'  top: "{layer.name}"',
-            "  pooling_param {",
-            f"    pool: {layer.mode.upper()}",
-            f"    kernel_size: {layer.kernel}",
-            f"    stride: {layer.stride}",
-            f"    pad: {layer.pad}",
-            "  }",
-            "}",
-        ]
-    )
-
-
-def _lrn_block(layer: LRNLayer, bottom: str) -> str:
-    return "\n".join(
-        [
-            "layer {",
-            f'  name: "{layer.name}"',
-            '  type: "LRN"',
-            f'  bottom: "{bottom}"',
-            f'  top: "{layer.name}"',
-            "  lrn_param {",
-            f"    local_size: {layer.local_size}",
-            f"    alpha: {layer.alpha}",
-            f"    beta: {layer.beta}",
-            f"    k: {layer.k}",
-            "  }",
-            "}",
-        ]
-    )
-
-
-def _fc_block(layer: FCLayer, bottom: str) -> str:
-    lines = [
-        "layer {",
-        f'  name: "{layer.name}"',
-        '  type: "InnerProduct"',
-        f'  bottom: "{bottom}"',
-        f'  top: "{layer.name}"',
-        "  inner_product_param {",
-        f"    num_output: {layer.out_features}",
-        "  }",
-        "}",
-    ]
-    if layer.relu:
-        lines.extend(
-            [
-                "layer {",
-                f'  name: "relu_{layer.name}"',
-                '  type: "ReLU"',
-                f'  bottom: "{layer.name}"',
-                f'  top: "{layer.name}"',
-                "}",
-            ]
-        )
-    return "\n".join(lines)
-
-
-def _simple_block(layer: Layer, caffe_type: str, bottom: str) -> str:
-    return "\n".join(
-        [
-            "layer {",
-            f'  name: "{layer.name}"',
-            f'  type: "{caffe_type}"',
-            f'  bottom: "{bottom}"',
-            f'  top: "{layer.name}"',
-            "}",
-        ]
-    )
-
-
-def network_to_prototxt(network: Network) -> str:
-    """Serialize a :class:`Network` to Caffe prototxt text."""
-    spec = network.input_spec
-    parts = [
-        f'name: "{network.name}"',
-        'input: "data"',
-        "input_dim: 1",
-        f"input_dim: {spec.channels}",
-        f"input_dim: {spec.height}",
-        f"input_dim: {spec.width}",
-    ]
-    bottom = "data"
-    for info in network:
-        layer = info.layer
-        if isinstance(layer, ConvLayer):
-            parts.append(_conv_block(layer, bottom))
-        elif isinstance(layer, PoolLayer):
-            parts.append(_pool_block(layer, bottom))
-        elif isinstance(layer, LRNLayer):
-            parts.append(_lrn_block(layer, bottom))
-        elif isinstance(layer, FCLayer):
-            parts.append(_fc_block(layer, bottom))
-        elif isinstance(layer, ReLULayer):
-            parts.append(_simple_block(layer, "ReLU", bottom))
-        elif isinstance(layer, SoftmaxLayer):
-            parts.append(_simple_block(layer, "Softmax", bottom))
-        else:
-            raise ParseError(f"cannot serialize layer type {type(layer).__name__}")
-        bottom = layer.name
-    return "\n".join(parts) + "\n"
-
-
-def _join_block(layer: Layer, caffe_type: str, bottoms: Tuple[str, ...],
-                param: str = "") -> str:
+def _layer_block(
+    layer: Layer, caffe_type: str, bottoms: Tuple[str, ...], params: List[str]
+) -> str:
+    """One ``layer { ... }`` block, plus an in-place ReLU for a folded one."""
     lines = ["layer {", f'  name: "{layer.name}"', f'  type: "{caffe_type}"']
     lines.extend(f'  bottom: "{bottom}"' for bottom in bottoms)
     lines.append(f'  top: "{layer.name}"')
-    if param:
-        lines.append(param)
+    lines.extend(params)
     lines.append("}")
+    if isinstance(layer, (ConvLayer, FCLayer)) and layer.relu:
+        lines.extend(
+            [
+                "layer {",
+                f'  name: "relu_{layer.name}"',
+                '  type: "ReLU"',
+                f'  bottom: "{layer.name}"',
+                f'  top: "{layer.name}"',
+                "}",
+            ]
+        )
     return "\n".join(lines)
+
+
+def _param(name: str, fields: List[str]) -> List[str]:
+    return [f"  {name} {{"] + [f"    {field}" for field in fields] + ["  }"]
+
+
+def _caffe_layer(layer: Layer) -> Tuple[str, List[str]]:
+    """The Caffe type and parameter lines of one layer."""
+    if isinstance(layer, ConvLayer):
+        fields = [
+            f"num_output: {layer.out_channels}",
+            f"kernel_size: {layer.kernel}",
+            f"stride: {layer.stride}",
+            f"pad: {layer.pad}",
+        ]
+        if layer.groups != 1:
+            fields.append(f"group: {layer.groups}")
+        return "Convolution", _param("convolution_param", fields)
+    if isinstance(layer, PoolLayer):
+        return "Pooling", _param("pooling_param", [
+            f"pool: {layer.mode.upper()}",
+            f"kernel_size: {layer.kernel}",
+            f"stride: {layer.stride}",
+            f"pad: {layer.pad}",
+        ])
+    if isinstance(layer, LRNLayer):
+        return "LRN", _param("lrn_param", [
+            f"local_size: {layer.local_size}",
+            f"alpha: {layer.alpha}",
+            f"beta: {layer.beta}",
+            f"k: {layer.k}",
+        ])
+    if isinstance(layer, FCLayer):
+        return "InnerProduct", _param(
+            "inner_product_param", [f"num_output: {layer.out_features}"]
+        )
+    if isinstance(layer, ConcatLayer):
+        return "Concat", _param("concat_param", ["axis: 1"])
+    if isinstance(layer, EltwiseLayer):
+        return "Eltwise", _param(
+            "eltwise_param", [f"operation: {layer.operation.upper()}"]
+        )
+    if isinstance(layer, ReLULayer):
+        return "ReLU", []
+    if isinstance(layer, SoftmaxLayer):
+        return "Softmax", []
+    raise ParseError(f"cannot serialize layer type {type(layer).__name__}")
 
 
 def graph_to_prototxt(graph: Graph) -> str:
@@ -830,32 +702,12 @@ def graph_to_prototxt(graph: Graph) -> str:
         f"input_dim: {spec.width}",
     ]
     for info in graph:
-        layer = info.layer
-        bottoms = info.inputs
-        if isinstance(layer, ConcatLayer):
-            parts.append(
-                _join_block(layer, "Concat", bottoms, "  concat_param {\n    axis: 1\n  }")
-            )
-        elif isinstance(layer, EltwiseLayer):
-            operation = "SUM" if layer.operation == "sum" else "MAX"
-            parts.append(
-                _join_block(
-                    layer, "Eltwise", bottoms,
-                    f"  eltwise_param {{\n    operation: {operation}\n  }}",
-                )
-            )
-        elif isinstance(layer, ConvLayer):
-            parts.append(_conv_block(layer, bottoms[0]))
-        elif isinstance(layer, PoolLayer):
-            parts.append(_pool_block(layer, bottoms[0]))
-        elif isinstance(layer, LRNLayer):
-            parts.append(_lrn_block(layer, bottoms[0]))
-        elif isinstance(layer, FCLayer):
-            parts.append(_fc_block(layer, bottoms[0]))
-        elif isinstance(layer, ReLULayer):
-            parts.append(_simple_block(layer, "ReLU", bottoms[0]))
-        elif isinstance(layer, SoftmaxLayer):
-            parts.append(_simple_block(layer, "Softmax", bottoms[0]))
-        else:
-            raise ParseError(f"cannot serialize layer type {type(layer).__name__}")
+        caffe_type, params = _caffe_layer(info.layer)
+        parts.append(_layer_block(info.layer, caffe_type, info.inputs, params))
     return "\n".join(parts) + "\n"
+
+
+def network_to_prototxt(network: Network) -> str:
+    """Serialize a :class:`Network` to Caffe prototxt text (the chain
+    case of :func:`graph_to_prototxt`)."""
+    return graph_to_prototxt(Graph.from_network(network))

@@ -420,6 +420,3 @@ def is_accelerated(layer: Layer) -> bool:
         (ConvLayer, PoolLayer, LRNLayer, InceptionModule) + JOIN_LAYER_TYPES,
     )
 
-
-#: Layer classes the fused accelerator datapath supports directly.
-ACCELERATED_LAYER_TYPES = (ConvLayer, PoolLayer, LRNLayer)

@@ -81,7 +81,6 @@ class FrontierOptimizer:
         device: FPGADevice,
         algorithm_filter=None,
         explore_tile_sizes: bool = False,
-        node_budget: int = 250_000,
         context: Optional[CostModel] = None,
         workers: Optional[int] = None,
     ):
@@ -106,7 +105,6 @@ class FrontierOptimizer:
             device,
             algorithm_filter=algorithm_filter,
             explore_tile_sizes=explore_tile_sizes,
-            node_budget=node_budget,
             context=self.context,
         )
         self._frontiers: Dict[Tuple[int, int], List[_Plan]] = {}
@@ -203,22 +201,6 @@ class FrontierOptimizer:
         )
 
 
-def _store_context(
-    context: Optional[CostModel], store
-) -> Optional[CostModel]:
-    """Resolve the (context, store) pair callers may mix and match."""
-    if store is None:
-        return context
-    if context is not None:
-        raise OptimizationError(
-            "pass either a shared context or a store, not both "
-            "(give the store to EvalContext instead)"
-        )
-    from repro.dse.store import resolve_store
-
-    return EvalContext(store=resolve_store(store))
-
-
 def _flush_context(context: Optional[CostModel]) -> None:
     """Persist any store-backed context's fresh evaluations."""
     flush = getattr(context, "flush_store", None)
@@ -231,40 +213,28 @@ def optimize(
     device: FPGADevice,
     transfer_constraint_bytes: int,
     explore_tile_sizes: bool = False,
-    node_budget: int = 250_000,
     context: Optional[CostModel] = None,
     workers: Optional[int] = None,
-    store=None,
 ) -> Strategy:
     """Problem 1: minimal-latency strategy under a transfer constraint.
 
     Args:
         explore_tile_sizes: Also search Winograd tile sizes (extension;
             the paper uses uniform F(4x4, 3x3)).
-        node_budget: Per-group branch-and-bound node cap (see
-            :class:`~repro.optimizer.branch_and_bound.GroupSearch`);
-            lower it for a faster, near-optimal search on deep networks.
         context: Shared :class:`~repro.perf.cost.EvalContext`; pass one
             to reuse ``implement()`` results across calls (e.g. a DSE
-            sweep) and to collect telemetry externally.
+            sweep) and to collect telemetry externally.  A context built
+            with a persistent ``store`` warms the search from it and is
+            flushed to it on return; the strategy is bit-identical to a
+            store-less run.
         workers: Precompute the independent ``fusion[i][j]`` searches
             with a thread pool of this size (strategy-preserving).
-        store: Persistent cost store (a :class:`repro.dse.CostStore` or
-            its root path) to warm the search from and flush fresh
-            evaluations to; mutually exclusive with ``context`` (attach
-            the store to your own ``EvalContext`` for that).  The
-            resulting strategy is bit-identical to a store-less run.
     """
-    context = _store_context(context, store)
-    optimizer = FrontierOptimizer(
-        network, device, explore_tile_sizes=explore_tile_sizes,
-        node_budget=node_budget, context=context, workers=workers,
-    )
-    plan = optimizer.best_plan(transfer_constraint_bytes)
-    strategy = optimizer.materialize(plan)
-    strategy.validate(transfer_constraint_bytes)
-    _flush_context(context)
-    return strategy
+    return optimize_many(
+        network, device, [transfer_constraint_bytes],
+        explore_tile_sizes=explore_tile_sizes, context=context,
+        workers=workers,
+    )[0]
 
 
 def optimize_many(
@@ -272,23 +242,19 @@ def optimize_many(
     device: FPGADevice,
     transfer_constraints_bytes: Sequence[int],
     explore_tile_sizes: bool = False,
-    node_budget: int = 250_000,
     context: Optional[CostModel] = None,
     workers: Optional[int] = None,
-    store=None,
 ) -> List[Strategy]:
     """Optimize under several transfer constraints, sharing the search.
 
-    Equivalent to calling :func:`optimize` per constraint — with the
-    same ``explore_tile_sizes``/``node_budget``/``store`` knobs
-    honored — but amortizes the Algorithm-2 ``fusion[i][j]`` table and
-    the signature-keyed evaluation cache across all of them; this is
-    how the Figure 5 sweep is produced.
+    Equivalent to calling :func:`optimize` per constraint, but amortizes
+    the Algorithm-2 ``fusion[i][j]`` table and the signature-keyed
+    evaluation cache across all of them; this is how the Figure 5 sweep
+    is produced.
     """
-    context = _store_context(context, store)
     optimizer = FrontierOptimizer(
         network, device, explore_tile_sizes=explore_tile_sizes,
-        node_budget=node_budget, context=context, workers=workers,
+        context=context, workers=workers,
     )
     strategies = []
     for constraint in transfer_constraints_bytes:

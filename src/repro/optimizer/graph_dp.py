@@ -48,12 +48,7 @@ from repro.nn.graph import Graph, SPLeaf, SPParallel, SPSeries, sp_leaf_names
 from repro.nn.layers import ConcatLayer, InputSpec
 from repro.nn.network import Network
 from repro.optimizer.branch_and_bound import GroupSearch
-from repro.optimizer.dp import (
-    FrontierOptimizer,
-    _flush_context,
-    _prune,
-    _store_context,
-)
+from repro.optimizer.dp import FrontierOptimizer, _flush_context, _prune
 from repro.optimizer.strategy import Strategy
 from repro.perf.cost import CostModel, EvalContext, SearchTelemetry
 from repro.perf.group import fifo_overhead
@@ -433,7 +428,6 @@ class GraphOptimizer:
         graph: Graph,
         device: FPGADevice,
         explore_tile_sizes: bool = False,
-        node_budget: int = 250_000,
         context: Optional[CostModel] = None,
         workers: Optional[int] = None,
     ):
@@ -442,10 +436,7 @@ class GraphOptimizer:
         self.graph = graph
         self.device = device
         self.context: CostModel = context if context is not None else EvalContext()
-        self._optimizer_kwargs = dict(
-            explore_tile_sizes=explore_tile_sizes,
-            node_budget=node_budget,
-        )
+        self.explore_tile_sizes = explore_tile_sizes
         self.workers = workers
         self._tree = graph.decompose()
         self._frontiers: Dict[Tuple[int, int], List[_GPlan]] = {}
@@ -479,9 +470,9 @@ class GraphOptimizer:
             cached = FrontierOptimizer(
                 self._chain_network(graph, names),
                 self.device,
+                explore_tile_sizes=self.explore_tile_sizes,
                 context=self.context,
                 workers=self.workers,
-                **self._optimizer_kwargs,
             )
             self._chain_runs[names] = cached
         return cached
@@ -701,8 +692,8 @@ class GraphOptimizer:
             search = GroupSearch(
                 network,
                 self.device,
+                explore_tile_sizes=self.explore_tile_sizes,
                 context=self.context,
-                **self._optimizer_kwargs,
             )
             design = search.fusion(0, len(network))
             if design is None:
@@ -843,10 +834,8 @@ def optimize_graph(
     device: FPGADevice,
     transfer_constraint_bytes: int,
     explore_tile_sizes: bool = False,
-    node_budget: int = 250_000,
     context: Optional[CostModel] = None,
     workers: Optional[int] = None,
-    store=None,
 ) -> GraphStrategy:
     """Minimal-latency branch-aware strategy under a transfer constraint.
 
@@ -854,12 +843,10 @@ def optimize_graph(
     knobs, and bit-identical output on chain graphs (the whole graph is
     then one series run through the unchanged chain DP).
     """
-    context = _store_context(context, store)
     optimizer = GraphOptimizer(
         graph,
         device,
         explore_tile_sizes=explore_tile_sizes,
-        node_budget=node_budget,
         context=context,
         workers=workers,
     )

@@ -68,7 +68,7 @@ class CutOptimizer:
             budget (the paper's T, applied to each board separately);
             defaults to each stage's unfused traffic — effectively
             unconstrained, matching ``compile_model``'s default.
-        explore_tile_sizes / node_budget / workers: Forwarded to the
+        explore_tile_sizes / workers: Forwarded to the
             underlying single-device searches.
         context: Shared evaluation layer; one context serves every
             device in the fleet (device identity is part of its key).
@@ -80,7 +80,6 @@ class CutOptimizer:
         fleet: DeviceFleet,
         transfer_constraint_bytes: Optional[int] = None,
         explore_tile_sizes: bool = False,
-        node_budget: int = 250_000,
         context: Optional[CostModel] = None,
         workers: Optional[int] = None,
     ):
@@ -93,7 +92,6 @@ class CutOptimizer:
         self.context: CostModel = context if context is not None else EvalContext()
         self._optimizer_kwargs = dict(
             explore_tile_sizes=explore_tile_sizes,
-            node_budget=node_budget,
             workers=workers,
         )
         # One search per *distinct* device model: a homogeneous N-board
@@ -307,7 +305,6 @@ def partition_network(
     fleet: DeviceFleet,
     transfer_constraint_bytes: Optional[int] = None,
     explore_tile_sizes: bool = False,
-    node_budget: int = 250_000,
     context: Optional[CostModel] = None,
     workers: Optional[int] = None,
 ) -> PartitionPlan:
@@ -323,7 +320,6 @@ def partition_network(
         fleet,
         transfer_constraint_bytes=transfer_constraint_bytes,
         explore_tile_sizes=explore_tile_sizes,
-        node_budget=node_budget,
         context=context,
         workers=workers,
     )

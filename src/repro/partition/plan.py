@@ -260,7 +260,6 @@ class PartitionPlan:
         slo_cycles: Optional[float] = None,
         resilience=None,
         replan_context=None,
-        replan_store=None,
         replan_workers: Optional[int] = None,
         verify: bool = True,
     ):
@@ -275,9 +274,9 @@ class PartitionPlan:
         spare pipeline to fail over to.  ``resilience`` attaches the
         :mod:`repro.resilience` control plane — on confirmed death of a
         stage's device the fleet re-partitions the network over the
-        survivors (pass ``replan_context`` / ``replan_store`` so the
-        re-plan hits a warm cost cache; ``replan_workers`` only affects
-        wall time).  ``verify`` (default on) runs the plan invariant
+        survivors (pass ``replan_context`` so the re-plan hits a warm
+        cost cache; ``replan_workers`` only affects wall time).
+        ``verify`` (default on) runs the plan invariant
         validators at admission, rejecting a stale or inconsistent plan
         with a :class:`~repro.errors.VerificationError` before it serves
         traffic; serving behaviour is identical either way.
@@ -302,7 +301,6 @@ class PartitionPlan:
             slo_cycles=slo_cycles,
             resilience=resilience,
             replan_context=replan_context,
-            replan_store=replan_store,
             replan_workers=replan_workers,
         )
 

@@ -56,18 +56,18 @@ def replan_survivors(
     dead_stage: int,
     transfer_constraint_bytes: Optional[int] = None,
     context=None,
-    store=None,
     workers: Optional[int] = None,
 ):
     """Re-run the cut-point DP over the survivors of ``plan``.
 
     ``dead_stage`` names the stage whose device died; the new plan
     covers the *whole* network over the remaining devices.  Pass the
-    original search's ``context`` or ``store`` to make the re-plan a
-    warm-cache operation; a worker count only changes wall time, never
-    the plan (the DP is deterministic — asserted in the tests).
+    original search's ``context`` to make the re-plan a warm-cache
+    operation (a store-backed context is flushed on return); a worker
+    count only changes wall time, never the plan (the DP is
+    deterministic — asserted in the tests).
     """
-    from repro.optimizer.dp import _flush_context, _store_context
+    from repro.optimizer.dp import _flush_context
     from repro.partition.cut import partition_network
 
     placements = plan.placements
@@ -83,7 +83,6 @@ def replan_survivors(
         transfer_constraint_bytes = plan.network.feature_map_bytes(
             element_bytes
         )
-    context = _store_context(context, store)
     try:
         return partition_network(
             plan.network,

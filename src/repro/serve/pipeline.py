@@ -356,20 +356,18 @@ class PipelineFleetScheduler(FleetScheduler):
         slo_cycles: Optional[float] = None,
         resilience=None,
         replan_context=None,
-        replan_store=None,
         replan_workers: Optional[int] = None,
     ):
         """``resilience`` attaches the :mod:`repro.resilience` control
         plane; on confirmed death of one stage's device the controller
         re-partitions the network over the survivors.  Pass the original
-        search's ``replan_context`` or ``replan_store`` so the re-plan
-        runs through a warm cost cache (``replan_workers`` only changes
-        wall time, never the plan)."""
+        search's ``replan_context`` so the re-plan runs through a warm
+        cost cache (``replan_workers`` only changes wall time, never
+        the plan)."""
         if pipelines < 1:
             raise ServingError(f"need >= 1 pipeline, got {pipelines}")
         self.plan = plan
         self.replan_context = replan_context
-        self.replan_store = replan_store
         self.replan_workers = replan_workers
         model = build_pipeline_model(plan)
         super().__init__(
@@ -471,7 +469,6 @@ class PipelineFleetScheduler(FleetScheduler):
                 self.plan,
                 dead[0],
                 context=self.replan_context,
-                store=self.replan_store,
                 workers=self.replan_workers,
             )
         except ReproError as exc:

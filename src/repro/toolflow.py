@@ -36,7 +36,7 @@ from repro.hardware.device import FPGADevice, get_device
 from repro.nn.caffe import model_from_prototxt
 from repro.nn.graph import Graph
 from repro.nn.network import Network
-from repro.optimizer.dp import _flush_context, _store_context, optimize
+from repro.optimizer.dp import _flush_context, optimize
 from repro.optimizer.graph_dp import GraphStrategy, optimize_graph
 from repro.optimizer.strategy import Strategy
 from repro.partition.cut import partition_network
@@ -254,26 +254,14 @@ def _resolve_model(
     raise OptimizationError(f"cannot interpret model input {str(model)[:80]!r}")
 
 
-def _resolve_network(model: Union[str, Path, Network]) -> Network:
-    resolved = _resolve_model(model)
-    if isinstance(resolved, Graph):
-        raise OptimizationError(
-            f"model {resolved.name!r} is a branching graph; "
-            "this entry point only handles linear networks"
-        )
-    return resolved
-
-
 def compile_graph(
     model: Union[str, Path, Graph],
     device: Union[str, FPGADevice] = "zc706",
     transfer_constraint_bytes: Optional[int] = None,
-    accelerated_only: bool = True,
     explore_tile_sizes: bool = False,
     workers: Optional[int] = None,
     context: Optional[CostModel] = None,
     verify: bool = True,
-    store=None,
 ) -> GraphCompileResult:
     """Map a branching (DAG) model onto an FPGA.
 
@@ -286,17 +274,15 @@ def compile_graph(
     Accepts a :class:`Graph`, prototxt text, or a prototxt path; a
     linear model is wrapped via :meth:`Graph.from_network`.  All the
     shared knobs (``transfer_constraint_bytes`` = the paper's T,
-    ``explore_tile_sizes``, ``workers``, ``context``, ``store``,
-    ``verify``) behave as in :func:`compile_model`; ``verify`` runs the
+    ``explore_tile_sizes``, ``workers``, ``context``, ``verify``)
+    behave as in :func:`compile_model`; ``verify`` runs the
     branch-aware :func:`repro.check.verify_graph_strategy` validators.
     No HLS project is generated — codegen is chain-only.
     """
     resolved = _resolve_model(model)
     graph = (
         Graph.from_network(resolved) if isinstance(resolved, Network) else resolved
-    )
-    if accelerated_only:
-        graph = graph.accelerated_subgraph()
+    ).accelerated_subgraph()
     if len(graph) == 0:
         raise OptimizationError("no accelerator-eligible layers in the model")
     target = get_device(device) if isinstance(device, str) else device
@@ -307,7 +293,7 @@ def compile_graph(
     strategy = optimize_graph(
         graph, target, transfer_constraint_bytes,
         explore_tile_sizes=explore_tile_sizes,
-        workers=workers, context=context, store=store,
+        workers=workers, context=context,
     )
     if verify:
         from repro.check.invariants import verify_graph_strategy
@@ -323,24 +309,22 @@ def compile_model(
     device: Union[str, FPGADevice] = "zc706",
     transfer_constraint_bytes: Optional[int] = None,
     output_dir: Optional[Path] = None,
-    accelerated_only: bool = True,
     explore_tile_sizes: bool = False,
     weights: Optional[dict] = None,
     workers: Optional[int] = None,
     context: Optional[CostModel] = None,
     verify: bool = True,
-    store=None,
 ) -> CompileResult:
     """Map a Caffe model (or Network) onto an FPGA.
 
     Args:
         model: Prototxt path, prototxt text, or an in-memory Network.
+            Trailing FC/softmax layers run host-side, as in the paper,
+            and are trimmed before optimizing.
         device: Device catalog name or an FPGADevice.
         transfer_constraint_bytes: The paper's T; defaults to the
             unfused feature-map traffic (i.e. effectively unconstrained).
         output_dir: If given, the HLS project is written there.
-        accelerated_only: Drop trailing FC/softmax layers (run host-side,
-            as the paper does) before optimizing.
         explore_tile_sizes: Also search Winograd tile sizes m in
             {2, 4, 6} per layer (extension; the paper fixes m = 4).
         weights: Optional trained parameters; when given the project
@@ -350,15 +334,14 @@ def compile_model(
             with a thread pool of this size (strategy-preserving;
             CLI ``--workers``).
         context: Shared :class:`~repro.perf.cost.EvalContext` to reuse
-            cost evaluations across compiles (e.g. device sweeps).
+            cost evaluations across compiles (e.g. device sweeps).  One
+            built with a persistent ``store`` (CLI ``--cache``) warms
+            the search from it and is flushed to it; the strategy is
+            bit-identical with or without it.
         verify: Run the :func:`repro.check.verify_strategy` invariant
             validators on the optimized strategy before code generation
             (CLI ``--no-verify`` disables; the verified path's output is
             bit-identical to the unverified one).
-        store: Persistent cost store (:class:`repro.dse.CostStore` or
-            its root path; CLI ``--cache``) to warm the search from and
-            flush fresh evaluations to.  Strategy output is
-            bit-identical with or without it.
 
     Returns:
         The strategy, the generated HLS project, and simulation hooks.
@@ -385,22 +368,17 @@ def compile_model(
             resolved,
             device=device,
             transfer_constraint_bytes=transfer_constraint_bytes,
-            accelerated_only=accelerated_only,
             explore_tile_sizes=explore_tile_sizes,
             workers=workers,
             context=context,
             verify=verify,
-            store=store,
         )
-    network = resolved
-    if accelerated_only:
-        network = network.accelerated_prefix()
+    network = resolved.accelerated_prefix()
     if len(network) == 0:
         raise OptimizationError("no accelerator-eligible layers in the model")
     target = get_device(device) if isinstance(device, str) else device
     if transfer_constraint_bytes is None:
         transfer_constraint_bytes = network.feature_map_bytes(target.element_bytes)
-    context = _store_context(context, store)
     strategy = optimize(
         network, target, transfer_constraint_bytes,
         explore_tile_sizes=explore_tile_sizes,
@@ -423,13 +401,10 @@ def partition_model(
     devices: Union[str, Sequence, DeviceFleet] = "zc706,zc706",
     link: Optional[Link] = None,
     transfer_constraint_bytes: Optional[int] = None,
-    accelerated_only: bool = True,
     explore_tile_sizes: bool = False,
-    node_budget: int = 250_000,
     workers: Optional[int] = None,
     context: Optional[CostModel] = None,
     verify: bool = True,
-    store=None,
 ) -> PartitionPlan:
     """Split a model across a fleet of FPGAs for pipelined execution.
 
@@ -454,8 +429,8 @@ def partition_model(
             board-to-board link).
         transfer_constraint_bytes: Optional per-stage DRAM feature-map
             budget (each board gets the paper's T separately).
-        accelerated_only / explore_tile_sizes / node_budget / workers /
-            context / verify / store: As in :func:`compile_model`
+        explore_tile_sizes / workers / context / verify: As in
+            :func:`compile_model`
             (``verify`` runs :func:`repro.check.verify_plan` on the
             finished plan).
 
@@ -467,25 +442,22 @@ def partition_model(
         single-device optimum.
     """
     network = _resolve_model(model)
-    if accelerated_only:
-        network = (
-            network.accelerated_subgraph()
-            if isinstance(network, Graph)
-            else network.accelerated_prefix()
-        )
+    network = (
+        network.accelerated_subgraph()
+        if isinstance(network, Graph)
+        else network.accelerated_prefix()
+    )
     if len(network) == 0:
         raise OptimizationError("no accelerator-eligible layers in the model")
     if isinstance(devices, DeviceFleet):
         fleet = devices
     else:
         fleet = DeviceFleet.from_spec(devices, link=link)
-    context = _store_context(context, store)
     plan = partition_network(
         network,
         fleet,
         transfer_constraint_bytes=transfer_constraint_bytes,
         explore_tile_sizes=explore_tile_sizes,
-        node_budget=node_budget,
         context=context,
         workers=workers,
     )

@@ -1,15 +1,22 @@
 """Tests for the prototxt parser and serializer."""
 
+import numpy as np
 import pytest
 
+from repro.check.artifacts import network_digest
 from repro.errors import ParseError
-from repro.nn import models
+from repro.nn import caffe, models
 from repro.nn.caffe import (
+    graph_from_prototxt,
+    graph_to_prototxt,
+    model_from_prototxt,
     network_from_prototxt,
     network_to_prototxt,
     parse_prototxt,
 )
-from repro.nn.layers import ConvLayer, LRNLayer, PoolLayer
+from repro.nn.functional import forward_graph, init_graph_weights
+from repro.nn.layers import ConvLayer, LRNLayer, PoolLayer, ReLULayer
+from repro.nn.modules import InceptionModule
 
 SAMPLE = """
 name: "sample"
@@ -118,10 +125,6 @@ class TestNetworkLowering:
         assert isinstance(conv, ConvLayer)
         assert conv.relu
 
-    def test_relu_kept_when_not_folding(self):
-        net = network_from_prototxt(SAMPLE, fold_relu=False)
-        assert "relu1" in [info.name for info in net]
-
     def test_pool_parameters(self):
         pool = network_from_prototxt(SAMPLE).layer("pool1").layer
         assert isinstance(pool, PoolLayer)
@@ -161,6 +164,11 @@ class TestNetworkLowering:
             "convolution_param { num_output: 2 kernel_size: 1 } }"
         )
         with pytest.raises(ParseError):
+            network_from_prototxt(text)
+
+    def test_series_parallel_graph_rejected_at_its_fork(self):
+        text = graph_to_prototxt(models.tiny_branch())
+        with pytest.raises(ParseError, match=r"^line \d+: .*breaks the linear chain"):
             network_from_prototxt(text)
 
     def test_unsupported_layer_type(self):
@@ -263,7 +271,22 @@ class TestMalformedInputs:
         assert "line 7" in str(excinfo.value)
 
 
+#: Zoo chains the writer can express (macro-layer Inception modules have
+#: no prototxt form).
+SERIALIZABLE_CHAINS = sorted(
+    name
+    for name, ctor in models.catalog().items()
+    if not any(isinstance(layer, InceptionModule) for layer in ctor().layers)
+)
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("name", SERIALIZABLE_CHAINS)
+    def test_zoo_chain_round_trips_exactly(self, name):
+        original = models.catalog()[name]()
+        parsed = network_from_prototxt(network_to_prototxt(original))
+        assert network_digest(parsed) == network_digest(original)
+
     @pytest.mark.parametrize(
         "ctor",
         [models.tiny_cnn, models.alexnet, models.vgg_fused_prefix],
@@ -288,3 +311,69 @@ class TestRoundTrip:
         original = models.alexnet(grouped=True)
         parsed = network_from_prototxt(network_to_prototxt(original))
         assert parsed.layer("conv2").layer.groups == 2
+
+
+def _conv1x1(name, bottom, channels):
+    return (
+        f'layer {{ name: "{name}" type: "Convolution" bottom: "{bottom}" '
+        f'top: "{name}" convolution_param {{ num_output: {channels} '
+        "kernel_size: 1 } }\n"
+    )
+
+
+class TestReluFolding:
+    def test_relu_not_folded_when_pre_relu_blob_is_read(self):
+        # c3 reads conv1's pre-ReLU blob, so relu1 must stay a node.
+        text = (
+            'input: "data"\ninput_dim: 1\ninput_dim: 2\ninput_dim: 4\n'
+            "input_dim: 4\n"
+            + _conv1x1("conv1", "data", 3)
+            + 'layer { name: "relu1" type: "ReLU" bottom: "conv1" top: "relu1" }\n'
+            + _conv1x1("c2", "relu1", 2)
+            + _conv1x1("c3", "conv1", 2)
+            + 'layer { name: "cat" type: "Concat" bottom: "c2" bottom: "c3" '
+            'top: "cat" }\n'
+        )
+        graph = graph_from_prototxt(text)
+        assert not graph.node("conv1").layer.relu
+        assert isinstance(graph.node("relu1").layer, ReLULayer)
+        assert graph.node("relu1").inputs == ("conv1",)
+        assert graph.node("c2").inputs == ("relu1",)
+        assert graph.node("c3").inputs == ("conv1",)
+
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(2, 4, 4))
+        weights = init_graph_weights(graph, rng, scale=1.0)
+
+        def conv(name, x):
+            w, b = weights[name]["weight"], weights[name]["bias"]
+            return np.einsum("oc,chw->ohw", w[:, :, 0, 0], x) + b[:, None, None]
+
+        pre = conv("conv1", data)
+        assert (pre < 0).any()
+        expected = np.concatenate(
+            [conv("c2", np.maximum(pre, 0)), conv("c3", pre)]
+        )
+        np.testing.assert_allclose(forward_graph(graph, data, weights), expected)
+
+    def test_doubled_relu_folds_into_one_flag(self):
+        text = SAMPLE.replace(
+            'layer {\n  name: "pool1"',
+            'layer {\n  name: "relu1b"\n  type: "ReLU"\n'
+            '  bottom: "conv1"\n  top: "conv1"\n}\nlayer {\n  name: "pool1"',
+        )
+        graph = graph_from_prototxt(text)
+        assert graph.topo_order == ("conv1", "pool1", "norm1")
+        assert graph.node("conv1").layer.relu
+        assert graph.node("pool1").inputs == ("conv1",)
+
+
+def test_model_from_prototxt_parses_once(monkeypatch):
+    texts = []
+    parse = caffe.parse_prototxt
+    monkeypatch.setattr(
+        caffe, "parse_prototxt", lambda text: texts.append(text) or parse(text)
+    )
+    model = model_from_prototxt(SAMPLE)
+    assert texts == [SAMPLE]
+    assert network_digest(model) == network_digest(network_from_prototxt(SAMPLE))

@@ -204,17 +204,9 @@ class TestStrategyPreservation:
 
     def test_optimize_many_honors_knobs(self, tiny, testchip):
         budgets = [tiny.min_fused_transfer_bytes(), tiny.feature_map_bytes()]
-        batch = optimize_many(
-            tiny, testchip, budgets, explore_tile_sizes=True, node_budget=50_000
-        )
+        batch = optimize_many(tiny, testchip, budgets, explore_tile_sizes=True)
         for budget, strategy in zip(budgets, batch):
-            single = optimize(
-                tiny,
-                testchip,
-                budget,
-                explore_tile_sizes=True,
-                node_budget=50_000,
-            )
+            single = optimize(tiny, testchip, budget, explore_tile_sizes=True)
             assert choice_triples(strategy) == choice_triples(single)
 
 

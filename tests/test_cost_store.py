@@ -29,7 +29,7 @@ from repro.dse.store import (
     resolve_store,
     stable_key_text,
 )
-from repro.errors import ArtifactError, OptimizationError
+from repro.errors import ArtifactError
 from repro.optimizer.dp import optimize, optimize_many
 from repro.optimizer.serialize import strategy_to_dict
 from repro.perf.cost import EvalContext
@@ -128,8 +128,12 @@ class TestStoreTier:
     ):
         budget = tiny_net.feature_map_bytes()
         plain = optimize(tiny_net, testchip, budget)
-        cold = optimize(tiny_net, testchip, budget, store=tmp_path / "s")
-        warm = optimize(tiny_net, testchip, budget, store=tmp_path / "s")
+        cold = optimize(
+            tiny_net, testchip, budget, context=EvalContext(store=tmp_path / "s")
+        )
+        warm = optimize(
+            tiny_net, testchip, budget, context=EvalContext(store=tmp_path / "s")
+        )
         assert (
             strategy_to_dict(plain)
             == strategy_to_dict(cold)
@@ -140,9 +144,11 @@ class TestStoreTier:
         self, tiny_net, testchip, tmp_path
     ):
         budgets = [tiny_net.feature_map_bytes(), 1 << 20]
-        first = optimize_many(tiny_net, testchip, budgets, store=tmp_path / "s")
+        first = optimize_many(
+            tiny_net, testchip, budgets, context=EvalContext(store=tmp_path / "s")
+        )
         second = optimize_many(
-            tiny_net, testchip, budgets, store=tmp_path / "s"
+            tiny_net, testchip, budgets, context=EvalContext(store=tmp_path / "s")
         )
         assert [strategy_to_dict(s) for s in first] == [
             strategy_to_dict(s) for s in second
@@ -150,18 +156,6 @@ class TestStoreTier:
         probe = EvalContext(store=CostStore(tmp_path / "s"))
         optimize(tiny_net, testchip, budgets[0], context=probe)
         assert probe.stats.evaluations == 0
-
-    def test_store_and_context_are_mutually_exclusive(
-        self, tiny_net, testchip, tmp_path
-    ):
-        with pytest.raises(OptimizationError):
-            optimize(
-                tiny_net,
-                testchip,
-                tiny_net.feature_map_bytes(),
-                context=EvalContext(),
-                store=tmp_path / "s",
-            )
 
     def test_eval_context_coerces_path_store(self, tiny_net, testchip, tmp_path):
         context = EvalContext(store=tmp_path / "s")
@@ -182,7 +176,9 @@ class TestStoreTier:
 
     def test_telemetry_reports_cache_tiers(self, tiny_net, testchip, tmp_path):
         budget = tiny_net.feature_map_bytes()
-        optimize(tiny_net, testchip, budget, store=tmp_path / "s")
+        optimize(
+            tiny_net, testchip, budget, context=EvalContext(store=tmp_path / "s")
+        )
         warm = EvalContext(store=CostStore(tmp_path / "s"))
         optimize(tiny_net, testchip, budget, context=warm)
         tiers = warm.stats.to_dict()["cache_tiers"]
@@ -194,7 +190,10 @@ class TestStoreTier:
 
 class TestDamage:
     def _warm_store(self, tiny_net, testchip, root):
-        optimize(tiny_net, testchip, tiny_net.feature_map_bytes(), store=root)
+        optimize(
+            tiny_net, testchip, tiny_net.feature_map_bytes(),
+            context=EvalContext(store=root),
+        )
         return CostStore(root)
 
     def test_corrupt_shard_raises_typed_error_strictly(
@@ -211,7 +210,9 @@ class TestDamage:
         self, tiny_net, testchip, tmp_path
     ):
         budget = tiny_net.feature_map_bytes()
-        baseline = optimize(tiny_net, testchip, budget, store=tmp_path / "s")
+        baseline = optimize(
+            tiny_net, testchip, budget, context=EvalContext(store=tmp_path / "s")
+        )
         store = CostStore(tmp_path / "s")
         for victim in store.shard_paths():
             victim.write_text(
@@ -285,7 +286,7 @@ class TestHygiene:
     def test_stats_counts_entries_and_bytes(self, tiny_net, testchip, tmp_path):
         optimize(
             tiny_net, testchip, tiny_net.feature_map_bytes(),
-            store=tmp_path / "s",
+            context=EvalContext(store=tmp_path / "s"),
         )
         stats = CostStore(tmp_path / "s").stats()
         assert stats.entries > 0
@@ -298,7 +299,7 @@ class TestHygiene:
     def test_gc_by_count_keeps_newest(self, tiny_net, testchip, tmp_path):
         optimize(
             tiny_net, testchip, tiny_net.feature_map_bytes(),
-            store=tmp_path / "s",
+            context=EvalContext(store=tmp_path / "s"),
         )
         store = CostStore(tmp_path / "s")
         before = store.stats().entries
@@ -309,7 +310,7 @@ class TestHygiene:
     def test_gc_by_age_evicts_old_entries(self, tiny_net, testchip, tmp_path):
         optimize(
             tiny_net, testchip, tiny_net.feature_map_bytes(),
-            store=tmp_path / "s",
+            context=EvalContext(store=tmp_path / "s"),
         )
         store = CostStore(tmp_path / "s")
         # Everything was written "now": a generous age bound keeps all,
@@ -322,7 +323,7 @@ class TestHygiene:
     def test_gc_compacts_damaged_shards(self, tiny_net, testchip, tmp_path):
         optimize(
             tiny_net, testchip, tiny_net.feature_map_bytes(),
-            store=tmp_path / "s",
+            context=EvalContext(store=tmp_path / "s"),
         )
         store = CostStore(tmp_path / "s")
         victim = store.shard_paths()[0]
@@ -334,7 +335,7 @@ class TestHygiene:
     def test_clear_removes_everything(self, tiny_net, testchip, tmp_path):
         optimize(
             tiny_net, testchip, tiny_net.feature_map_bytes(),
-            store=tmp_path / "s",
+            context=EvalContext(store=tmp_path / "s"),
         )
         store = CostStore(tmp_path / "s")
         removed = store.clear()
@@ -374,7 +375,7 @@ def _concurrent_writer(args):
     device = get_device("testchip")
     budgets = [network.feature_map_bytes(), (1 << 20) + offset]
     for budget in budgets:
-        optimize(network, device, budget, store=root)
+        optimize(network, device, budget, context=EvalContext(store=root))
     return True
 
 
@@ -400,7 +401,7 @@ class TestConcurrency:
     ):
         optimize(
             tiny_net, testchip, tiny_net.feature_map_bytes(),
-            store=tmp_path / "s",
+            context=EvalContext(store=tmp_path / "s"),
         )
         for path in CostStore(tmp_path / "s").shard_paths():
             document = json.loads(path.read_text())

@@ -111,6 +111,20 @@ class TestBranchOptimization:
         with pytest.raises(OptimizationError):
             optimize_graph(graph, testchip, 1)
 
+    def test_macro_inception_fits_budgets_native_cannot(self, zc706):
+        # Native branches win at loose T (678,012 vs 994,287 cycles), but
+        # their least feature transfer is 4,566,016 B against the macro
+        # path's 1,053,696 B: below that only the macro path has a design.
+        from repro.errors import OptimizationError
+
+        budget = 4 * 2**20
+        macro_net = models.googlenet_prefix(2).accelerated_prefix()
+        macro = optimize(macro_net, zc706, budget)
+        assert macro.feature_transfer_bytes <= budget
+        graph = models.googlenet_graph_prefix(2).accelerated_subgraph()
+        with pytest.raises(OptimizationError, match="4566016 bytes"):
+            optimize_graph(graph, zc706, budget)
+
 
 class TestDownstreamAgreement:
     def test_simulation_matches_functional_reference(self, testchip):
