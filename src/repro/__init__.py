@@ -40,12 +40,7 @@ from repro.errors import (
     UnsupportedLayerError,
     VerificationError,
 )
-from repro.toolflow import (
-    CompileResult,
-    GraphCompileResult,
-    compile_graph,
-    compile_model,
-)
+from repro.toolflow import CompileResult, compile_model
 
 __version__ = "1.1.0"
 
@@ -58,7 +53,6 @@ __all__ = [
     "ArtifactVersionError",
     "CodegenError",
     "CompileResult",
-    "GraphCompileResult",
     "OptimizationError",
     "ParseError",
     "ReproError",
@@ -67,7 +61,6 @@ __all__ = [
     "SimulationError",
     "UnsupportedLayerError",
     "VerificationError",
-    "compile_graph",
     "compile_model",
     "__version__",
 ]

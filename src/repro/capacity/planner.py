@@ -424,12 +424,6 @@ def _compile_demands(
             context=context,
             verify=verify,
         )
-        if not hasattr(compiled, "project"):
-            raise CapacityError(
-                f"demand {demand.name!r} resolved to a branching graph; "
-                "capacity planning currently serves linear models "
-                "(flatten the graph first, see docs/ir.md)"
-            )
         strategies[demand.name] = compiled.strategy
     return strategies
 

@@ -331,7 +331,7 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
     def dag_probe() -> str:
         import numpy as np
 
-        from repro.check.invariants import verify_graph_strategy
+        from repro.check.invariants import verify_strategy
         from repro.hardware.device import get_device
         from repro.nn import models
         from repro.nn.functional import forward_graph, init_graph_weights
@@ -339,7 +339,7 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
         from repro.optimizer.dp import optimize
         from repro.perf.cost import EvalContext
         from repro.optimizer.graph_dp import optimize_graph
-        from repro.sim.graph import simulate_graph_strategy
+        from repro.sim.simulator import simulate_strategy
 
         device = get_device("testchip")
         # Chain degeneracy: the graph DP on a linear model must be
@@ -364,7 +364,7 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
         strategy = optimize_graph(
             graph, device, graph.feature_map_bytes(device.element_bytes)
         )
-        verify_graph_strategy(strategy).raise_if_failed()
+        verify_strategy(strategy).raise_if_failed()
         kinds = {segment.kind for segment in strategy.segments}
         if kinds == {"chain"}:
             raise ReproError(
@@ -373,7 +373,7 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
         rng = np.random.default_rng(0)
         data = rng.normal(0, 0.5, graph.input_spec.shape)
         weights = init_graph_weights(graph, np.random.default_rng(0))
-        sim = simulate_graph_strategy(strategy, data, weights)
+        sim = simulate_strategy(strategy, data, weights)
         expected = forward_graph(graph, data, weights)
         error = float(np.max(np.abs(sim.output - expected)))
         if error > 1e-6:

@@ -116,7 +116,16 @@ def verify_strategy(
     ``check_cost_model`` — that re-evaluating every recorded engine
     through :func:`~repro.perf.implement.implement` reproduces the
     recorded compute cycles (cost-model drift).
+
+    A :class:`~repro.optimizer.graph_dp.GraphStrategy` is validated by
+    :func:`verify_graph_strategy` instead.
     """
+    from repro.optimizer.graph_dp import GraphStrategy
+
+    if isinstance(strategy, GraphStrategy):
+        return verify_graph_strategy(
+            strategy, transfer_constraint_bytes, check_cost_model
+        )
     report = VerificationReport(
         f"strategy[{strategy.network.name} on {strategy.device.name}]"
     )
@@ -423,12 +432,10 @@ def verify_plan(plan, check_cost_model: bool = True) -> VerificationReport:
     stage-to-device binding, link consistency (one transfer per cut,
     wired to the right fleet link, carrying the actual cut tensor — the
     output of the unit before the cut, a block's join on a DAG),
-    per-stage strategy validity (via :func:`verify_strategy` or
-    :func:`verify_graph_strategy` on each stage, against its own
-    device), and the pipeline bottleneck/latency math.
+    per-stage strategy validity (via :func:`verify_strategy` on each
+    stage, against its own device), and the pipeline bottleneck/latency
+    math.
     """
-    from repro.optimizer.graph_dp import GraphStrategy
-
     report = VerificationReport(
         f"plan[{plan.network.name} across {plan.fleet.name}]"
     )
@@ -473,13 +480,10 @@ def verify_plan(plan, check_cost_model: bool = True) -> VerificationReport:
                 f"covers {stage_layers} layers but its strategy covers "
                 f"{len(placement.nodes)}",
             )
-        verify_stage = (
-            verify_graph_strategy
-            if isinstance(placement.strategy, GraphStrategy)
-            else verify_strategy
-        )
         report.extend(
-            verify_stage(placement.strategy, check_cost_model=check_cost_model),
+            verify_strategy(
+                placement.strategy, check_cost_model=check_cost_model
+            ),
             where,
         )
     if expected != len(units):

@@ -39,7 +39,7 @@ from repro.nn.graph import Graph
 from repro.optimizer.dp import optimize_many
 from repro.reporting import format_energy, format_ratio, format_table
 from repro.serve.scheduler import Policy
-from repro.toolflow import GraphCompileResult, compile_model
+from repro.toolflow import compile_model
 
 MB = 2**20
 
@@ -90,18 +90,15 @@ def _load_model(name_or_path: str):
     )
 
 
-def _strategy_energy(result) -> Optional[tuple]:
-    """(J/inference, board W) for a chain compile; None for graph results.
+def _strategy_energy(strategy) -> tuple:
+    """(J/inference, board W) of a compiled chain or graph strategy.
 
     Backed by the same :mod:`repro.hardware.power` helper the capacity
     planner charges per request, so ``repro compile --stats`` and
     ``repro plan-capacity`` always quote the same number.
     """
-    if isinstance(result, GraphCompileResult):
-        return None
     from repro.hardware.power import device_power_model
 
-    strategy = result.strategy
     power_model = device_power_model(strategy.device)
     return (
         power_model.strategy_energy_per_inference_j(strategy),
@@ -186,38 +183,32 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         verify=not args.no_verify,
         context=_context_from_args(args),
     )
+    strategy = result.strategy
     if args.json:
-        strategy = result.strategy
-        if isinstance(result, GraphCompileResult):
-            payload = strategy.to_dict()
-        else:
-            from repro.optimizer.serialize import strategy_to_dict
+        from repro.optimizer.serialize import strategy_to_dict
 
-            payload = strategy_to_dict(strategy)
+        payload = strategy_to_dict(strategy)
         payload["latency_seconds"] = strategy.latency_seconds()
         payload["effective_gops"] = strategy.effective_gops()
         if args.stats:
             if result.telemetry is not None:
                 payload["telemetry"] = result.telemetry.to_dict()
-            energy = _strategy_energy(result)
-            if energy is not None:
-                payload["energy_per_inference_j"] = energy[0]
-                payload["board_power_w"] = energy[1]
+            joules, watts = _strategy_energy(strategy)
+            payload["energy_per_inference_j"] = joules
+            payload["board_power_w"] = watts
         if args.simulate:
             sim = result.simulate()
             payload["simulated_cycles"] = sim.latency_cycles
         print(json.dumps(payload, indent=2))
         return 0
-    print(result.strategy.report())
+    print(strategy.report())
     if args.stats:
-        energy = _strategy_energy(result)
-        if energy is not None:
-            joules, watts = energy
-            print(
-                f"\nenergy per inference: {format_energy(joules)} "
-                f"({watts:.2f} W board power; the capacity planner's "
-                f"per-request energy charge)"
-            )
+        joules, watts = _strategy_energy(strategy)
+        print(
+            f"\nenergy per inference: {format_energy(joules)} "
+            f"({watts:.2f} W board power; the capacity planner's "
+            f"per-request energy charge)"
+        )
         if result.telemetry is not None:
             print()
             print(result.telemetry.summary())
@@ -442,8 +433,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         workers=args.workers,
         verify=not args.no_verify,
     )
-    if args.simulate or args.serve is not None or args.save:
-        plan.require_chain_stages("--simulate/--serve/--save")
+    # Save first: a plan that cannot be saved fails before any output.
+    saved = plan.save(args.save) if args.save else None
     if args.json:
         payload = plan.to_dict()
         if args.stats and plan.telemetry is not None:
@@ -480,10 +471,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 + ")"
             )
             print(serving.summary())
-    if args.save:
-        path = plan.save(args.save)
-        if not args.json:
-            print(f"\npartition plan written to {path}")
+    if saved is not None and not args.json:
+        print(f"\npartition plan written to {saved}")
     return 0
 
 
@@ -530,8 +519,6 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         workers=args.workers,
         verify=not args.no_verify,
     )
-    if args.save:
-        plan.require_chain_stages("--save")
     started = time.perf_counter()
     survivor = replan_survivors(
         plan,
@@ -541,6 +528,7 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     wall_s = time.perf_counter() - started
+    saved = survivor.save(args.save) if args.save else None
     policy = ResiliencePolicy()
     hz = plan.fleet.reference_frequency_hz
     budget = replan_cycles(policy, hz)
@@ -574,10 +562,8 @@ def _cmd_replan(args: argparse.Namespace) -> int:
             f"weight handover = {budget + handover:,.0f} cycles to "
             f"readmission"
         )
-    if args.save:
-        path = survivor.save(args.save)
-        if not args.json:
-            print(f"\nsurvivor plan written to {path}")
+    if saved is not None and not args.json:
+        print(f"\nsurvivor plan written to {saved}")
     return 0
 
 
@@ -600,10 +586,6 @@ def _serve_sim_multi(
 
     device = get_device(args.device)
     networks = [_load_model(spec) for spec in model_specs]
-    if any(isinstance(network, Graph) for network in networks):
-        raise ReproError(
-            "serve-sim serves linear models; flatten branching graphs first"
-        )
     names = _unique_tenant_names([network.name for network in networks])
     if args.trace:
         trace = load_trace(args.trace)

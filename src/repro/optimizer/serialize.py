@@ -54,7 +54,16 @@ ARTIFACT_KIND = "strategy"
 
 
 def strategy_to_dict(strategy: Strategy) -> dict:
-    """The JSON-serializable description of a strategy."""
+    """The JSON-serializable description of a strategy.
+
+    A :class:`~repro.optimizer.graph_dp.GraphStrategy` describes itself
+    (:meth:`~repro.optimizer.graph_dp.GraphStrategy.to_dict`); only
+    chain payloads load back through :func:`strategy_from_dict`.
+    """
+    from repro.optimizer.graph_dp import GraphStrategy
+
+    if isinstance(strategy, GraphStrategy):
+        return strategy.to_dict()
     return {
         "schema_version": SCHEMA_VERSION,
         "network": strategy.network.name,

@@ -8,9 +8,9 @@ existing DP chose for it.  A DAG's units are its top-level nodes and
 whole fork-join blocks (:func:`model_units`), and each range carries a
 :class:`~repro.optimizer.graph_dp.GraphStrategy`.  It is to the
 partition layer what ``Strategy`` is to the single-device optimizer: the
-serializable hand-off between search, simulation, code generation and
-serving — the last three for chain plans only, since they consume
-``Strategy``.
+hand-off between search, simulation and serving, which take either kind
+of stage strategy.  Only the saved artifact is chain-only, because
+:func:`plan_from_dict` rebuilds chain strategies alone.
 
 Timing is expressed in **seconds**, not cycles: a heterogeneous fleet
 has no single clock, so stage latencies convert through each device's
@@ -203,18 +203,6 @@ class PartitionPlan:
             return None
         return self.baseline_latency_seconds / self.bottleneck_seconds
 
-    def require_chain_stages(self, action: str) -> None:
-        """Reject ``action`` on a plan whose stages hold graph strategies.
-
-        The fleet simulator, the pipelined serving fleet and the plan
-        artifact consume per-stage :class:`Strategy` objects.
-        """
-        if any(isinstance(p.strategy, GraphStrategy) for p in self.placements):
-            raise PartitionError(
-                f"{action} is chain-only; this plan's stages hold graph "
-                f"strategies (report, to_dict and replan support them)"
-            )
-
     # -- hooks into the rest of the stack ------------------------------------
 
     def simulate(
@@ -237,7 +225,6 @@ class PartitionPlan:
         """
         from repro.sim.fleet import simulate_partition
 
-        self.require_chain_stages("simulate()")
         return simulate_partition(
             self,
             data=data,
@@ -283,7 +270,6 @@ class PartitionPlan:
         """
         from repro.serve.pipeline import PipelineFleetScheduler
 
-        self.require_chain_stages("serve()")
         if verify:
             from repro.check.invariants import verify_plan
 
@@ -329,11 +315,7 @@ class PartitionPlan:
                     "stage_id": p.stage_id,
                     "device_index": p.device_index,
                     "range": [p.start, p.stop],
-                    "strategy": (
-                        p.strategy.to_dict()
-                        if isinstance(p.strategy, GraphStrategy)
-                        else strategy_to_dict(p.strategy)
-                    ),
+                    "strategy": strategy_to_dict(p.strategy),
                 }
                 for p in self.placements
             ],
@@ -351,8 +333,16 @@ class PartitionPlan:
         }
 
     def save(self, path: Union[str, Path]) -> Path:
-        """Atomically write the plan artifact (envelope + payload JSON)."""
-        self.require_chain_stages("save()")
+        """Atomically write the plan artifact (envelope + payload JSON).
+
+        Chain plans only: :func:`plan_from_dict` rebuilds chain stage
+        strategies, and there is no graph-strategy loader yet.
+        """
+        if any(isinstance(p.strategy, GraphStrategy) for p in self.placements):
+            raise PartitionError(
+                "save() is chain-only; this plan's stages hold graph "
+                "strategies, which have no loader yet"
+            )
         return save_artifact(
             path, PLAN_ARTIFACT_KIND, self.to_dict(), digests=self.digests()
         )

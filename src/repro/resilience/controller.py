@@ -259,7 +259,6 @@ class RecoveryController:
         self._actions: List[_Action] = []
         self._down_at: Dict[int, float] = {}
         self._baseline_default = baseline_fn
-        self._baseline_overrides: Dict[int, Callable[[int], float]] = {}
         self._archived_stats: List = []
         self._next_stats_base: Optional[int] = None
 
@@ -278,7 +277,7 @@ class RecoveryController:
         """
         if attempt.ok:
             ratio = None
-            fn = self._baseline_overrides.get(replica, self._baseline_default)
+            fn = self._baseline_default
             if fn is not None:
                 base = fn(batch_size)
                 if base > 0:
@@ -393,11 +392,6 @@ class RecoveryController:
 
     def set_default_baseline(self, fn: Callable[[int], float]) -> None:
         self._baseline_default = fn
-
-    def set_replica_baseline(
-        self, replica: int, fn: Callable[[int], float]
-    ) -> None:
-        self._baseline_overrides[replica] = fn
 
     def archive_stats(self, stats: Sequence) -> None:
         """Keep a replaced replica's stats rows for the final metrics."""

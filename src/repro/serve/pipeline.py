@@ -131,38 +131,6 @@ class PipelineReplica:
         """When the head stage can admit the next batch."""
         return self._stage_busy_until[0]
 
-    def execute(
-        self, batch: Sequence[InferenceRequest], dispatch_cycle: float
-    ) -> Tuple[float, float]:
-        """Push one batch down the pipeline.
-
-        Returns ``(head_start_cycle, tail_completion_cycle)``.  Batches
-        are served in dispatch order at every stage (each stage and link
-        is busy until its previous batch clears it).
-        """
-        if not batch:
-            raise ServingError("cannot execute an empty batch")
-        size = len(batch)
-        clock = dispatch_cycle
-        head_start = None
-        for index, stage in enumerate(self.model.stages):
-            start = max(clock, self._stage_busy_until[index])
-            service = stage.batch_cycles(size)
-            end = start + service
-            self._stage_busy_until[index] = end
-            self._stage_busy_cycles[index] += service
-            if index == 0:
-                head_start = start
-            clock = end
-            if index < len(self.model.transfer_cycles):
-                transfer = self.model.transfer_cycles[index](size)
-                begin = max(clock, self._link_busy_until[index])
-                self._link_busy_until[index] = begin + transfer
-                clock = begin + transfer
-        self.batches += 1
-        self.requests += size
-        return head_start, clock
-
     def execute_attempt(
         self,
         batch: Sequence[InferenceRequest],
@@ -173,55 +141,57 @@ class PipelineReplica:
         """Push one batch down the pipeline under an optional injector.
 
         A pipeline serves a single tenant: ``tenant`` is always 0.
+        Batches are served in dispatch order at every stage (each stage
+        and link is busy until its previous batch clears it).
 
-        With no injector this is exactly :meth:`execute`.  With one, the
-        traversal is first planned fault-aware: the head start skips the
-        replica's down windows, each stage's service absorbs the
-        brownout scale active at its start, and each link transfer is
-        stretched by the link's degradation scale and stalled through
-        partition windows.  A crash window opening inside the traversal
-        aborts the batch — stages and links are committed only up to the
-        crash cycle and the span they spent counts as wasted.  A batch
-        that traverses cleanly can still fail a transient draw, wasting
-        the full traversal on the head stage's books.
+        With an injector the traversal is planned fault-aware: the head
+        start skips the replica's down windows, each stage's service
+        absorbs the brownout scale active at its start, and each link
+        transfer is stretched by the link's degradation scale and
+        stalled through partition windows.  A crash window opening
+        inside the traversal aborts the batch — stages and links are
+        committed only up to the crash cycle and the span they spent
+        counts as wasted.  A batch that traverses cleanly can still fail
+        a transient draw, wasting the full traversal on the head stage's
+        books.
         """
-        if injector is None:
-            start, end = self.execute(batch, dispatch_cycle)
-            return BatchAttempt(start_cycle=start, end_cycle=end, ok=True)
         if not batch:
             raise ServingError("cannot execute an empty batch")
         size = len(batch)
-        clock = injector.available_from(
-            self.replica_id, max(dispatch_cycle, self.busy_until)
-        )
+        clock = max(dispatch_cycle, self.busy_until)
+        if injector is not None:
+            clock = injector.available_from(self.replica_id, clock)
         head_start = clock
         # Plan the traversal first, commit after the crash check — an
         # aborted batch must not advance stages past the crash cycle.
-        stage_spans: List[Tuple[float, float]] = []
+        stage_spans: List[Tuple[float, float, float]] = []
         link_spans: List[Tuple[float, float]] = []
         for index, stage in enumerate(self.model.stages):
             start = max(clock, self._stage_busy_until[index])
-            service = stage.batch_cycles(size) * injector.service_scale(
-                self.replica_id, start
-            )
+            service = stage.batch_cycles(size)
+            if injector is not None:
+                service *= injector.service_scale(self.replica_id, start)
             end = start + service
-            stage_spans.append((start, end))
+            stage_spans.append((start, end, service))
             clock = end
             if index < len(self.model.transfer_cycles):
-                transfer = self.model.transfer_cycles[index](
-                    size
-                ) * injector.link_scale(index, clock)
-                begin = injector.link_available_from(
-                    index, max(clock, self._link_busy_until[index])
-                )
+                transfer = self.model.transfer_cycles[index](size)
+                begin = max(clock, self._link_busy_until[index])
+                if injector is not None:
+                    transfer *= injector.link_scale(index, clock)
+                    begin = injector.link_available_from(index, begin)
                 link_spans.append((begin, begin + transfer))
                 clock = begin + transfer
         end = clock
-        crash = injector.crash_in(self.replica_id, head_start, end)
+        crash = (
+            None
+            if injector is None
+            else injector.crash_in(self.replica_id, head_start, end)
+        )
         if crash is not None:
             # Commit stages/links only up to the crash cycle; every
             # cycle actually spent is wasted work.
-            for index, (start, stop) in enumerate(stage_spans):
+            for index, (start, stop, _) in enumerate(stage_spans):
                 if start >= crash:
                     break
                 stop = min(stop, crash)
@@ -233,17 +203,21 @@ class PipelineReplica:
                 self._link_busy_until[index] = min(stop, crash)
             self.failed_batches += 1
             return BatchAttempt(head_start, crash, ok=False, failure="crash")
-        for index, (start, stop) in enumerate(stage_spans):
+        for index, (start, stop, _) in enumerate(stage_spans):
             self._stage_busy_until[index] = stop
         for index, (start, stop) in enumerate(link_spans):
             self._link_busy_until[index] = stop
-        if injector.transient_failure(self.replica_id):
-            for index, (start, stop) in enumerate(stage_spans):
+        if injector is not None and injector.transient_failure(self.replica_id):
+            for index, (start, stop, _) in enumerate(stage_spans):
                 self._stage_wasted_cycles[index] += stop - start
             self.failed_batches += 1
             return BatchAttempt(head_start, end, ok=False, failure="transient")
-        for index, (start, stop) in enumerate(stage_spans):
-            self._stage_busy_cycles[index] += stop - start
+        for index, (start, stop, service) in enumerate(stage_spans):
+            # A fault-free run books the exact service time; a fault-aware
+            # one books the committed span, like its wasted-cycle books.
+            self._stage_busy_cycles[index] += (
+                service if injector is None else stop - start
+            )
         self.batches += 1
         self.requests += size
         return BatchAttempt(head_start, end, ok=True)

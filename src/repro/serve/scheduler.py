@@ -383,10 +383,13 @@ class FleetScheduler:
     ) -> "FleetScheduler":
         """Build a fleet serving ``strategy``, metrics wired to its device.
 
-        ``verify`` (default on) runs the strategy invariant validators at
-        admission, so a stale or hand-edited artifact is rejected with a
-        :class:`~repro.errors.VerificationError` before it serves traffic;
-        the serving behaviour itself is unchanged either way.
+        ``strategy`` is a chain :class:`Strategy` or a
+        :class:`~repro.optimizer.graph_dp.GraphStrategy`; the validators
+        and the service model dispatch on its type.  ``verify`` (default
+        on) runs the strategy invariant validators at admission, so a
+        stale or hand-edited artifact is rejected with a
+        :class:`~repro.errors.VerificationError` before it serves
+        traffic; the serving behaviour itself is unchanged either way.
 
         ``fallback`` is a lower-resource strategy for the same network
         and device, pre-compiled at plan time; the control plane's
@@ -427,32 +430,6 @@ class FleetScheduler:
             resilience=resilience,
             fallback_model=fallback_model,
             fallback_swap_cycles=fallback_swap,
-        )
-
-    @classmethod
-    def for_graph_strategy(
-        cls, strategy, verify: bool = True, **knobs
-    ) -> "FleetScheduler":
-        """Build a fleet serving a branch-aware graph strategy.
-
-        Takes the serving knobs of :meth:`for_strategy` (graph
-        strategies have no fallback rung); the service model comes from
-        the graph strategy's per-segment flattening and admission
-        verification runs the branch-aware validators (branch coverage,
-        join transfer accounting).
-        """
-        if verify:
-            from repro.check.invariants import verify_graph_strategy
-
-            verify_graph_strategy(strategy).raise_if_failed()
-        from repro.sim.graph import build_graph_service_model
-
-        return cls(
-            build_graph_service_model(strategy),
-            frequency_hz=strategy.device.frequency_hz,
-            ops_per_request=strategy.total_ops,
-            reference_gops=strategy.effective_gops(),
-            **knobs,
         )
 
     # -- capacity helpers ----------------------------------------------------

@@ -22,7 +22,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.nn.functional import init_weights
+from repro.nn.functional import init_graph_weights, init_weights
+from repro.nn.graph import Graph
 from repro.sim.simulator import SimulationResult, simulate_strategy
 
 
@@ -115,9 +116,9 @@ def simulate_partition(
     Args:
         plan: The partition plan to execute.
         data: Input blob; a seeded random input otherwise.
-        weights: Parameters for the *full* network (stage slices keep
-            the original layer names, so one dict serves every stage);
-            seeded random weights otherwise.
+        weights: Parameters for the *full* model (stage slices keep
+            the original layer/node names, so one dict serves every
+            stage); seeded random weights otherwise.
         seed: Controls the generated input and weights, exactly like
             :meth:`repro.toolflow.CompileResult.simulate`.
         faults: Optional :class:`repro.faults.FaultSpec` (or its string
@@ -137,7 +138,8 @@ def simulate_partition(
     if data is None:
         data = rng.normal(0, 0.5, network.input_spec.shape)
     if weights is None:
-        weights = init_weights(network, rng)
+        init = init_graph_weights if isinstance(network, Graph) else init_weights
+        weights = init(network, rng)
 
     injector = None
     if faults is not None:

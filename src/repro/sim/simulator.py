@@ -283,8 +283,16 @@ def build_service_model(strategy: Strategy) -> ServiceModel:
     """Derive the batched service-time model of a strategy.
 
     Purely analytic — no functional execution — so a serving simulation
-    can price millions of requests without touching the engines.
+    can price millions of requests without touching the engines.  A
+    :class:`~repro.optimizer.graph_dp.GraphStrategy` is lowered by
+    :func:`repro.sim.graph.build_graph_service_model`.
     """
+    from repro.optimizer.graph_dp import GraphStrategy
+
+    if isinstance(strategy, GraphStrategy):
+        from repro.sim.graph import build_graph_service_model
+
+        return build_graph_service_model(strategy)
     network = strategy.network
     groups = []
     for group_id, ((start, stop), design) in enumerate(
@@ -335,7 +343,16 @@ def simulate_strategy(
 
     Returns:
         Functional output, end-to-end latency estimate, per-group traces.
+        A :class:`~repro.optimizer.graph_dp.GraphStrategy` runs through
+        :func:`repro.sim.graph.simulate_graph_strategy` (per-segment
+        traces).
     """
+    from repro.optimizer.graph_dp import GraphStrategy
+
+    if isinstance(strategy, GraphStrategy):
+        from repro.sim.graph import simulate_graph_strategy
+
+        return simulate_graph_strategy(strategy, data, weights, quantize, rng)
     network = strategy.network
     if tuple(data.shape) != network.input_spec.shape:
         raise SimulationError(

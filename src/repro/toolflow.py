@@ -16,10 +16,11 @@ Typical use::
     result.project.write_to("hls_out/")
 
 Branching (DAG) models are first-class: a prototxt with fork–join
-structure resolves to a :class:`repro.nn.graph.Graph` and routes through
-:func:`compile_graph` / the DAG partitioner, returning a
-:class:`GraphCompileResult` whose strategy prices branches natively
-(see ``docs/ir.md``).  Chain models are untouched.
+structure resolves to a :class:`repro.nn.graph.Graph`, and
+:func:`compile_model` / :func:`partition_model` optimize it natively.
+The same :class:`CompileResult` carries either kind of strategy; its
+simulate and serve hooks dispatch on the strategy type, and only HLS
+code generation stays chain-only (see ``docs/ir.md``).
 """
 
 from __future__ import annotations
@@ -48,12 +49,20 @@ from repro.sim.simulator import SimulationResult, simulate_strategy
 
 @dataclass
 class CompileResult:
-    """Everything the tool-flow produces for one network."""
+    """Everything the tool-flow produces for one model.
 
-    network: Network
+    ``network`` is the trimmed model that was optimized: a chain
+    :class:`Network` with a :class:`Strategy`, or a branching
+    :class:`Graph` with a :class:`~repro.optimizer.graph_dp.GraphStrategy`.
+    The simulate / serve hooks take either.  ``project`` is the
+    generated HLS project, None for graphs (codegen is chain-only).
+    """
+
+    network: Union[Network, Graph]
     device: FPGADevice
-    strategy: Strategy
-    project: GeneratedProject
+    strategy: Union[Strategy, GraphStrategy]
+    transfer_constraint_bytes: int
+    project: Optional[GeneratedProject] = None
 
     @property
     def telemetry(self) -> Optional[SearchTelemetry]:
@@ -128,107 +137,35 @@ class CompileResult:
         demand than the heterogeneous optimum, with the same transfer
         constraint the primary compile used — so the control plane can
         warm-swap to it when the primary degrades.
+
+        Raises:
+            OptimizationError: For a graph compile (the fallback rung
+                is chain-only), or when no conventional-only design
+                meets the transfer constraint.
         """
         from repro.baselines.homogeneous import homogeneous_optimize
         from repro.perf.implement import Algorithm
 
-        constraint = self.network.feature_map_bytes(self.device.element_bytes)
+        if isinstance(self.network, Graph):
+            raise OptimizationError(
+                "the fallback strategy is chain-only; a graph compile has "
+                "no warm-swap rung"
+            )
         return homogeneous_optimize(
-            self.network, self.device, constraint, Algorithm.CONVENTIONAL
+            self.network, self.device, self.transfer_constraint_bytes,
+            Algorithm.CONVENTIONAL,
         )
 
     def summary(self) -> str:
-        return "\n".join(
-            [
-                f"tool-flow result for {self.network.name!r} on {self.device.name}",
-                self.strategy.report(),
-                f"generated sources: {', '.join(self.project.source_names())}",
-            ]
-        )
-
-
-@dataclass
-class GraphCompileResult:
-    """Tool-flow output for a branching (DAG) model.
-
-    The graph sibling of :class:`CompileResult`: same simulate / serve /
-    summary hooks, but the strategy is a
-    :class:`~repro.optimizer.graph_dp.GraphStrategy` whose stages may be
-    whole fork–join blocks.  There is no ``project`` field — HLS code
-    generation is chain-only; flatten the graph first (see
-    ``docs/ir.md``) if you need generated sources.
-    """
-
-    graph: Graph
-    device: FPGADevice
-    strategy: GraphStrategy
-
-    @property
-    def telemetry(self) -> Optional[SearchTelemetry]:
-        return self.strategy.telemetry
-
-    def simulate(
-        self, data: Optional[np.ndarray] = None, weights=None, seed: int = 0
-    ):
-        """Run the cycle-approximate simulator on the compiled design.
-
-        Same seed contract as :meth:`CompileResult.simulate`: ``seed``
-        controls the generated input and the random weights, so repeated
-        runs are bit-identical.
-        """
-        from repro.sim.graph import simulate_graph_strategy
-
-        rng = np.random.default_rng(seed)
-        if data is None:
-            data = rng.normal(0, 0.5, self.graph.input_spec.shape)
-        return simulate_graph_strategy(self.strategy, data, weights, rng=rng)
-
-    def serve(
-        self,
-        replicas: int = 1,
-        policy: str = "least_loaded",
-        max_batch: int = 8,
-        max_wait_cycles: Optional[float] = None,
-        faults=None,
-        fault_seed: int = 0,
-        retry=None,
-        max_queue: Optional[int] = None,
-        slo_cycles: Optional[float] = None,
-        resilience=None,
-        verify: bool = True,
-    ) -> "FleetScheduler":
-        """Stand up a simulated serving fleet for this compiled graph.
-
-        Branch stages are lowered to the standard pipelined service
-        model (see :func:`repro.sim.build_graph_service_model`), so the
-        scheduler, batching and fault machinery are shared with the
-        chain path unchanged (``resilience`` included; graph strategies
-        have no fallback rung).
-        """
-        from repro.serve.scheduler import FleetScheduler
-
-        return FleetScheduler.for_graph_strategy(
-            self.strategy,
-            replicas=replicas,
-            policy=policy,
-            max_batch=max_batch,
-            max_wait_cycles=max_wait_cycles,
-            faults=faults,
-            fault_seed=fault_seed,
-            retry=retry,
-            max_queue=max_queue,
-            slo_cycles=slo_cycles,
-            resilience=resilience,
-            verify=verify,
-        )
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"tool-flow result for {self.graph.name!r} on {self.device.name}",
-                self.strategy.report(),
-            ]
-        )
+        lines = [
+            f"tool-flow result for {self.network.name!r} on {self.device.name}",
+            self.strategy.report(),
+        ]
+        if self.project is not None:
+            lines.append(
+                f"generated sources: {', '.join(self.project.source_names())}"
+            )
+        return "\n".join(lines)
 
 
 def _resolve_model(
@@ -254,58 +191,23 @@ def _resolve_model(
     raise OptimizationError(f"cannot interpret model input {str(model)[:80]!r}")
 
 
-def compile_graph(
-    model: Union[str, Path, Graph],
-    device: Union[str, FPGADevice] = "zc706",
-    transfer_constraint_bytes: Optional[int] = None,
-    explore_tile_sizes: bool = False,
-    workers: Optional[int] = None,
-    context: Optional[CostModel] = None,
-    verify: bool = True,
-) -> GraphCompileResult:
-    """Map a branching (DAG) model onto an FPGA.
-
-    The graph sibling of :func:`compile_model`: fork–join blocks are
-    optimized natively by :func:`repro.optimizer.graph_dp.optimize_graph`
-    instead of being flattened into macro-layers.  Chain graphs produce
-    a strategy bit-identical to the chain optimizer's (the graph DP
-    degenerates exactly; see ``docs/ir.md``).
-
-    Accepts a :class:`Graph`, prototxt text, or a prototxt path; a
-    linear model is wrapped via :meth:`Graph.from_network`.  All the
-    shared knobs (``transfer_constraint_bytes`` = the paper's T,
-    ``explore_tile_sizes``, ``workers``, ``context``, ``verify``)
-    behave as in :func:`compile_model`; ``verify`` runs the
-    branch-aware :func:`repro.check.verify_graph_strategy` validators.
-    No HLS project is generated — codegen is chain-only.
-    """
+def _accelerated_model(
+    model: Union[str, Path, Network, Graph]
+) -> Union[Network, Graph]:
+    """Resolve ``model`` and trim the host-side FC/softmax tail."""
     resolved = _resolve_model(model)
-    graph = (
-        Graph.from_network(resolved) if isinstance(resolved, Network) else resolved
-    ).accelerated_subgraph()
-    if len(graph) == 0:
-        raise OptimizationError("no accelerator-eligible layers in the model")
-    target = get_device(device) if isinstance(device, str) else device
-    if transfer_constraint_bytes is None:
-        transfer_constraint_bytes = graph.feature_map_bytes(
-            element_bytes=target.element_bytes
-        )
-    strategy = optimize_graph(
-        graph, target, transfer_constraint_bytes,
-        explore_tile_sizes=explore_tile_sizes,
-        workers=workers, context=context,
+    trimmed = (
+        resolved.accelerated_subgraph()
+        if isinstance(resolved, Graph)
+        else resolved.accelerated_prefix()
     )
-    if verify:
-        from repro.check.invariants import verify_graph_strategy
-
-        verify_graph_strategy(
-            strategy, transfer_constraint_bytes=transfer_constraint_bytes
-        ).raise_if_failed()
-    return GraphCompileResult(graph=graph, device=target, strategy=strategy)
+    if len(trimmed) == 0:
+        raise OptimizationError("no accelerator-eligible layers in the model")
+    return trimmed
 
 
 def compile_model(
-    model: Union[str, Path, Network],
+    model: Union[str, Path, Network, Graph],
     device: Union[str, FPGADevice] = "zc706",
     transfer_constraint_bytes: Optional[int] = None,
     output_dir: Optional[Path] = None,
@@ -315,10 +217,11 @@ def compile_model(
     context: Optional[CostModel] = None,
     verify: bool = True,
 ) -> CompileResult:
-    """Map a Caffe model (or Network) onto an FPGA.
+    """Map a Caffe model (or Network / Graph) onto an FPGA.
 
     Args:
-        model: Prototxt path, prototxt text, or an in-memory Network.
+        model: Prototxt path, prototxt text, or an in-memory Network or
+            Graph.
             Trailing FC/softmax layers run host-side, as in the paper,
             and are trimmed before optimizing.
         device: Device catalog name or an FPGADevice.
@@ -352,34 +255,23 @@ def compile_model(
             produced a strategy violating its own invariants.
 
     A branching (DAG) model — a :class:`Graph` or a prototxt with
-    fork–join structure — is routed to :func:`compile_graph` and yields
-    a :class:`GraphCompileResult` (no HLS project; codegen is
-    chain-only, so ``output_dir`` / ``weights`` are rejected for
-    graphs).
+    fork–join structure — is optimized natively by
+    :func:`repro.optimizer.graph_dp.optimize_graph` into a
+    :class:`~repro.optimizer.graph_dp.GraphStrategy`, with no HLS
+    project: codegen is chain-only, so ``output_dir`` / ``weights`` are
+    rejected for graphs.
     """
-    resolved = _resolve_model(model)
-    if isinstance(resolved, Graph):
-        if output_dir is not None or weights is not None:
-            raise OptimizationError(
-                "HLS code generation is chain-only; compile a branching "
-                "graph without output_dir/weights (see docs/ir.md)"
-            )
-        return compile_graph(
-            resolved,
-            device=device,
-            transfer_constraint_bytes=transfer_constraint_bytes,
-            explore_tile_sizes=explore_tile_sizes,
-            workers=workers,
-            context=context,
-            verify=verify,
+    network = _accelerated_model(model)
+    is_graph = isinstance(network, Graph)
+    if is_graph and (output_dir is not None or weights is not None):
+        raise OptimizationError(
+            "HLS code generation is chain-only; compile a branching "
+            "graph without output_dir/weights (see docs/ir.md)"
         )
-    network = resolved.accelerated_prefix()
-    if len(network) == 0:
-        raise OptimizationError("no accelerator-eligible layers in the model")
     target = get_device(device) if isinstance(device, str) else device
     if transfer_constraint_bytes is None:
         transfer_constraint_bytes = network.feature_map_bytes(target.element_bytes)
-    strategy = optimize(
+    strategy = (optimize_graph if is_graph else optimize)(
         network, target, transfer_constraint_bytes,
         explore_tile_sizes=explore_tile_sizes,
         workers=workers, context=context,
@@ -390,9 +282,14 @@ def compile_model(
         verify_strategy(
             strategy, transfer_constraint_bytes=transfer_constraint_bytes
         ).raise_if_failed()
-    project = generate_project(strategy, output_dir=output_dir, weights=weights)
     return CompileResult(
-        network=network, device=target, strategy=strategy, project=project
+        network=network,
+        device=target,
+        strategy=strategy,
+        transfer_constraint_bytes=transfer_constraint_bytes,
+        project=None if is_graph else generate_project(
+            strategy, output_dir=output_dir, weights=weights
+        ),
     )
 
 
@@ -436,19 +333,12 @@ def partition_model(
 
     Returns:
         A :class:`~repro.partition.plan.PartitionPlan` with one
-        single-device strategy per stage; chain plans add working
-        ``simulate()``, ``serve()`` and ``save()`` hooks.  A 1-device
-        fleet returns a plan whose stage strategy is exactly the
-        single-device optimum.
+        single-device strategy per stage and ``simulate()`` /
+        ``serve()`` hooks; ``save()`` is chain-only.  A 1-device fleet
+        returns a plan whose stage strategy is exactly the single-device
+        optimum.
     """
-    network = _resolve_model(model)
-    network = (
-        network.accelerated_subgraph()
-        if isinstance(network, Graph)
-        else network.accelerated_prefix()
-    )
-    if len(network) == 0:
-        raise OptimizationError("no accelerator-eligible layers in the model")
+    network = _accelerated_model(model)
     if isinstance(devices, DeviceFleet):
         fleet = devices
     else:

@@ -271,6 +271,20 @@ class TestWarmSwaps:
         )
         assert served == 5
 
+    def test_graph_and_chain_tenants_share_a_fleet(self, tiny_strategy):
+        from repro.nn import models
+
+        graph = compile_model(models.tiny_resnet(), device="testchip").strategy
+        scheduler = MultiTenantScheduler.for_strategies(
+            {"chain": tiny_strategy, "graph": graph}, replicas=1
+        )
+        result = scheduler.run(
+            {"chain": [0.0, 500_000.0], "graph": [0.0, 600_000.0]}
+        )
+        assert result.per_tenant["graph"].metrics.requests == 2
+        assert result.per_tenant["chain"].metrics.requests == 2
+        assert result.swaps > 0
+
 
 class TestDeterminism:
     def test_bit_identical_reruns(self, tiny_strategy, other_strategy):

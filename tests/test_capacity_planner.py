@@ -104,6 +104,20 @@ class TestPlan:
         )
         assert plan.energy_j == pytest.approx(expected, rel=1e-9)
 
+    def test_branching_model_demand(self):
+        demands = [
+            TenantDemand(
+                "resnet", models.tiny_resnet(), "poisson:mean=40000",
+                num_requests=40, slo_latency_s=0.002,
+            ),
+            demand_pair()[0],
+        ]
+        graph_plan = plan_capacity(
+            demands, devices=("testchip",), max_replicas=1, batch_sizes=(4,)
+        )
+        metrics = graph_plan.tenant_metrics["resnet"]
+        assert metrics["requests"] == metrics["offered"] == 40
+
     def test_infeasible_raises(self):
         with pytest.raises(CapacityError, match="no feasible fleet"):
             plan_capacity(

@@ -129,6 +129,17 @@ class TestCompile:
         assert payload["telemetry"]["evaluations"] > 0
         assert payload["groups"]
 
+    def test_compile_graph_json_stats_include_energy(self, capsys):
+        code = main(
+            ["compile", "tiny_resnet", "--device", "testchip", "--json",
+             "--stats"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "graph_strategy"
+        assert payload["energy_per_inference_j"] > 0
+        assert payload["board_power_w"] > 0
+
 
 class TestSweep:
     def test_sweep_table(self, capsys):
@@ -335,10 +346,21 @@ class TestPartition:
         assert payload["survivor"]["fleet"]["devices"] == ["testchip"]
         assert payload["handover_cycles"] > 0
 
-    def test_partition_dag_simulate_is_clean_error(self, capsys):
+    def test_partition_dag_simulate_and_serve(self, capsys):
         code = main(
             ["partition", "tiny_resnet", "--devices", "testchip,testchip",
-             "--simulate"]
+             "--simulate", "--serve", "50"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fleet simulation:" in out
+        assert "served 50 synthetic requests" in out
+
+    def test_partition_dag_save_is_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "plan.json"
+        code = main(
+            ["partition", "tiny_resnet", "--devices", "testchip,testchip",
+             "--simulate", "--save", str(path)]
         )
         assert code == 1
         captured = capsys.readouterr()
@@ -346,6 +368,7 @@ class TestPartition:
         assert captured.err.startswith("error:")
         assert "chain-only" in captured.err
         assert captured.err.count("\n") <= 1
+        assert not path.exists()
 
 
 class TestServeSim:

@@ -14,7 +14,12 @@ from repro.check.invariants import V_LINKS, verify_plan
 from repro.errors import PartitionError
 from repro.hardware.device import get_device
 from repro.nn import models
-from repro.nn.functional import forward, init_weights
+from repro.nn.functional import (
+    forward,
+    forward_graph,
+    init_graph_weights,
+    init_weights,
+)
 from repro.nn.graph import Graph
 from repro.optimizer.dp import FrontierOptimizer
 from repro.optimizer.graph_dp import GraphOptimizer, GraphStrategy
@@ -236,10 +241,22 @@ class TestDagPlan:
         assert "Partition of tiny_resnet" in text
         assert "cut tensor" in text
 
-    @pytest.mark.parametrize("action", ["simulate", "serve"])
-    def test_strategy_consumers_are_chain_only(self, dag_plan, action):
-        with pytest.raises(PartitionError, match="chain-only"):
-            getattr(dag_plan, action)()
+    def test_simulate_matches_forward_graph(self, dag_plan, rng):
+        graph = dag_plan.network
+        data = rng.normal(0, 0.5, graph.input_spec.shape)
+        weights = init_graph_weights(graph, rng)
+        result = dag_plan.simulate(data=data, weights=weights)
+        expected = forward_graph(graph, data, weights)
+        np.testing.assert_allclose(result.output, expected, atol=1e-8)
+        assert len(result.stages) == dag_plan.num_stages
+        assert len(result.transfers) == len(dag_plan.transfers)
+
+    def test_serve_serves_every_request(self, dag_plan):
+        fleet = dag_plan.serve()
+        result = fleet.run_open_loop(num_requests=40, load=1.5, seed=0)
+        assert result.metrics.requests == 40
+        assert result.metrics.failed == 0
+        assert len(result.metrics.replica_stats) == dag_plan.num_stages
 
     def test_save_is_chain_only(self, dag_plan, tmp_path):
         with pytest.raises(PartitionError, match="chain-only"):

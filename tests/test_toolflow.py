@@ -89,3 +89,58 @@ class TestSimulationHook:
         text = tiny_result.summary()
         assert "tool-flow result" in text
         assert "generated sources" in text
+
+
+class TestGraphCompile:
+    """A branching model compiles to the same CompileResult surface."""
+
+    @pytest.fixture(scope="class")
+    def graph_result(self):
+        return compile_model(models.tiny_resnet(), device="testchip")
+
+    def test_graph_strategy_without_project(self, graph_result):
+        from repro.optimizer.graph_dp import GraphStrategy
+
+        assert isinstance(graph_result.strategy, GraphStrategy)
+        assert graph_result.project is None
+        assert "generated sources" not in graph_result.summary()
+
+    def test_simulate_matches_forward_graph(self, graph_result):
+        from repro.nn.functional import forward_graph, init_graph_weights
+
+        graph = graph_result.network
+        weights = init_graph_weights(graph)
+        data = np.random.default_rng(5).normal(size=graph.input_spec.shape)
+        sim = graph_result.simulate(data, weights)
+        np.testing.assert_allclose(
+            sim.output, forward_graph(graph, data, weights), atol=1e-9
+        )
+
+    def test_serve(self, graph_result):
+        result = graph_result.serve(replicas=2).run_open_loop(
+            num_requests=30, load=1.5, seed=0
+        )
+        assert result.metrics.requests == 30
+
+    def test_fallback_is_chain_only(self, graph_result):
+        with pytest.raises(OptimizationError, match="chain-only"):
+            graph_result.fallback_strategy()
+
+    def test_codegen_outputs_rejected(self, tmp_path):
+        with pytest.raises(OptimizationError, match="chain-only"):
+            compile_model(
+                models.tiny_resnet(), device="testchip", output_dir=tmp_path
+            )
+
+
+class TestFallbackStrategy:
+    def test_fallback_keeps_the_compile_transfer_constraint(self):
+        budget = 2 * 2**20
+        result = compile_model(
+            models.vgg_fused_prefix(), device="zc706",
+            transfer_constraint_bytes=budget,
+        )
+        fallback = result.fallback_strategy()
+        assert fallback.feature_transfer_bytes <= budget
+        assert fallback.latency_cycles >= result.strategy.latency_cycles
+        assert result.transfer_constraint_bytes == budget
