@@ -46,6 +46,8 @@ def test_fig5_sweep_cold_vs_warm_store(vgg_prefix, zc706, tmp_path):
     ]
     assert warm_ctx.stats.evaluations == 0
     assert warm_ctx.stats.store_hit_rate == 1.0
+    # Every fusion[i][j] design is rebuilt from its group entry.
+    assert warm_ctx.stats.groups_searched == 0
     stats = CostStore(root).stats()
 
     lines = [
@@ -53,17 +55,20 @@ def test_fig5_sweep_cold_vs_warm_store(vgg_prefix, zc706, tmp_path):
         f"constraints: {', '.join(f'{mb} MB' for mb in FIG5_CONSTRAINTS_MB)}",
         "",
         f"{'run':<6} {'wall (s)':>9} {'evaluations':>12} "
-        f"{'store hits':>11} {'hit rate':>9}",
+        f"{'store hits':>11} {'hit rate':>9} {'searches':>9}",
         f"{'cold':<6} {cold_s:>9.2f} {cold_ctx.stats.evaluations:>12,} "
         f"{cold_ctx.stats.store_hits:>11,} "
-        f"{cold_ctx.stats.store_hit_rate * 100:>8.1f}%",
+        f"{cold_ctx.stats.store_hit_rate * 100:>8.1f}% "
+        f"{cold_ctx.stats.groups_searched:>9,}",
         f"{'warm':<6} {warm_s:>9.2f} {warm_ctx.stats.evaluations:>12,} "
         f"{warm_ctx.stats.store_hits:>11,} "
-        f"{warm_ctx.stats.store_hit_rate * 100:>8.1f}%",
+        f"{warm_ctx.stats.store_hit_rate * 100:>8.1f}% "
+        f"{warm_ctx.stats.groups_searched:>9,}",
         "",
         f"store: {stats.entries:,} entries in {stats.shards} shard(s), "
         f"{stats.bytes / 1024:.1f} KB on disk",
-        f"speedup warm/cold: {cold_s / max(warm_s, 1e-9):.1f}x; "
+        f"warm/cold: {warm_s / cold_s:.2f}x "
+        f"(speedup {cold_s / max(warm_s, 1e-9):.1f}x); "
         "strategies bit-identical across runs",
     ]
     write_result("dse_sweep.txt", "\n".join(lines))

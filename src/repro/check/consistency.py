@@ -284,10 +284,20 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
         baseline = optimize(
             network, device, budget, context=EvalContext(store=CostStore(root))
         )
-        shards = CostStore(root).shard_paths()
-        if not shards:
-            raise ReproError("store-backed compile wrote no shard files")
-        victim = shards[0]
+        # Corrupt a shard that holds a group entry: the DP reads every
+        # range's entry, so the damage is seen, the search re-runs and
+        # the run's flush rewrites the shard.  (A shard of evaluations
+        # alone may go unread once every group is recalled.)
+        store = CostStore(root)
+        victim = next(
+            (
+                path for path in store.shard_paths()
+                if any("group" in e for e in store.load_shard(path).values())
+            ),
+            None,
+        )
+        if victim is None:
+            raise ReproError("store-backed compile wrote no group entries")
         victim.write_text(
             victim.read_text().replace('"entries"', '"entr!es"', 1)
         )

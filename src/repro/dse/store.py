@@ -8,7 +8,10 @@ cache: a content-addressed store of evaluated
 :class:`~repro.perf.implement.Implementation` records, keyed by exactly
 the same ``(layer signature, algorithm, weight mode, winograd m,
 parallelism, cost-relevant device subset)`` identity the in-memory
-cache uses.
+cache uses.  The same shards also hold *group entries*: what each
+completed ``fusion[i][j]`` search chose, keyed by
+:class:`~repro.perf.cost.GroupKey`, so a warm run rebuilds its group
+designs instead of re-running branch and bound.
 
 Layout and discipline:
 
@@ -18,18 +21,18 @@ Layout and discipline:
   the SHA-256 of that canonical text, salted with :data:`KEY_VERSION`.
   Bumping :data:`KEY_VERSION` (required whenever ``implement()``'s
   outputs or the key layout change) invalidates every stale entry at
-  once.
+  once.  Group entries are further salted with :data:`SEARCH_VERSION`.
 * **Shards.** Entries live in 256 shard files (first two hex digits of
   the digest) under ``<root>/shards/``, each a standard
   :mod:`repro.check` artifact envelope — versioned, checksummed, written
   atomically.  A truncated or bit-flipped shard therefore surfaces as a
   typed :class:`~repro.errors.ArtifactError` from :meth:`CostStore.load_shard`,
   never as a ``KeyError`` deep in a search.
-* **Self-healing.** The lookup path (:meth:`CostStore.get`) treats a
-  damaged shard or entry as *empty*, counts it, and lets the evaluation
-  layer recompute; the next :meth:`CostStore.put_many` rewrites the
-  shard wholesale, healing the damage.  Corruption costs time, never
-  correctness.
+* **Self-healing.** The lookup paths (:meth:`CostStore.get`,
+  :meth:`CostStore.get_group`) treat a damaged shard or entry as
+  *empty*, count it, and let the evaluation layer recompute or the
+  search re-run; a damaged shard is rewritten by the next flush of a
+  run that reads it.  Corruption costs time, never correctness.
 * **Concurrency.** Writers take a per-shard ``flock`` lock, re-read the
   shard on disk, merge their entries and atomically replace the file —
   two processes flushing overlapping keys interleave without loss or
@@ -66,6 +69,7 @@ from repro.faults.process import (
     crash_point,
 )
 from repro.hardware.resources import ResourceVector
+from repro.perf.cost import GroupChoices, GroupKey
 from repro.perf.implement import Algorithm, Implementation, WeightMode
 
 try:  # pragma: no cover - POSIX; the spin-lock fallback covers the rest
@@ -82,6 +86,12 @@ SHARD_KIND = "cost_store_shard"
 #: unreachable (a different digest), so a stale store can never feed a
 #: drifted cost back into a search.
 KEY_VERSION = 1
+
+#: Extra salt of group entries.  Bump whenever the search's menus, its
+#: DFS order or :func:`~repro.perf.group.compose_group` change: a
+#: completed search returns the first optimal leaf in DFS order, so
+#: those are what a stored choice depends on beyond ``implement()``.
+SEARCH_VERSION = 1
 
 #: Environment variable overriding the default store location.
 STORE_ENV = "REPRO_COST_CACHE"
@@ -125,9 +135,22 @@ def stable_key_text(key: Hashable) -> str:
 
 
 def key_digest(key: Hashable) -> str:
-    """Content address of one evaluation: SHA-256 of the salted key text."""
-    text = f"v{KEY_VERSION}:{stable_key_text(key)}"
+    """Content address of one entry: SHA-256 of the salted key text."""
+    salt = f"v{KEY_VERSION}"
+    if isinstance(key, GroupKey):
+        salt += f":s{SEARCH_VERSION}"
+    text = f"{salt}:{stable_key_text(key)}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _enum(cls, raw: str, path: str, what: str):
+    """``cls(raw)``, or a typed schema error naming the field."""
+    try:
+        return cls(raw)
+    except ValueError:
+        raise ArtifactSchemaError(
+            E_FIELD_VALUE, path, f"{raw!r} is not a known {what}"
+        ) from None
 
 
 # -- Implementation <-> JSON -------------------------------------------------
@@ -158,26 +181,16 @@ def implementation_to_dict(impl: Implementation) -> dict:
 
 def implementation_from_dict(entry: dict, path: str = "$") -> Implementation:
     """Rebuild an :class:`Implementation`, raising typed errors on damage."""
-    algorithm_raw = require(entry, "algorithm", str, path)
-    try:
-        algorithm = Algorithm(algorithm_raw)
-    except ValueError:
-        raise ArtifactSchemaError(
-            E_FIELD_VALUE,
-            f"{path}.algorithm",
-            f"{algorithm_raw!r} is not a known algorithm",
-        ) from None
+    algorithm = _enum(
+        Algorithm, require(entry, "algorithm", str, path),
+        f"{path}.algorithm", "algorithm",
+    )
     weight_mode = None
     if entry.get("weight_mode") is not None:
-        mode_raw = require(entry, "weight_mode", str, path)
-        try:
-            weight_mode = WeightMode(mode_raw)
-        except ValueError:
-            raise ArtifactSchemaError(
-                E_FIELD_VALUE,
-                f"{path}.weight_mode",
-                f"{mode_raw!r} is not a known weight mode",
-            ) from None
+        weight_mode = _enum(
+            WeightMode, require(entry, "weight_mode", str, path),
+            f"{path}.weight_mode", "weight mode",
+        )
     resources = require(entry, "resources", dict, path)
     return Implementation(
         layer_name=require(entry, "layer_name", str, path),
@@ -201,6 +214,65 @@ def implementation_from_dict(entry: dict, path: str = "$") -> Implementation:
         weight_mode=weight_mode,
         winograd_m=require(entry, "winograd_m", int, path),
     )
+
+
+# -- GroupChoices <-> JSON ---------------------------------------------------
+
+
+def group_to_dict(choices: GroupChoices) -> dict:
+    """JSON-serializable record of one completed search's choices."""
+    return {
+        "feasible": bool(choices),
+        "layers": [
+            {
+                "algorithm": algorithm.value,
+                "weight_mode": mode.value,
+                "winograd_m": m,
+                "parallelism": parallelism,
+            }
+            for algorithm, mode, m, parallelism in choices
+        ],
+    }
+
+
+def group_from_dict(entry: dict, length: int, path: str = "$") -> GroupChoices:
+    """Rebuild a search's choices for a ``length``-layer range.
+
+    Strict: a wrong type, an unknown enum, a non-positive parallelism or
+    a layer count other than ``length`` (none at all for an infeasible
+    range) raises a typed :class:`ArtifactSchemaError`.
+    """
+    feasible = require(entry, "feasible", bool, path)
+    layers = require(entry, "layers", list, path)
+    if len(layers) != (length if feasible else 0):
+        raise ArtifactSchemaError(
+            E_FIELD_VALUE,
+            f"{path}.layers",
+            f"{len(layers)} layers for a {length}-layer range "
+            f"({'feasible' if feasible else 'infeasible'})",
+        )
+    choices = []
+    for index, layer in enumerate(layers):
+        where = f"{path}.layers[{index}]"
+        parallelism = require(layer, "parallelism", int, where)
+        if parallelism < 1:
+            raise ArtifactSchemaError(
+                E_FIELD_VALUE, f"{where}.parallelism",
+                f"parallelism {parallelism} is not positive",
+            )
+        choices.append((
+            _enum(
+                Algorithm, require(layer, "algorithm", str, where),
+                f"{where}.algorithm", "algorithm",
+            ),
+            _enum(
+                WeightMode, require(layer, "weight_mode", str, where),
+                f"{where}.weight_mode", "weight mode",
+            ),
+            require(layer, "winograd_m", int, where),
+            parallelism,
+        ))
+    return tuple(choices)
 
 
 # -- stats -------------------------------------------------------------------
@@ -235,7 +307,7 @@ class CostStoreStats:
         if self.corrupt_shards:
             lines.append(
                 f"  corrupt shards: {self.corrupt_shards} "
-                "(ignored; will be rewritten on the next flush or gc)"
+                "(ignored; rewritten by the next flush that reads them, or gc)"
             )
         return "\n".join(lines)
 
@@ -386,21 +458,39 @@ class CostStore:
                 entries = self.load_shard(path)
             except ArtifactError:
                 # Damaged shard: serve misses so the evaluation layer
-                # recomputes; the next flush rewrites the file.
+                # recomputes (or the search re-runs); this run's flush
+                # rewrites the file.
                 self.corrupt_shards += 1
         with self._lock:
             return self._shards.setdefault(shard_id, entries)
 
     def get(self, key: Hashable) -> Optional[Implementation]:
         """Look up one evaluation; ``None`` on miss *or* damage."""
+        return self._lookup(
+            key,
+            lambda entry: implementation_from_dict(
+                require(entry, "impl", dict, "$"), path="$.impl"
+            ),
+        )
+
+    def get_group(self, key: GroupKey) -> Optional[GroupChoices]:
+        """Look up one completed search's choices; ``None`` on miss *or*
+        damage (an empty tuple is a remembered infeasible range)."""
+        return self._lookup(
+            key,
+            lambda entry: group_from_dict(
+                require(entry, "group", dict, "$"), len(key.layers),
+                path="$.group",
+            ),
+        )
+
+    def _lookup(self, key: Hashable, decode):
         digest = key_digest(key)
         entry = self._entries(self._shard_id(digest)).get(digest)
         if entry is None:
             return None
         try:
-            return implementation_from_dict(
-                require(entry, "impl", dict, "$"), path="$.impl"
-            )
+            return decode(entry)
         except ArtifactError:
             # A single damaged entry: heal by forgetting it.
             self.corrupt_entries += 1
@@ -413,25 +503,30 @@ class CostStore:
 
     # -- writing -------------------------------------------------------------
 
-    def put_many(self, entries: Mapping[Hashable, Implementation]) -> int:
-        """Merge evaluations into the store (the write-back flush).
+    def put_many(
+        self, entries: Mapping[Hashable, Union[Implementation, GroupChoices]]
+    ) -> int:
+        """Merge entries into the store (the write-back flush).
 
-        Entries are grouped by shard; each shard is re-read from disk
-        under its file lock, merged and atomically replaced, so
-        concurrent flushes from other processes are preserved.  Returns
-        the number of entries written.
+        ``entries`` maps evaluation keys to :class:`Implementation`
+        records and :class:`GroupKey` keys to search choices.  They are
+        grouped by shard; each shard is re-read from disk under its file
+        lock, merged and atomically replaced, so concurrent flushes from
+        other processes are preserved.  Returns the number of entries
+        written.
         """
         if not entries:
             return 0
         by_shard: Dict[str, Dict[str, dict]] = {}
         now = time.time()
-        for key, impl in entries.items():
+        for key, value in entries.items():
             digest = key_digest(key)
-            by_shard.setdefault(self._shard_id(digest), {})[digest] = {
-                "key": stable_key_text(key),
-                "created": now,
-                "impl": implementation_to_dict(impl),
-            }
+            record = {"key": stable_key_text(key), "created": now}
+            if isinstance(key, GroupKey):
+                record["group"] = group_to_dict(value)
+            else:
+                record["impl"] = implementation_to_dict(value)
+            by_shard.setdefault(self._shard_id(digest), {})[digest] = record
         self.shards_dir.mkdir(parents=True, exist_ok=True)
         for shard_id, fresh in sorted(by_shard.items()):
             with self._shard_lock(shard_id):

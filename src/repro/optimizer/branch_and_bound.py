@@ -13,7 +13,12 @@ whole search ("unvisited[cnt][algo][p]") — and, through the shared
 :class:`~repro.perf.cost.EvalContext`, across *searches*: the cache is
 keyed by layer signature, so VGG's shape-identical conv layers share
 entries, and one context can serve a whole ``optimize_many`` sweep or a
-device-variant DSE.  Admissible bounds are added on top of the
+device-variant DSE.  The context also remembers what every completed
+search chose, by :class:`~repro.perf.cost.GroupKey`: a range whose layer
+signatures match one already searched — here, in another search or, via
+the persistent store, in another process — is rebuilt from those
+choices through ``implement()`` and :func:`compose_group`, not searched.
+Admissible bounds are added on top of the
 paper's: a latency lower bound from the best-possible remaining stages,
 a resource lower bound from the cheapest remaining engines, and two
 resource-aware floors from a multiple-choice knapsack over each layer
@@ -39,7 +44,7 @@ from repro.hardware.device import FPGADevice
 from repro.hardware.resources import ResourceVector
 from repro.nn.layers import ConvLayer
 from repro.nn.network import LayerInfo, Network
-from repro.perf.cost import CostModel, EvalContext
+from repro.perf.cost import CostModel, EvalContext, GroupChoices, GroupKey
 from repro.perf.group import compose_group, fifo_overhead, GroupDesign
 from repro.perf.implement import (
     Algorithm,
@@ -54,8 +59,16 @@ from repro.perf.implement import (
 
 
 #: One resolved candidate: (compute cycles, fill cycles, DRAM weight
-#: bytes, BRAM18K, DSP, FF, LUT, the Implementation itself).
-_Row = Tuple[int, int, int, int, int, int, int, Implementation]
+#: bytes, BRAM18K, DSP, FF, LUT, the ``implement()`` query
+#: ``(algorithm, weight mode, winograd m, parallelism)``, and the
+#: Implementation it returned).
+_Row = Tuple[
+    int, int, int, int, int, int, int,
+    Tuple[Algorithm, WeightMode, int, int], Implementation,
+]
+
+#: :meth:`GroupSearch._recall` found nothing it can use.
+_MISS = object()
 
 
 #: Resource-aware floors of one layer suffix, as a step function of the
@@ -304,15 +317,17 @@ class GroupSearch:
             menu = self._menus[index]
             algo, mode, m, parallelisms = menu.options[option]
             while len(rows) <= k:
+                parallelism = parallelisms[len(rows)]
                 impl = self.context.implement(
-                    menu.info, algo, parallelisms[len(rows)], self.device,
+                    menu.info, algo, parallelism, self.device,
                     weight_mode=mode, winograd_m=m,
                 )
                 res = impl.resources
                 rows.append((
                     impl.compute_cycles, impl.fill_cycles,
                     impl.weight_dram_bytes,
-                    res.bram18k, res.dsp, res.ff, res.lut, impl,
+                    res.bram18k, res.dsp, res.ff, res.lut,
+                    (algo, mode, m, parallelism), impl,
                 ))
             return rows[k]
 
@@ -325,7 +340,7 @@ class GroupSearch:
             self._menus[index].options
         ):
             self._row(index, option, len(parallelisms) - 1)
-            for _, fill, weight, _, dsp, _, _, _ in self._rows[index][option]:
+            for _, fill, weight, _, dsp, _, _, _, _ in self._rows[index][option]:
                 # Whole cycles rounded down per layer: the terms then sum
                 # to at most the group's exact transfer time at any rate.
                 costs.append((dsp, fill, fill + int(weight / bytes_per_cycle)))
@@ -361,6 +376,11 @@ class GroupSearch:
 
         Infeasible means the group does not fit the device even at
         minimum parallelism everywhere, or exceeds the fusion-depth cap.
+
+        A range the context remembers (:meth:`_recall`) is rebuilt, not
+        searched, and is not counted as a search.  A search that runs
+        to completion is remembered; one cut short by the node budget is
+        not, since its incumbent depends on the budget.
         """
         if not 0 <= start < stop <= len(self.network):
             raise OptimizationError(f"group [{start}:{stop}] out of range")
@@ -379,8 +399,18 @@ class GroupSearch:
         if conv_depth > self.device.max_fusion_depth:
             self._fusion_cache[key] = None
             return None
+        group_key = self._group_key(start, stop)
+        if group_key is not None:
+            design = self._recall(start, stop, group_key)
+            if design is not _MISS:
+                self._fusion_cache[key] = design
+                return design
         began = time.perf_counter()
-        design, nodes, pruned = self._search(start, stop)
+        best, nodes, pruned, truncated = self._search(start, stop)
+        design = (
+            None if best is None
+            else compose_group([row[8] for row in best], self.device)
+        )
         elapsed = time.perf_counter() - began
         self.nodes_visited += nodes
         record = getattr(self.context, "record_search", None)
@@ -389,8 +419,56 @@ class GroupSearch:
                 self.network.name, self.device.name, start, stop,
                 elapsed, nodes, pruned,
             )
+        if group_key is not None and not truncated:
+            self.context.remember_group(
+                group_key, () if best is None else tuple(row[7] for row in best)
+            )
         self._fusion_cache[key] = design
         return design
+
+    def _group_key(self, start: int, stop: int) -> Optional[GroupKey]:
+        """The context's memo key for ``[start, stop)``, or None when
+        there is no memo: a filtered menu (the homogeneous baselines),
+        or a cost model that does not offer one."""
+        if self.algorithm_filter is not None:
+            return None
+        group_key = getattr(self.context, "group_key", None)
+        if group_key is None:
+            return None
+        return group_key(
+            [menu.info for menu in self._menus[start:stop]],
+            self.device,
+            self.explore_tile_sizes,
+        )
+
+    def _recall(self, start: int, stop: int, group_key: GroupKey):
+        """Rebuild a remembered search's design; ``_MISS`` if there is
+        none, or if a choice is not on this range's menus.
+
+        Nothing recalled is trusted as a finished design: every engine
+        comes from ``implement()`` (so it carries this range's layer
+        names) and the group from :func:`compose_group`, exactly as the
+        search builds its winner.
+        """
+        choices: Optional[GroupChoices] = self.context.recall_group(group_key)
+        if choices is None:
+            return _MISS
+        if not choices:
+            return None
+        impls = []
+        for menu, (algo, mode, m, parallelism) in zip(
+            self._menus[start:stop], choices
+        ):
+            if not any(
+                option[:3] == (algo, mode, m) and parallelism in option[3]
+                for option in menu.options
+            ):
+                return _MISS
+            impls.append(self.context.implement(
+                menu.info, algo, parallelism, self.device,
+                weight_mode=mode, winograd_m=m,
+            ))
+        return compose_group(impls, self.device)
 
     def precompute(
         self,
@@ -403,8 +481,11 @@ class GroupSearch:
         other — the only shared state is the signature-keyed
         :class:`~repro.perf.cost.EvalContext`, whose caches are
         lock-guarded — so the table can be computed by a thread pool
-        (``workers=N``).  Results are identical to the sequential fill;
-        each query's node budget applies per query as usual.
+        (``workers=N``).  Ranges with one group key are one search: the
+        pool gets the first range of each key and the rest recall it
+        afterwards, so the same ranges are searched as in the sequential
+        fill and designs, node, cut and search counts all match it.
+        Each query's node budget applies per query as usual.
 
         Args:
             pairs: ``(start, stop)`` ranges to evaluate; defaults to all
@@ -420,17 +501,27 @@ class GroupSearch:
             ]
         pending = [pair for pair in pairs if pair not in self._fusion_cache]
         if workers is not None and workers > 1 and len(pending) > 1:
+            first, rest, seen = [], [], set()
+            for pair in pending:
+                group_key = self._group_key(*pair)
+                if group_key in seen:
+                    rest.append(pair)
+                else:
+                    first.append(pair)
+                    if group_key is not None:
+                        seen.add(group_key)
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 # list() propagates the first worker exception, if any.
-                list(pool.map(lambda pair: self.fusion(*pair), pending))
-        else:
-            for start, stop in pending:
-                self.fusion(start, stop)
+                list(pool.map(lambda pair: self.fusion(*pair), first))
+            pending = rest
+        for start, stop in pending:
+            self.fusion(start, stop)
 
     def _search(
         self, start: int, stop: int
-    ) -> Tuple[Optional[GroupDesign], int, int]:
-        """Run one fusion search; returns (design, nodes visited, cuts).
+    ) -> Tuple[Optional[List[_Row]], int, int, bool]:
+        """Run one fusion search; returns (the winning rows or None, nodes
+        visited, cuts, whether the node budget cut it short).
 
         The DFS works on plain ints: the budget and the used resources
         are four counters, and every candidate is a flat :data:`_Row`.
@@ -447,7 +538,7 @@ class GroupSearch:
         cap_ff = resources.ff - fifo.ff
         cap_lut = resources.lut - fifo.lut
         if min(cap_bram, cap_dsp, cap_ff, cap_lut) < 0:
-            return None, 0, 0
+            return None, 0, 0, False
 
         # Suffix minima for the admissible bounds: fastest possible
         # remaining compute, cheapest remaining resources, smallest
@@ -496,8 +587,8 @@ class GroupSearch:
         nodes = 0
         pruned = 0
         best_latency: Optional[int] = None
-        best_impls: Optional[List[Implementation]] = None
-        chosen: List[Implementation] = []
+        best_rows: Optional[List[_Row]] = None
+        chosen: List[_Row] = []
 
         def visit(
             depth: int,
@@ -509,7 +600,7 @@ class GroupSearch:
             fill_sum: int,
             weight_sum: int,
         ) -> None:
-            nonlocal nodes, pruned, best_latency, best_impls
+            nonlocal nodes, pruned, best_latency, best_rows
             nodes += 1
             if node_budget and nodes > node_budget:
                 pruned += 1
@@ -522,7 +613,7 @@ class GroupSearch:
                 ) + fill_sum
                 if best_latency is None or latency < best_latency:
                     best_latency = latency
-                    best_impls = list(chosen)
+                    best_rows = list(chosen)
                 return
             # The latency bounds all run per candidate, in the parent and
             # against the same incumbent (the root has none yet); a node
@@ -560,7 +651,7 @@ class GroupSearch:
                         candidate = row(index, option, k)
                     (
                         compute, fill, weight, row_bram, row_dsp, row_ff,
-                        row_lut, impl,
+                        row_lut, _, _,
                     ) = candidate
                     if best_latency is not None:
                         bottleneck = max(next_floor, compute)
@@ -622,7 +713,7 @@ class GroupSearch:
                         ):
                             pruned += 1
                             continue
-                    chosen.append(impl)
+                    chosen.append(candidate)
                     visit(
                         depth + 1,
                         new_bram,
@@ -635,13 +726,12 @@ class GroupSearch:
                     )
                     chosen.pop()
 
+        truncated = False
         try:
             visit(0, 0, 0, 0, 0, 0, 0, 0)
         except _BudgetExhausted:
-            pass  # keep the best incumbent found within the budget
-        if best_impls is None:
-            return None, nodes, pruned
-        return compose_group(best_impls, self.device), nodes, pruned
+            truncated = True  # keep the best incumbent found within the budget
+        return best_rows, nodes, pruned, truncated
 
 
 def fuse_group(

@@ -25,6 +25,13 @@ This module replaces those ad-hoc caches with one first-class layer:
   sweeps (``optimize_many``), device-variant DSE sweeps, and the
   opt-in ``workers=N`` thread pool (its caches are guarded by a lock;
   results are deterministic regardless of evaluation order).
+* :class:`GroupKey` — the identity of one exact ``fusion[i][j]``
+  search: the range's layer signatures, the device subset the search
+  reads, and the tile-size switch.  :class:`EvalContext` remembers what
+  each *completed* search chose under this key, in memory and in the
+  persistent store, so a signature-identical range — in the same
+  search, another search, or another process — is rebuilt instead of
+  searched.
 * :class:`SearchTelemetry` — counters the context and the searches
   thread through it accumulate: cost-model evaluations, cache hits,
   branch-and-bound nodes visited/pruned, and per-group wall times.
@@ -38,7 +45,7 @@ import functools
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.errors import ArtifactError
 from repro.hardware.device import FPGADevice
@@ -88,6 +95,38 @@ def layer_signature(info: LayerInfo) -> Hashable:
     return (type(layer).__name__, _nameless(layer), info.input_shape)
 
 
+#: What a completed ``fusion[i][j]`` search chose: per member layer, in
+#: order, the exact ``implement()`` query ``(algorithm, weight mode,
+#: winograd m, parallelism)`` of its engine.  Empty when the range fits
+#: no design.  These are the query arguments, not the
+#: :class:`Implementation`'s own fields: a pooling engine reports
+#: ``weight_mode=None`` and ``winograd_m=0`` although the search asked
+#: for ``resident`` and ``m=4``.
+GroupChoices = Tuple[Tuple[Algorithm, WeightMode, int, int], ...]
+
+
+@dataclass(frozen=True)
+class GroupKey:
+    """Identity of one exact ``fusion[i][j]`` search.
+
+    Attributes:
+        layers: :func:`layer_signature` of every member, in order.
+        device: :func:`device_signature` plus what group composition
+            and the depth cap read: bytes per cycle and
+            ``max_fusion_depth``.  Bandwidth-scaled variants of one
+            device share ``implement()`` entries but not these.
+        explore_tile_sizes: Whether the menus offer every Winograd m.
+
+    The node budget is deliberately absent: only searches that finish
+    are remembered, and a finished search returns the first optimal leaf
+    in DFS order whatever its budget or bounds.
+    """
+
+    layers: Tuple[Hashable, ...]
+    device: Hashable
+    explore_tile_sizes: bool
+
+
 @functools.lru_cache(maxsize=4096)
 def _nameless(layer):
     """``layer`` with its name blanked, built once per distinct layer: the
@@ -113,7 +152,8 @@ class SearchTelemetry:
             (incumbent cuts, resource floors, work-conservation floors
             and node-budget stops each count once per cut).
         groups_searched: ``fusion[i][j]`` queries actually searched
-            (cache hits on the fusion table are not re-searched).
+            (hits on a search's fusion table, and designs recalled by
+            :class:`GroupKey`, are not searches).
         wall_time_s: Total wall-clock time spent inside group searches.
         group_wall_times: Per-group wall time, keyed by
             ``(network, device, start, stop)``.
@@ -262,6 +302,11 @@ class EvalContext:
     ``fusion[i][j]`` searches (``workers=N``); its cache and telemetry
     mutations are lock-guarded, and since ``implement()`` is a pure
     function of the key, concurrent searches are deterministic.
+
+    It also remembers the choices of every completed group search by
+    :class:`GroupKey` (:meth:`recall_group` / :meth:`remember_group`),
+    with the same two tiers: memory, then the store, written back by
+    the same :meth:`flush_store`.
     """
 
     def __init__(self, share_identical_layers: bool = True, store=None):
@@ -273,7 +318,9 @@ class EvalContext:
         self.store = store
         self.stats = SearchTelemetry()
         self._cache: Dict[Hashable, Implementation] = {}
-        self._dirty: Dict[Hashable, Implementation] = {}
+        self._groups: Dict[GroupKey, GroupChoices] = {}
+        # Fresh evaluations and fresh group choices, until the next flush.
+        self._dirty: Dict[Hashable, object] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -353,13 +400,62 @@ class EvalContext:
                 self._dirty[key] = impl
         return impl
 
+    # -- the group memo -----------------------------------------------------
+
+    def group_key(
+        self,
+        infos: Sequence[LayerInfo],
+        device: FPGADevice,
+        explore_tile_sizes: bool,
+    ) -> Optional[GroupKey]:
+        """The memo key of a search over ``infos``; None when the memo is
+        off (the index-keyed context shares nothing by signature)."""
+        if not self.share_identical_layers:
+            return None
+        return GroupKey(
+            layers=tuple(layer_signature(info) for info in infos),
+            device=(
+                device_signature(device),
+                device.bytes_per_cycle,
+                device.max_fusion_depth,
+            ),
+            explore_tile_sizes=explore_tile_sizes,
+        )
+
+    def recall_group(self, key: GroupKey) -> Optional[GroupChoices]:
+        """Choices of a completed search under ``key``; None on a miss.
+
+        An empty tuple is a remembered infeasible range.  Memory first,
+        then the store; a store hit is promoted into memory.
+        """
+        with self._lock:
+            choices = self._groups.get(key)
+        if choices is not None or self.store is None:
+            return choices
+        try:
+            choices = self.store.get_group(key)
+        except (OSError, ArtifactError) as exc:
+            self._degrade_store(exc)
+            return None
+        if choices is not None:
+            with self._lock:
+                self._groups[key] = choices
+        return choices
+
+    def remember_group(self, key: GroupKey, choices: GroupChoices) -> None:
+        """Record what a completed search chose (write-back to the store)."""
+        with self._lock:
+            self._groups[key] = choices
+            if self.store is not None:
+                self._dirty[key] = choices
+
     def flush_store(self) -> int:
-        """Write back fresh evaluations to the persistent store.
+        """Write back fresh evaluations and group choices to the store.
 
         A no-op without a store.  Called automatically at the end of
         :func:`repro.optimizer.dp.optimize` (and friends); safe to call
-        repeatedly — each evaluation is written once.  Returns the
-        number of entries written.
+        repeatedly — each entry is written once.  Returns the number of
+        entries written.
         """
         if self.store is None:
             return 0

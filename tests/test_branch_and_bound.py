@@ -285,3 +285,127 @@ def test_alexnet_groups_finish_under_budget():
     # every group is searched to proven optimality.
     assert searches
     assert max(searches.values()) < 250_000
+
+
+@st.composite
+def repeated_chains(draw):
+    """Chains whose layers repeat: a shape-preserving unit of 1-2 layers
+    repeated 2-3 times, so distinct ranges share layer signatures."""
+    channels = draw(st.integers(1, 256))
+    unit = []
+    for kind in draw(
+        st.lists(st.sampled_from(["conv", "pool", "lrn"]), min_size=1, max_size=2)
+    ):
+        if kind == "conv":
+            kernel = draw(st.sampled_from([1, 3]))
+            args = dict(out_channels=channels, kernel=kernel, pad=kernel // 2)
+            unit.append((ConvLayer, args))
+        elif kind == "pool":
+            unit.append((PoolLayer, dict(kernel=3, stride=1, pad=1)))
+        else:
+            unit.append((LRNLayer, dict(local_size=3)))
+    layers = [
+        cls(name=f"l{r}_{i}", **args)
+        for r in range(draw(st.integers(2, 3)))
+        for i, (cls, args) in enumerate(unit)
+    ]
+    spec = InputSpec(channels, draw(st.integers(2, 24)), draw(st.integers(2, 24)))
+    return Network("repeats", spec, layers)
+
+
+def _all_ranges(network):
+    n = len(network)
+    return [(start, stop) for start in range(n) for stop in range(start + 1, n + 1)]
+
+
+class TestGroupMemo:
+    """Recalled designs are the designs a fresh search finds."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(network=repeated_chains())
+    def test_recall_matches_a_fresh_search(self, network):
+        import tempfile
+
+        from repro.dse.store import CostStore
+
+        testchip = get_device("testchip")
+        with tempfile.TemporaryDirectory() as root:
+            # Memory tier: repeated ranges inside one search are recalled.
+            context = EvalContext(store=CostStore(root))
+            search = GroupSearch(network, testchip, node_budget=0, context=context)
+            search.precompute()
+            context.flush_store()
+            keys = {
+                search._group_key(start, stop)
+                for start, stop in _all_ranges(network)
+                if sum(isinstance(info.layer, ConvLayer)
+                       for info in network.infos[start:stop])
+                <= testchip.max_fusion_depth
+            }
+            assert len(keys) < len(_all_ranges(network))
+            assert context.stats.groups_searched == len(keys)
+            # Store tier: a fresh context reads every design back.
+            warm_context = EvalContext(store=CostStore(root))
+            warm = GroupSearch(network, testchip, context=warm_context)
+            for start, stop in _all_ranges(network):
+                fresh = GroupSearch(network, testchip, node_budget=0).fusion(
+                    start, stop
+                )
+                assert search.fusion(start, stop) == fresh
+                assert warm.fusion(start, stop) == fresh
+            assert warm_context.stats.groups_searched == 0
+            assert warm_context.stats.nodes_visited == 0
+
+    def test_filtered_and_unfiltered_share_a_context(self, tiny, testchip):
+        from repro.baselines.homogeneous import homogeneous_optimize
+        from repro.optimizer.dp import optimize
+        from repro.optimizer.serialize import strategy_to_dict
+
+        budget = tiny.feature_map_bytes()
+        runs = [
+            lambda context: optimize(tiny, testchip, budget, context=context),
+        ] + [
+            lambda context, algorithm=algorithm: homogeneous_optimize(
+                tiny, testchip, budget, algorithm, context=context
+            )
+            for algorithm in (Algorithm.CONVENTIONAL, Algorithm.WINOGRAD)
+        ]
+        private = [strategy_to_dict(run(EvalContext())) for run in runs]
+        # Unfiltered first, then filtered first: a pinned menu must never
+        # see the free search's designs, nor the reverse.
+        for order in (runs, runs[::-1]):
+            shared = EvalContext()
+            results = [strategy_to_dict(run(shared)) for run in order]
+            expected = private if order is runs else private[::-1]
+            assert results == expected
+
+    def test_bandwidth_variant_searches_afresh(self, tiny, testchip):
+        from repro.hardware.dse import scale_bandwidth
+        from repro.optimizer.dp import optimize
+        from repro.optimizer.serialize import strategy_to_dict
+
+        budget = tiny.feature_map_bytes()
+        slow = scale_bandwidth(testchip, 0.25)
+        shared = EvalContext()
+        optimize(tiny, testchip, budget, context=shared)
+        searched = shared.stats.groups_searched
+        variant = optimize(tiny, slow, budget, context=shared)
+        private = EvalContext()
+        expected = optimize(tiny, slow, budget, context=private)
+        # Every search of the variant runs: none hits the base device's
+        # entries, although their implement() points are shared.
+        assert shared.stats.groups_searched - searched == (
+            private.stats.groups_searched
+        )
+        assert strategy_to_dict(variant) == strategy_to_dict(expected)
+
+    def test_index_keyed_context_has_no_memo(self, tiny, testchip):
+        context = EvalContext(share_identical_layers=False)
+        GroupSearch(tiny, testchip, context=context).precompute()
+        searched = context.stats.groups_searched
+        GroupSearch(tiny, testchip, context=context).precompute()
+        assert context.stats.groups_searched == 2 * searched

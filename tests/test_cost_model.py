@@ -202,6 +202,45 @@ class TestStrategyPreservation:
                     parallelisms[: len(rows)]
                 )
 
+    @pytest.mark.parametrize("name", ["vgg16_conv3_conv4", "identical_convs"])
+    def test_threads_search_repeated_shapes_once(self, name):
+        # VGG16 conv3_1..conv4_3 repeats conv3_2/3_3 and conv4_2/4_3;
+        # in a chain of identical convs every range of one length is one
+        # search.  Threads must not race to search both ranges of a key:
+        # counts would then depend on timing.
+        zc706 = get_device("zc706")
+        network = {
+            "vgg16_conv3_conv4": lambda: models.vgg16().slice(6, 13),
+            "identical_convs": lambda: Network(
+                "identical", InputSpec(128, 28, 28),
+                [ConvLayer(f"c{i}", out_channels=128, kernel=3, pad=1)
+                 for i in range(5)],
+            ),
+        }[name]()
+        serial_ctx, threaded_ctx = EvalContext(), EvalContext()
+        serial = GroupSearch(network, zc706, context=serial_ctx)
+        serial.precompute()
+        threaded = GroupSearch(network, zc706, context=threaded_ctx)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded.precompute(workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        keys = {serial._group_key(*pair) for pair in serial._fusion_cache}
+        assert len(keys) < len(serial._fusion_cache)
+        assert serial_ctx.stats.groups_searched == len(keys)
+        assert threaded._fusion_cache == serial._fusion_cache
+        for field in ("groups_searched", "nodes_visited", "nodes_pruned"):
+            assert getattr(threaded_ctx.stats, field) == getattr(
+                serial_ctx.stats, field
+            ), field
+        # A recalled design carries its own range's layer names.
+        for (start, stop), design in threaded._fusion_cache.items():
+            assert [impl.layer_name for impl in design.implementations] == [
+                info.name for info in network.infos[start:stop]
+            ]
+
     def test_optimize_many_honors_knobs(self, tiny, testchip):
         budgets = [tiny.min_fused_transfer_bytes(), tiny.feature_map_bytes()]
         batch = optimize_many(tiny, testchip, budgets, explore_tile_sizes=True)

@@ -22,7 +22,10 @@ import pytest
 
 from repro.dse.store import (
     KEY_VERSION,
+    SEARCH_VERSION,
     CostStore,
+    group_from_dict,
+    group_to_dict,
     implementation_from_dict,
     implementation_to_dict,
     key_digest,
@@ -30,9 +33,12 @@ from repro.dse.store import (
     stable_key_text,
 )
 from repro.errors import ArtifactError
+from repro.nn import models
+from repro.optimizer.branch_and_bound import GroupSearch
 from repro.optimizer.dp import optimize, optimize_many
 from repro.optimizer.serialize import strategy_to_dict
 from repro.perf.cost import EvalContext
+from tests.test_search_golden import TRUNCATING_BUDGET
 
 
 def _first_key_and_impl(tiny_net, testchip):
@@ -280,6 +286,185 @@ class TestDamage:
         healing = CostStore(tmp_path / "s")
         entries = healing._entries(victim.stem)
         assert isinstance(entries, dict)
+
+
+def _group_entries(root):
+    """``digest -> (shard path, entry)`` of every group entry on disk."""
+    store = CostStore(root)
+    return {
+        digest: (path, entry)
+        for path in store.shard_paths()
+        for digest, entry in store.load_shard(path).items()
+        if "group" in entry
+    }
+
+
+def _rewrite_entry(path, digest, entry):
+    """Replace one entry inside a valid, checksummed shard envelope."""
+    from repro.check.artifacts import save_artifact
+    from repro.dse.store import SHARD_KIND
+
+    entries = CostStore(path.parent.parent).load_shard(path)
+    entries[digest] = entry
+    save_artifact(
+        path, SHARD_KIND, {"key_version": KEY_VERSION, "entries": entries}
+    )
+
+
+def _flip_bit(text):
+    return chr(ord(text[0]) ^ 1) + text[1:]
+
+
+#: Damage to one feasible group entry, each inside a valid envelope.
+_ENTRY_DAMAGE = {
+    "flipped_algorithm": lambda g: g["layers"][0].update(
+        algorithm=_flip_bit(g["layers"][0]["algorithm"])
+    ),
+    "flipped_weight_mode": lambda g: g["layers"][0].update(
+        weight_mode=_flip_bit(g["layers"][0]["weight_mode"])
+    ),
+    "off_menu_parallelism": lambda g: g["layers"][0].update(
+        parallelism=g["layers"][0]["parallelism"] ^ (1 << 20)
+    ),
+    "truncated": lambda g: g.pop("layers"),
+    "extra_layer": lambda g: g["layers"].append(dict(g["layers"][0])),
+    "missing_layer": lambda g: g["layers"].pop(),
+    "infeasible_with_layers": lambda g: g.update(feasible=False),
+    "mistyped": lambda g: g.update(feasible="yes"),
+}
+
+
+class TestGroupEntries:
+    """What completed searches chose, in the same shards."""
+
+    def test_group_choices_roundtrip(self, tiny_net, testchip):
+        context = EvalContext()
+        GroupSearch(tiny_net, testchip, context=context).precompute()
+        assert context._groups
+        for key, choices in context._groups.items():
+            rebuilt = group_from_dict(group_to_dict(choices), len(key.layers))
+            assert rebuilt == choices
+
+    def test_group_digest_is_salted_with_search_version(
+        self, tiny_net, testchip, monkeypatch
+    ):
+        import repro.dse.store as store_mod
+
+        context = EvalContext()
+        GroupSearch(tiny_net, testchip, context=context).precompute()
+        group_key = next(iter(context._groups))
+        impl_key = next(iter(context._cache))
+        before = key_digest(group_key), key_digest(impl_key)
+        monkeypatch.setattr(store_mod, "SEARCH_VERSION", SEARCH_VERSION + 1)
+        assert key_digest(group_key) != before[0]
+        assert key_digest(impl_key) == before[1]
+
+    def test_fresh_process_recalls_every_design(self, zc706, tmp_path):
+        # conv2_1 .. conv3_3: conv3_2 and conv3_3 share a signature.
+        root = tmp_path / "s"
+        script = (
+            "import sys\n"
+            "from repro.nn import models\n"
+            "from repro.hardware.device import get_device\n"
+            "from repro.optimizer.branch_and_bound import GroupSearch\n"
+            "from repro.perf.cost import EvalContext\n"
+            "ctx = EvalContext(store=sys.argv[1])\n"
+            "GroupSearch(models.vgg16().slice(3, 9), get_device('zc706'), "
+            "context=ctx).precompute()\n"
+            "ctx.flush_store()\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, str(root)], check=True
+        )
+        network = models.vgg16().slice(3, 9)
+        context = EvalContext(store=CostStore(root))
+        warm = GroupSearch(network, zc706, context=context)
+        for start in range(len(network)):
+            for stop in range(start + 1, len(network) + 1):
+                fresh = GroupSearch(network, zc706, node_budget=0).fusion(
+                    start, stop
+                )
+                assert warm.fusion(start, stop) == fresh
+        assert context.stats.groups_searched == 0
+        assert context.stats.nodes_visited == 0
+        assert context.stats.evaluations == 0
+
+    def test_truncated_search_writes_no_group_entry(self, zc706, tmp_path):
+        network = models.alexnet().prefix(8)
+        context = EvalContext(store=CostStore(tmp_path / "s"))
+        search = GroupSearch(
+            network, zc706, node_budget=TRUNCATING_BUDGET, context=context
+        )
+        search.precompute()
+        context.flush_store()
+        store = CostStore(tmp_path / "s")
+        truncated = {(0, 8), (1, 8)}
+        for start in range(len(network)):
+            for stop in range(start + 1, len(network) + 1):
+                key = search._group_key(start, stop)
+                if (start, stop) in truncated:
+                    assert store.get_group(key) is None
+                    assert context.recall_group(key) is None
+                else:
+                    assert store.get_group(key) is not None
+        assert len(_group_entries(tmp_path / "s")) == 36 - len(truncated)
+        # Another search on the context re-runs the truncated two only.
+        before = context.stats.groups_searched
+        GroupSearch(
+            network, zc706, node_budget=TRUNCATING_BUDGET, context=context
+        ).precompute()
+        assert context.stats.groups_searched - before == len(truncated)
+
+    @pytest.mark.parametrize("damage", sorted(_ENTRY_DAMAGE))
+    def test_damaged_group_entry_is_a_miss(
+        self, tiny_net, testchip, tmp_path, damage
+    ):
+        root = tmp_path / "s"
+        budget = tiny_net.feature_map_bytes()
+        baseline = optimize(
+            tiny_net, testchip, budget, context=EvalContext(store=root)
+        )
+        digest, (path, entry) = next(
+            (digest, found)
+            for digest, found in sorted(_group_entries(root).items())
+            if found[1]["group"]["feasible"]
+        )
+        _ENTRY_DAMAGE[damage](entry["group"])
+        _rewrite_entry(path, digest, entry)
+
+        healing = CostStore(root)
+        context = EvalContext(store=healing)
+        recomputed = optimize(tiny_net, testchip, budget, context=context)
+        assert strategy_to_dict(recomputed) == strategy_to_dict(baseline)
+        # Only the damaged range is searched again ...
+        assert context.stats.groups_searched == 1
+        # ... a schema error is counted (an off-menu choice is well
+        # formed, so the search sees the miss instead) ...
+        assert healing.corrupt_entries == (
+            0 if damage == "off_menu_parallelism" else 1
+        )
+        # ... and the flush wrote the good entry back.
+        warm = EvalContext(store=CostStore(root))
+        optimize(tiny_net, testchip, budget, context=warm)
+        assert warm.stats.groups_searched == 0
+
+    def test_bit_flipped_group_shard_heals(self, tiny_net, testchip, tmp_path):
+        root = tmp_path / "s"
+        budget = tiny_net.feature_map_bytes()
+        baseline = optimize(
+            tiny_net, testchip, budget, context=EvalContext(store=root)
+        )
+        path, _ = next(iter(_group_entries(root).values()))
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(ArtifactError):
+            CostStore(root).load_shard(path)
+        context = EvalContext(store=CostStore(root))
+        recomputed = optimize(tiny_net, testchip, budget, context=context)
+        assert strategy_to_dict(recomputed) == strategy_to_dict(baseline)
+        assert context.stats.groups_searched >= 1
+        CostStore(root).load_shard(path)  # the flush rewrote the shard
 
 
 class TestHygiene:
