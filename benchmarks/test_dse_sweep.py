@@ -65,7 +65,7 @@ def test_fig5_sweep_cold_vs_warm_store(vgg_prefix, zc706, tmp_path):
         f"{warm_ctx.stats.store_hit_rate * 100:>8.1f}% "
         f"{warm_ctx.stats.groups_searched:>9,}",
         "",
-        f"store: {stats.entries:,} entries in {stats.shards} shard(s), "
+        f"store: {stats.entries:,} entries in {stats.shards} log record(s), "
         f"{stats.bytes / 1024:.1f} KB on disk",
         f"warm/cold: {warm_s / cold_s:.2f}x "
         f"(speedup {cold_s / max(warm_s, 1e-9):.1f}x); "

@@ -436,6 +436,7 @@ def parse_envelope(
                 f"no migration from {kind} envelope version {version}",
             )
         payload = hook(payload)
+        actual_sha = payload_sha256(payload)
         version += 1
     if version > ENVELOPE_VERSION:
         raise ArtifactVersionError(
@@ -448,7 +449,7 @@ def parse_envelope(
         kind=kind,
         schema_version=version,
         producer=producer,
-        payload_sha256=payload_sha256(payload),
+        payload_sha256=actual_sha,
         payload=payload,
         digests=dict(digests),
         source=source,
@@ -469,13 +470,27 @@ def load_envelope(
         raw = path.read_bytes()
     except OSError as exc:
         raise ArtifactIntegrityError(E_IO, "$", f"cannot read {path}: {exc}")
+    return parse_envelope_bytes(raw, expected_kind, source=path, name=path.name)
+
+
+def parse_envelope_bytes(
+    raw: bytes,
+    expected_kind: Optional[str] = None,
+    source: Optional[Path] = None,
+    name: str = "artifact",
+) -> Envelope:
+    """Decode, parse and validate one serialized envelope.
+
+    ``name`` says where the bytes came from in error messages (a file
+    name, or a file name and line for one record of a log).
+    """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ArtifactIntegrityError(
             E_ENCODING,
             "$",
-            f"{path.name} is not UTF-8 (byte {exc.start}): the file is "
+            f"{name} is not UTF-8 (byte {exc.start}): the file is "
             "corrupted",
         )
     try:
@@ -484,10 +499,18 @@ def load_envelope(
         raise ArtifactIntegrityError(
             E_JSON,
             "$",
-            f"{path.name} is not valid JSON (line {exc.lineno} column "
+            f"{name} is not valid JSON (line {exc.lineno} column "
             f"{exc.colno}: {exc.msg}): the file is truncated or corrupted",
         )
-    return parse_envelope(document, expected_kind=expected_kind, source=path)
+    return parse_envelope(document, expected_kind=expected_kind, source=source)
+
+
+def envelope_line(
+    kind: str, payload: dict, digests: Optional[Dict[str, str]] = None
+) -> str:
+    """One envelope as a single JSONL line, newline included."""
+    document = wrap_payload(kind, payload, digests)
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def append_envelope_line(
@@ -495,6 +518,9 @@ def append_envelope_line(
     kind: str,
     payload: dict,
     digests: Optional[Dict[str, str]] = None,
+    points: Optional[Tuple[str, str]] = (
+        POINT_JOURNAL_APPENDED, POINT_JOURNAL_SYNCED,
+    ),
 ) -> Path:
     """Append one envelope as a single JSONL line (the journal format).
 
@@ -502,11 +528,15 @@ def append_envelope_line(
     line, so long-running producers (the sweep engine) can record each
     result as it lands.  Each line is independently checksummed; a crash
     mid-append damages at most the final line, which
-    :func:`read_envelope_lines` detects and skips.
+    :func:`read_envelope_lines` detects and skips.  The line is
+    ``fsync``ed before this returns.
+
+    ``points`` are the crash points fired after the write and after the
+    ``fsync`` (the journal's by default); ``None`` fires none, for a
+    caller that marks its own steps.
     """
     path = Path(path)
-    document = wrap_payload(kind, payload, digests)
-    line = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    line = envelope_line(kind, payload, digests)
     # A crash (or torn write) can leave the final line without its
     # newline; appending straight after would weld the new record onto
     # the damaged tail and lose both.  Terminate any such tail first so
@@ -520,10 +550,12 @@ def append_envelope_line(
     with open(path, "a", encoding="utf-8") as handle:
         if needs_newline:
             handle.write("\n")
-        fs_write(handle, line + "\n", label=path.name)
-        crash_point(POINT_JOURNAL_APPENDED)
+        fs_write(handle, line, label=path.name)
+        if points is not None:
+            crash_point(points[0])
         fs_fsync(handle, label=path.name)
-        crash_point(POINT_JOURNAL_SYNCED)
+        if points is not None:
+            crash_point(points[1])
     return path
 
 

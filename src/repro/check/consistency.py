@@ -284,10 +284,11 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
         baseline = optimize(
             network, device, budget, context=EvalContext(store=CostStore(root))
         )
-        # Corrupt a shard that holds a group entry: the DP reads every
-        # range's entry, so the damage is seen, the search re-runs and
-        # the run's flush rewrites the shard.  (A shard of evaluations
-        # alone may go unread once every group is recalled.)
+        # Corrupt the log's first record, the baseline's one flush, which
+        # holds the group entries: the DP reads every range's entry, so
+        # the search re-runs and the run's flush compacts the log.  (A
+        # record of evaluations alone may leave nothing to recompute,
+        # and so no flush, once every group is recalled.)
         store = CostStore(root)
         victim = next(
             (
@@ -310,13 +311,13 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
                 "a corrupted store shard loaded without an ArtifactError"
             )
         # The lookup path must heal around the damage: serve misses,
-        # recompute, and rewrite the shard on flush — same cost out.
+        # recompute, and compact the log on flush — same cost out.
         recomputed = optimize(
             network, device, budget, context=EvalContext(store=CostStore(root))
         )
         if recomputed.latency_cycles != baseline.latency_cycles:
             raise ReproError("self-healed store changed the strategy cost")
-        CostStore(root).load_shard(victim)  # the flush rewrote the shard
+        CostStore(root).load_shard(victim)  # the flush compacted the log
         return f"corrupt shard rejected ({code}), recomputed and healed"
 
     def partition_checks() -> str:

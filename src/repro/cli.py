@@ -1249,7 +1249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_p.add_argument(
         "action", choices=["stats", "gc", "clear"],
-        help="stats: show size/shard counters; gc: evict by age/count "
+        help="stats: show size/record counters; gc: evict by age/count "
         "and compact; clear: delete every entry",
     )
     cache_p.add_argument(

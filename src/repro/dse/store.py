@@ -8,7 +8,7 @@ cache: a content-addressed store of evaluated
 :class:`~repro.perf.implement.Implementation` records, keyed by exactly
 the same ``(layer signature, algorithm, weight mode, winograd m,
 parallelism, cost-relevant device subset)`` identity the in-memory
-cache uses.  The same shards also hold *group entries*: what each
+cache uses.  The same log also holds *group entries*: what each
 completed ``fusion[i][j]`` search chose, keyed by
 :class:`~repro.perf.cost.GroupKey`, so a warm run rebuilds its group
 designs instead of re-running branch and bound.
@@ -22,25 +22,39 @@ Layout and discipline:
   Bumping :data:`KEY_VERSION` (required whenever ``implement()``'s
   outputs or the key layout change) invalidates every stale entry at
   once.  Group entries are further salted with :data:`SEARCH_VERSION`.
-* **Shards.** Entries live in 256 shard files (first two hex digits of
-  the digest) under ``<root>/shards/``, each a standard
-  :mod:`repro.check` artifact envelope — versioned, checksummed, written
-  atomically.  A truncated or bit-flipped shard therefore surfaces as a
-  typed :class:`~repro.errors.ArtifactError` from :meth:`CostStore.load_shard`,
+* **One append-only log.** Entries live in ``<root>/log.jsonl``, one
+  record per line.  A record is a standard :mod:`repro.check` artifact
+  envelope of kind ``cost_store_shard`` (versioned, checksummed) whose
+  payload is ``{"key_version", "entries": {digest: {key, created,
+  impl | group}}}``.  A flush appends one record and ``fsync``s it, so
+  its cost follows the entries it writes, not the size of the store.
+  Records apply in file order; a key written twice holds the same
+  value both times, since a value is a pure function of its key.  A
+  record of another ``key_version`` is skipped.  A truncated or
+  bit-flipped record surfaces as a typed
+  :class:`~repro.errors.ArtifactError` from :meth:`CostStore.load_shard`,
   never as a ``KeyError`` deep in a search.
 * **Self-healing.** The lookup paths (:meth:`CostStore.get`,
-  :meth:`CostStore.get_group`) treat a damaged shard or entry as
-  *empty*, count it, and let the evaluation layer recompute or the
-  search re-run; a damaged shard is rewritten by the next flush of a
-  run that reads it.  Corruption costs time, never correctness.
-* **Concurrency.** Writers take a per-shard ``flock`` lock, re-read the
-  shard on disk, merge their entries and atomically replace the file —
-  two processes flushing overlapping keys interleave without loss or
-  torn files (values are pure functions of the key, so merge order is
-  irrelevant).
+  :meth:`CostStore.get_group`) read the log once per store object and
+  treat a damaged record or entry as a *miss*, count it, and let the
+  evaluation layer recompute or the search re-run.  A run that met a
+  damaged record compacts the log at its next flush: it re-reads the
+  log under the lock, drops damaged and stale records, merges its own
+  entries and replaces the file atomically.  Corruption costs time,
+  never correctness.
+* **Concurrency.** One ``flock`` on ``<root>/log.lock`` serializes
+  appends and compactions across processes; each writer opens the log
+  only once it holds the lock, so no append lands in a file a
+  compaction has already replaced.  Readers take the lock shared, so a
+  half-written append is never mistaken for damage.
+  :meth:`CostStore.refresh` adds what other processes appended since a
+  store's last read, reading only the new bytes.
 * **Hygiene.** :meth:`CostStore.stats`, :meth:`CostStore.gc` (age- and
   count-bounded eviction with compaction) and :meth:`CostStore.clear`
-  back the ``repro cache {stats,gc,clear}`` CLI.
+  back the ``repro cache {stats,gc,clear}`` CLI.  Stores written in the
+  older layout of 256 rewritten shard files (``<root>/shards/`` and
+  ``<root>/locks/``) are never read, so they start cold once; ``gc``
+  and ``clear`` delete that tree.
 """
 
 from __future__ import annotations
@@ -48,6 +62,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import os
+import shutil
 import threading
 import time
 from contextlib import contextmanager
@@ -57,10 +72,13 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 from repro.check.artifacts import (
     E_FIELD_VALUE,
+    E_IO,
     E_LOCK,
-    load_envelope,
+    append_envelope_line,
+    atomic_write_text,
+    envelope_line,
+    parse_envelope_bytes,
     require,
-    save_artifact,
 )
 from repro.errors import ArtifactError, ArtifactIntegrityError, ArtifactSchemaError
 from repro.faults.process import (
@@ -77,8 +95,17 @@ try:  # pragma: no cover - POSIX; the spin-lock fallback covers the rest
 except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
-#: Artifact kind of one shard file.
+#: Artifact kind of one log record.
 SHARD_KIND = "cost_store_shard"
+
+#: The log of records and the lock file that serializes its writers,
+#: both directly under the store root.
+LOG_NAME = "log.jsonl"
+LOCK_NAME = "log.lock"
+
+#: Directories of the older 256-shard layout; never read, deleted by
+#: ``gc`` and ``clear``.
+LEGACY_DIRS = ("shards", "locks")
 
 #: Version salt of the key derivation *and* the entry payload layout.
 #: Bump whenever ``implement()`` changes behaviour or the
@@ -96,10 +123,7 @@ SEARCH_VERSION = 1
 #: Environment variable overriding the default store location.
 STORE_ENV = "REPRO_COST_CACHE"
 
-#: Hex digits of the digest that select a shard file (256 shards).
-_SHARD_CHARS = 2
-
-#: Shard-lock acquisition attempts before giving up with ``E_LOCK``.
+#: Lock acquisition attempts before giving up with ``E_LOCK``.
 LOCK_ATTEMPTS = 5
 
 #: Base backoff between lock attempts (doubles each retry).
@@ -275,12 +299,67 @@ def group_from_dict(entry: dict, length: int, path: str = "$") -> GroupChoices:
     return tuple(choices)
 
 
+# -- the log -----------------------------------------------------------------
+
+
+def _record_entries(line: bytes, name: str) -> Dict[str, dict]:
+    """Entries of one log record; empty for a stale ``key_version``.
+
+    Raises:
+        ArtifactError: The record is damaged (typed, with code and path).
+    """
+    payload = parse_envelope_bytes(line, SHARD_KIND, name=name).payload
+    version = require(payload, "key_version", int, "$.payload")
+    if version != KEY_VERSION:
+        # A stale record is not an error — its digests can simply never
+        # be queried — but its entries are dead weight.
+        return {}
+    entries = require(payload, "entries", dict, "$.payload")
+    for digest, entry in entries.items():
+        if not isinstance(entry, dict):
+            raise ArtifactSchemaError(
+                E_FIELD_VALUE,
+                f"$.payload.entries.{digest}",
+                "entry must be an object",
+            )
+    return entries
+
+
+def _parse_log(
+    data: bytes, name: str = LOG_NAME
+) -> Tuple[Dict[str, dict], List[ArtifactError], int]:
+    """``(entries, damaged, records)`` of a log's bytes.
+
+    ``entries`` merges every readable record in file order; ``damaged``
+    holds one typed error per record that is not (a torn tail
+    included); ``records`` counts the readable ones.
+    """
+    entries: Dict[str, dict] = {}
+    damaged: List[ArtifactError] = []
+    records = 0
+    for number, line in enumerate(data.split(b"\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            entries.update(_record_entries(line, f"{name} line {number}"))
+        except ArtifactError as exc:
+            damaged.append(exc)
+        else:
+            records += 1
+    return entries, damaged, records
+
+
 # -- stats -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CostStoreStats:
-    """What ``repro cache stats`` reports."""
+    """What ``repro cache stats`` reports.
+
+    ``shards`` counts the log's readable records and ``corrupt_shards``
+    its damaged ones (each record is one ``cost_store_shard``
+    envelope).
+    """
 
     root: str
     entries: int
@@ -300,14 +379,15 @@ class CostStoreStats:
     def summary(self) -> str:
         lines = [
             f"cost store at {self.root}",
-            f"  entries:        {self.entries:,}",
-            f"  shard files:    {self.shards}",
-            f"  size on disk:   {self.bytes / 1024:.1f} KB",
+            f"  entries:         {self.entries:,}",
+            f"  log records:     {self.shards}",
+            f"  size on disk:    {self.bytes / 1024:.1f} KB",
         ]
         if self.corrupt_shards:
             lines.append(
-                f"  corrupt shards: {self.corrupt_shards} "
-                "(ignored; rewritten by the next flush that reads them, or gc)"
+                f"  damaged records: {self.corrupt_shards} "
+                "(ignored; dropped by the next flush of a run that reads "
+                "them, or gc)"
             )
         return "\n".join(lines)
 
@@ -315,9 +395,9 @@ class CostStoreStats:
 class CostStore:
     """Content-addressed on-disk cache of cost-model evaluations.
 
-    Thread-safe within a process (one lock guards the in-memory shard
-    views) and safe across processes (per-shard file locks around every
-    read-merge-write).  Pass one to
+    Thread-safe within a process (one lock guards the in-memory view of
+    the log) and safe across processes (one file lock around every
+    append, compaction and read).  Pass one to
     :class:`~repro.perf.cost.EvalContext` via its ``store`` argument,
     and that context to ``optimize`` / ``compile_model`` /
     ``partition_model`` via their ``context`` arguments, and
@@ -326,17 +406,23 @@ class CostStore:
 
     def __init__(self, root: Union[str, Path, None] = None):
         self.root = Path(root) if root is not None else default_store_root()
-        self.shards_dir = self.root / "shards"
-        self.locks_dir = self.root / "locks"
+        self.log_path = self.root / LOG_NAME
+        self.lock_path = self.root / LOCK_NAME
         self._lock = threading.Lock()
-        # Per-process view of shard contents: shard id -> entries dict.
-        self._shards: Dict[str, Dict[str, dict]] = {}
-        #: Damaged shards/entries observed (and healed around) so far.
+        # This store's view of the log (digest -> entry), read on the
+        # first lookup and kept current by its own flushes and by
+        # refresh().  _read_to is (inode, byte offset) of what it holds.
+        self._view: Optional[Dict[str, dict]] = None
+        self._read_to: Optional[Tuple[int, int]] = None
+        self._sync_lock = threading.Lock()
+        # Set once a read met a damaged record: the next flush compacts.
+        self._compact = False
+        #: Damaged records and entries observed (and healed around).
         self.corrupt_shards = 0
         self.corrupt_entries = 0
-        #: Flushes that proceeded locklessly because the filesystem
-        #: cannot ``flock`` (NFS and friends); merge-on-write still
-        #: bounds the damage to losing a concurrent writer's entries.
+        #: Lock acquisitions that proceeded locklessly because the
+        #: filesystem cannot ``flock`` (NFS and friends); a concurrent
+        #: writer's entries may then be lost, never an existing record.
         self.lock_fallbacks = 0
         #: Transient lock failures that succeeded on retry.
         self.lock_retries = 0
@@ -348,24 +434,16 @@ class CostStore:
 
     # -- paths and locking ---------------------------------------------------
 
-    def _shard_id(self, digest: str) -> str:
-        return digest[:_SHARD_CHARS]
-
-    def shard_path(self, shard_id: str) -> Path:
-        return self.shards_dir / f"{shard_id}.json"
-
     def shard_paths(self) -> List[Path]:
-        """Every shard file currently on disk, sorted."""
-        if not self.shards_dir.is_dir():
-            return []
-        return sorted(self.shards_dir.glob("*.json"))
+        """The log, if it exists (the file :meth:`load_shard` checks)."""
+        return [self.log_path] if self.log_path.exists() else []
 
-    def _acquire_shard_lock(self, shard_id: str):
-        """Open + ``flock`` one shard's lock file, with bounded retry.
+    def _acquire_lock(self, shared: bool):
+        """Open + ``flock`` the store's lock file, with bounded retry.
 
         Returns the locked file handle, or ``None`` when this
-        filesystem cannot lock at all (counted in
-        :attr:`lock_fallbacks`; the flush proceeds locklessly).
+        filesystem cannot lock at all, or a shared lock fails (counted
+        in :attr:`lock_fallbacks`; the caller proceeds locklessly).
 
         Raises:
             ArtifactIntegrityError: ``E_LOCK`` when acquisition keeps
@@ -375,7 +453,6 @@ class CostStore:
         if fcntl is None or self._locks_unsupported:
             self.lock_fallbacks += 1
             return None
-        lock_path = self.locks_dir / f"{shard_id}.lock"
         last_error: Optional[OSError] = None
         for attempt in range(LOCK_ATTEMPTS):
             if attempt:
@@ -383,9 +460,10 @@ class CostStore:
                 time.sleep(LOCK_BACKOFF_S * (2 ** (attempt - 1)))
             handle = None
             try:
-                self.locks_dir.mkdir(parents=True, exist_ok=True)
-                handle = open(lock_path, "a+")
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+                handle = open(self.lock_path, "a+")
+                fcntl.flock(
+                    handle.fileno(), fcntl.LOCK_SH if shared else fcntl.LOCK_EX
+                )
                 return handle
             except OSError as exc:
                 if handle is not None:
@@ -394,18 +472,25 @@ class CostStore:
                     self._locks_unsupported = True
                     self.lock_fallbacks += 1
                     return None
+                if shared:
+                    # A reader that cannot lock (a read-only store, say)
+                    # reads anyway: at worst it takes an append in
+                    # flight for a damaged record, which costs a miss.
+                    self.lock_fallbacks += 1
+                    return None
                 last_error = exc
         raise ArtifactIntegrityError(
             E_LOCK,
             "$",
-            f"cannot lock cost-store shard {shard_id} after "
+            f"cannot lock the cost store at {self.root} after "
             f"{LOCK_ATTEMPTS} attempts: {last_error}",
         )
 
     @contextmanager
-    def _shard_lock(self, shard_id: str):
-        """Cross-process mutual exclusion for one shard's read-merge-write."""
-        handle = self._acquire_shard_lock(shard_id)
+    def _locked(self, shared: bool = False):
+        """Cross-process lock on the log: exclusive for writers, shared
+        for readers.  The store root must exist."""
+        handle = self._acquire_lock(shared)
         try:
             yield
         finally:
@@ -416,53 +501,118 @@ class CostStore:
                     pass  # the close below releases the lock anyway
                 handle.close()
 
+    def _read_log(self) -> bytes:
+        """The log's bytes (empty when there is none), read under the
+        caller's exclusive lock."""
+        try:
+            return self.log_path.read_bytes()
+        except FileNotFoundError:
+            return b""
+
+    def _log_position(self) -> Optional[Tuple[int, int]]:
+        """``(inode, size)`` of the log, or None when there is none."""
+        try:
+            status = os.stat(self.log_path)
+        except FileNotFoundError:
+            return None
+        return status.st_ino, status.st_size
+
     # -- loading -------------------------------------------------------------
 
     def load_shard(self, path: Union[str, Path]) -> Dict[str, dict]:
-        """Read one shard file, *raising* typed errors on damage.
+        """Read a log file, *raising* typed errors on damage.
 
         This is the strict loader ``repro doctor``'s corruption probe
-        exercises; the lookup path wraps it with self-healing.
+        exercises; the lookup path reads the same records with
+        self-healing.  Returns the merged entries of every record.
 
         Raises:
-            ArtifactError: Truncation, bit damage, checksum mismatch,
-                schema problems — each with a stable code and JSON path.
+            ArtifactError: The first damaged record's error — truncation,
+                bit damage, checksum mismatch, schema problems — each
+                with a stable code and JSON path.
         """
-        envelope = load_envelope(path, expected_kind=SHARD_KIND)
-        payload = envelope.payload
-        version = require(payload, "key_version", int, "$.payload")
-        if version != KEY_VERSION:
-            # A stale shard is not an error — its digests can simply
-            # never be queried — but its entries are dead weight.
-            return {}
-        entries = require(payload, "entries", dict, "$.payload")
-        for digest, entry in entries.items():
-            if not isinstance(entry, dict):
-                raise ArtifactSchemaError(
-                    E_FIELD_VALUE,
-                    f"$.payload.entries.{digest}",
-                    "entry must be an object",
-                )
+        path = Path(path)
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise ArtifactIntegrityError(
+                E_IO, "$", f"cannot read {path}: {exc}"
+            )
+        entries, damaged, _ = _parse_log(data, path.name)
+        if damaged:
+            raise damaged[0]
         return entries
 
-    def _entries(self, shard_id: str) -> Dict[str, dict]:
-        """In-memory view of one shard, loading (and healing) on demand."""
+    def _entries(self) -> Dict[str, dict]:
+        """This store's view of the log, read (and healed) once."""
         with self._lock:
-            cached = self._shards.get(shard_id)
-            if cached is not None:
-                return cached
-        path = self.shard_path(shard_id)
-        entries: Dict[str, dict] = {}
-        if path.exists():
+            if self._view is not None:
+                return self._view
+        self._sync()
+        return self._view
+
+    def refresh(self) -> None:
+        """Add the records other processes appended since this store
+        last read the log (a no-op before its first lookup).
+
+        Between compactions the log only grows, so this reads just the
+        new bytes; a log that a compaction replaced is read whole.
+        """
+        with self._lock:
+            loaded = self._view is not None
+        if loaded:
+            self._sync()
+
+    def _sync(self) -> None:
+        """Read the log into the view: from where the view left off in
+        the same file, else whole."""
+        with self._sync_lock:
+            offset, data, position = 0, b"", None
+            with self._open_log_shared() as handle:
+                if handle is not None:
+                    status = os.fstat(handle.fileno())
+                    with self._lock:
+                        read_to = self._read_to
+                    # Resume only in the same file, at a line boundary.
+                    if (
+                        read_to is not None
+                        and read_to[0] == status.st_ino
+                        and 0 < read_to[1] <= status.st_size
+                    ):
+                        handle.seek(read_to[1] - 1)
+                        if handle.read(1) == b"\n":
+                            offset = read_to[1]
+                    handle.seek(offset)
+                    data = handle.read()
+                    position = (status.st_ino, offset + len(data))
+            # Damaged records serve misses so the evaluation layer
+            # recomputes (or the search re-runs); this store's next
+            # flush then compacts the log.
+            entries, damaged, _ = _parse_log(data)
+            with self._lock:
+                if offset and self._view is not None:
+                    self._view.update(entries)
+                else:
+                    self._view = entries
+                self._read_to = position
+                self.corrupt_shards += len(damaged)
+                self._compact = self._compact or bool(damaged)
+
+    @contextmanager
+    def _open_log_shared(self):
+        """The log opened for reading under the shared lock; None when
+        there is no log."""
+        if not self.log_path.exists():
+            yield None
+            return
+        with self._locked(shared=True):
             try:
-                entries = self.load_shard(path)
-            except ArtifactError:
-                # Damaged shard: serve misses so the evaluation layer
-                # recomputes (or the search re-runs); this run's flush
-                # rewrites the file.
-                self.corrupt_shards += 1
-        with self._lock:
-            return self._shards.setdefault(shard_id, entries)
+                handle = open(self.log_path, "rb")
+            except FileNotFoundError:
+                yield None
+                return
+            with handle:
+                yield handle
 
     def get(self, key: Hashable) -> Optional[Implementation]:
         """Look up one evaluation; ``None`` on miss *or* damage."""
@@ -486,16 +636,18 @@ class CostStore:
 
     def _lookup(self, key: Hashable, decode):
         digest = key_digest(key)
-        entry = self._entries(self._shard_id(digest)).get(digest)
+        entry = self._entries().get(digest)
         if entry is None:
             return None
         try:
             return decode(entry)
         except ArtifactError:
-            # A single damaged entry: heal by forgetting it.
+            # A single damaged entry: heal by forgetting it.  The
+            # recomputed value is appended later in the log, so it wins.
             self.corrupt_entries += 1
             with self._lock:
-                self._shards.get(self._shard_id(digest), {}).pop(digest, None)
+                if self._view is not None:
+                    self._view.pop(digest, None)
             return None
 
     def __contains__(self, key: Hashable) -> bool:
@@ -506,78 +658,76 @@ class CostStore:
     def put_many(
         self, entries: Mapping[Hashable, Union[Implementation, GroupChoices]]
     ) -> int:
-        """Merge entries into the store (the write-back flush).
+        """Write entries to the store (the write-back flush).
 
         ``entries`` maps evaluation keys to :class:`Implementation`
-        records and :class:`GroupKey` keys to search choices.  They are
-        grouped by shard; each shard is re-read from disk under its file
-        lock, merged and atomically replaced, so concurrent flushes from
-        other processes are preserved.  Returns the number of entries
-        written.
+        records and :class:`GroupKey` keys to search choices.  Under the
+        log's file lock they are appended as one ``fsync``ed record —
+        nothing is re-read or rewritten — unless this store has met a
+        damaged record, in which case the log is compacted instead.
+        Returns the number of entries written.
         """
         if not entries:
             return 0
-        by_shard: Dict[str, Dict[str, dict]] = {}
         now = time.time()
+        fresh: Dict[str, dict] = {}
         for key, value in entries.items():
-            digest = key_digest(key)
             record = {"key": stable_key_text(key), "created": now}
             if isinstance(key, GroupKey):
                 record["group"] = group_to_dict(value)
             else:
                 record["impl"] = implementation_to_dict(value)
-            by_shard.setdefault(self._shard_id(digest), {})[digest] = record
-        self.shards_dir.mkdir(parents=True, exist_ok=True)
-        for shard_id, fresh in sorted(by_shard.items()):
-            with self._shard_lock(shard_id):
-                merged = self._read_for_merge(shard_id)
-                crash_point(POINT_STORE_LOCKED)
-                merged.update(fresh)
-                self._write_shard(shard_id, merged)
-                crash_point(POINT_STORE_SHARD_WRITTEN)
-        return sum(len(fresh) for fresh in by_shard.values())
-
-    def _read_for_merge(self, shard_id: str) -> Dict[str, dict]:
-        """On-disk entries of one shard, healing damage to empty."""
-        path = self.shard_path(shard_id)
-        if not path.exists():
-            return {}
-        try:
-            return dict(self.load_shard(path))
-        except ArtifactError:
-            self.corrupt_shards += 1
-            return {}
-
-    def _write_shard(self, shard_id: str, entries: Dict[str, dict]) -> None:
-        save_artifact(
-            self.shard_path(shard_id),
-            SHARD_KIND,
-            {"key_version": KEY_VERSION, "entries": entries},
-        )
+            fresh[key_digest(key)] = record
         with self._lock:
-            self._shards[shard_id] = entries
+            compact = self._compact
+        self.root.mkdir(parents=True, exist_ok=True)
+        with self._locked():
+            crash_point(POINT_STORE_LOCKED)
+            before = self._log_position()
+            if compact:
+                merged = _parse_log(self._read_log())[0]
+                merged.update(fresh)
+                self._rewrite_log(merged)
+            else:
+                append_envelope_line(
+                    self.log_path, SHARD_KIND, _payload(fresh), points=None
+                )
+            after = self._log_position()
+            crash_point(POINT_STORE_SHARD_WRITTEN)
+        with self._lock:
+            if compact:
+                self._view, self._read_to = merged, after
+                self._compact = False
+            elif self._view is not None:
+                self._view.update(fresh)
+                if self._read_to == before:
+                    # Nobody appended in between: the view holds it all.
+                    self._read_to = after
+        return len(fresh)
+
+    def _rewrite_log(self, entries: Dict[str, dict]) -> None:
+        """Atomically replace the log with one record of ``entries``
+        (deleting it when there are none).  The caller holds the lock."""
+        if entries:
+            atomic_write_text(
+                self.log_path, envelope_line(SHARD_KIND, _payload(entries))
+            )
+        else:
+            self.log_path.unlink(missing_ok=True)
 
     # -- hygiene -------------------------------------------------------------
 
     def stats(self) -> CostStoreStats:
         """Scan the store on disk (``repro cache stats``)."""
-        entries = 0
-        size = 0
-        shards = 0
-        corrupt = 0
-        for path in self.shard_paths():
-            shards += 1
-            size += path.stat().st_size
-            try:
-                entries += len(self.load_shard(path))
-            except ArtifactError:
-                corrupt += 1
+        with self._open_log_shared() as handle:
+            data = handle.read() if handle is not None else b""
+        entries, damaged, records = _parse_log(data)
         return CostStoreStats(
             root=str(self.root),
-            entries=entries,
-            shards=shards,
-            bytes=size,
-            corrupt_shards=corrupt,
+            entries=len(entries),
+            shards=records,
+            bytes=len(data),
+            corrupt_shards=len(damaged),
         )
 
     def gc(
@@ -588,65 +738,57 @@ class CostStore:
         """Evict and compact (``repro cache gc``).
 
         Drops entries older than ``max_age_s``, then the oldest entries
-        beyond ``max_entries``; damaged shards compact to empty.  Every
-        surviving shard is rewritten, so the pass also repairs any file
-        that was half-damaged.  Returns the number of entries removed
-        (damaged shards count their unknown contents as 0).
+        beyond ``max_entries``, and rewrites the log as one record, so
+        the pass also drops damaged and stale records and repeated keys.
+        Returns the number of entries removed (damaged records count
+        their unknown contents as 0).  Deletes an older-layout tree.
         """
+        self._remove_legacy()
+        if not self.log_path.exists():
+            return 0
         now = time.time()
-        kept: List[Tuple[float, str, str, dict]] = []
-        removed = 0
-        shard_ids = []
-        for path in self.shard_paths():
-            shard_id = path.stem
-            shard_ids.append(shard_id)
-            with self._shard_lock(shard_id):
-                for digest, entry in self._read_for_merge(shard_id).items():
-                    created = entry.get("created")
-                    age_ok = isinstance(created, (int, float)) and (
-                        max_age_s is None or now - created <= max_age_s
-                    )
-                    if age_ok:
-                        kept.append((created, digest, shard_id, entry))
-                    else:
-                        removed += 1
-        if max_entries is not None and len(kept) > max_entries:
-            kept.sort(key=lambda item: (item[0], item[1]), reverse=True)
-            removed += len(kept) - max_entries
-            kept = kept[:max_entries]
-        survivors: Dict[str, Dict[str, dict]] = {sid: {} for sid in shard_ids}
-        for _, digest, shard_id, entry in kept:
-            survivors[shard_id][digest] = entry
-        for shard_id, entries in sorted(survivors.items()):
-            with self._shard_lock(shard_id):
-                if entries:
-                    self._write_shard(shard_id, entries)
-                else:
-                    try:
-                        self.shard_path(shard_id).unlink()
-                    except FileNotFoundError:
-                        pass
-                    with self._lock:
-                        self._shards.pop(shard_id, None)
-        return removed
+        with self._locked():
+            entries = _parse_log(self._read_log())[0]
+            kept = []
+            for digest, entry in entries.items():
+                created = entry.get("created")
+                if isinstance(created, (int, float)) and (
+                    max_age_s is None or now - created <= max_age_s
+                ):
+                    kept.append((created, digest))
+            if max_entries is not None and len(kept) > max_entries:
+                kept.sort(reverse=True)
+                kept = kept[:max_entries]
+            survivors = {digest: entries[digest] for _, digest in kept}
+            self._rewrite_log(survivors)
+            position = self._log_position()
+        with self._lock:
+            self._view, self._read_to = survivors, position
+            self._compact = False
+        return len(entries) - len(survivors)
 
     def clear(self) -> int:
-        """Delete every entry (``repro cache clear``); returns the count."""
+        """Delete every entry (``repro cache clear``); returns the count.
+        Deletes an older-layout tree too."""
+        self._remove_legacy()
         removed = 0
-        for path in self.shard_paths():
-            shard_id = path.stem
-            with self._shard_lock(shard_id):
-                try:
-                    removed += len(self.load_shard(path))
-                except ArtifactError:
-                    pass
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
-            with self._lock:
-                self._shards.pop(shard_id, None)
+        if self.log_path.exists():
+            with self._locked():
+                removed = len(_parse_log(self._read_log())[0])
+                self.log_path.unlink(missing_ok=True)
+        with self._lock:
+            self._view = self._read_to = None
+            self._compact = False
         return removed
+
+    def _remove_legacy(self) -> None:
+        for name in LEGACY_DIRS:
+            shutil.rmtree(self.root / name, ignore_errors=True)
+
+
+def _payload(entries: Dict[str, dict]) -> dict:
+    """The payload of one log record."""
+    return {"key_version": KEY_VERSION, "entries": entries}
 
 
 def resolve_store(

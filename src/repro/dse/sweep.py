@@ -61,6 +61,12 @@ RESULTS_KIND = "sweep_results"
 JOURNAL_NAME = "journal.jsonl"
 RESULTS_NAME = "sweep_results.json"
 
+#: The store of each sweep this process is running, by root, while it
+#: runs.  Inline points and the pool's forked workers reuse it through
+#: :func:`_point_store`, so each process reads the store's log once and
+#: then only the records appended since.
+_RUNNING_STORES: Dict[str, CostStore] = {}
+
 
 def _resolve_grid_network(name: str):
     """Model-zoo name or prototxt path -> accelerated-prefix Network."""
@@ -153,7 +159,7 @@ def run_point_job(job: dict) -> dict:
     injected kill costs one requeue, never the whole sweep.
     """
     point = GridPoint.from_dict(job["point"])
-    store = CostStore(job["store_root"]) if job.get("store_root") else None
+    store = _point_store(job["store_root"]) if job.get("store_root") else None
     faults: Optional[ProcessFaultSpec] = job.get("faults")
     if faults is not None:
         install_process_faults(
@@ -181,6 +187,16 @@ def run_point_job(job: dict) -> dict:
         "result": result,
         "elapsed_s": time.perf_counter() - started,
     }
+
+
+def _point_store(root: str) -> CostStore:
+    """The running sweep's store, caught up with other workers'
+    appends; a fresh one when no sweep of ``root`` runs here."""
+    store = _RUNNING_STORES.get(root)
+    if store is None:
+        return CostStore(root)
+    store.refresh()
+    return store
 
 
 def _worker_failure_record(job: dict, reason: str) -> dict:
@@ -600,26 +616,33 @@ class SweepEngine:
         ]
         if not jobs:
             return
-        if not pooled:
-            for job in jobs:
-                yield run_point_job(job)
-            return
-        pool = SupervisedPool(
-            run_point_job,
-            workers=min(size, len(jobs)),
-            mp_context=ctx,
-            timeout_s=self.point_timeout_s,
-            max_retries=self.max_retries,
-            on_exhausted=_worker_failure_record,
-        )
+        if self.store is not None:
+            _RUNNING_STORES[str(self.store.root)] = self.store
         try:
-            # Records land in completion order; the journal tolerates
-            # any order and the results list is re-assembled in grid
-            # order, so supervision never affects the artifact.
-            for record in pool.run(jobs):
-                yield record
+            if not pooled:
+                for job in jobs:
+                    yield run_point_job(job)
+                return
+            pool = SupervisedPool(
+                run_point_job,
+                workers=min(size, len(jobs)),
+                mp_context=ctx,
+                timeout_s=self.point_timeout_s,
+                max_retries=self.max_retries,
+                on_exhausted=_worker_failure_record,
+            )
+            try:
+                # Records land in completion order; the journal
+                # tolerates any order and the results list is
+                # re-assembled in grid order, so supervision never
+                # affects the artifact.
+                for record in pool.run(jobs):
+                    yield record
+            finally:
+                self._supervision = pool.stats.to_dict()
         finally:
-            self._supervision = pool.stats.to_dict()
+            if self.store is not None:
+                _RUNNING_STORES.pop(str(self.store.root), None)
 
 
 def sweep_grid(

@@ -3,7 +3,7 @@
 Where :mod:`repro.faults.injector` breaks the *simulated* serving fleet
 on its virtual clock, this module breaks the **toolflow process
 itself**: the writes that persist strategies, partition plans,
-cost-store shards, sweep journals, traffic traces and recovery logs.
+the cost-store log, sweep journals, traffic traces and recovery logs.
 It follows the same discipline — every fault is drawn from a seeded
 splitmix64 counter stream, so the same spec + seed reproduces a
 bit-identical failure schedule — and it is the engine behind the
@@ -15,7 +15,7 @@ Two mechanisms:
 * **Filesystem faults.**  Every file-writing path in the library
   (:func:`repro.check.artifacts.atomic_write_text`,
   :func:`~repro.check.artifacts.append_envelope_line`, and everything
-  built on them: shard flushes, journals, saved artifacts, benchmark
+  built on them: cost-store flushes, journals, saved artifacts, benchmark
   results) routes its ``write``/``fsync`` calls through
   :func:`fs_write` / :func:`fs_fsync`.  An installed injector can turn
   one call into an ``EIO``/``ENOSPC`` :class:`OSError`, a *torn* write
@@ -24,7 +24,7 @@ Two mechanisms:
   or a silently dropped ``fsync``.
 * **Crash points.**  Writing paths mark the instants between their
   steps — temp file written, synced, renamed; journal line appended;
-  shard merged under its lock — with :func:`crash_point` markers.  An
+  cost-store lock taken — with :func:`crash_point` markers.  An
   injector armed with ``crash:point=NAME`` dies there: either a *hard*
   kill (``os._exit``, skipping every ``finally`` — exactly what
   ``kill -9`` or a power cut does) or a raised
@@ -109,10 +109,11 @@ POINT_JOURNAL_SYNCED = register_crash_point(
     "journal.synced", "journal line fsynced and durable"
 )
 POINT_STORE_LOCKED = register_crash_point(
-    "store.flush.locked", "shard lock held, merge read, write not started"
+    "store.flush.locked", "cost-store log lock held, nothing written yet"
 )
 POINT_STORE_SHARD_WRITTEN = register_crash_point(
-    "store.flush.shard_written", "one shard replaced; later shards pending"
+    "store.flush.shard_written",
+    "record appended and fsynced (or log compacted), lock still held",
 )
 POINT_SWEEP_START = register_crash_point(
     "sweep.point_start", "sweep worker picked up a point, nothing computed"

@@ -309,7 +309,7 @@ class EvalContext:
     the same :meth:`flush_store`.
     """
 
-    def __init__(self, share_identical_layers: bool = True, store=None):
+    def __init__(self, *, share_identical_layers: bool = True, store=None):
         if store is not None and not hasattr(store, "put_many"):
             from repro.dse.store import CostStore
 

@@ -113,6 +113,10 @@ class TestEvalContext:
         ctx.implement(repeated_net[1], Algorithm.CONVENTIONAL, 4, testchip)
         assert ctx.stats.cache_hits == 1
 
+    def test_flags_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            EvalContext(object())
+
     def test_results_match_direct_implement(self, tiny, testchip):
         from repro.perf.implement import implement
 

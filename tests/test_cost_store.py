@@ -33,6 +33,7 @@ from repro.dse.store import (
     stable_key_text,
 )
 from repro.errors import ArtifactError
+from repro.hardware.device import get_device
 from repro.nn import models
 from repro.optimizer.branch_and_bound import GroupSearch
 from repro.optimizer.dp import optimize, optimize_many
@@ -238,9 +239,6 @@ class TestDamage:
         self, tiny_net, testchip, tmp_path
     ):
         """One bad entry inside a valid envelope: get() -> None, counted."""
-        from repro.check.artifacts import save_artifact
-        from repro.dse.store import SHARD_KIND
-
         context = EvalContext(store=CostStore(tmp_path / "s"))
         optimize(
             tiny_net, testchip, tiny_net.feature_map_bytes(), context=context
@@ -249,14 +247,9 @@ class TestDamage:
         store = CostStore(tmp_path / "s")
         assert store.get(key) is not None
         digest = key_digest(key)
-        victim = store.shard_path(digest[:2])
-        entries = store.load_shard(victim)
-        entries[digest]["impl"]["algorithm"] = "quantum"
-        save_artifact(
-            victim,
-            SHARD_KIND,
-            {"key_version": KEY_VERSION, "entries": entries},
-        )
+        entry = store.load_shard(store.log_path)[digest]
+        entry["impl"]["algorithm"] = "quantum"
+        _rewrite_entry(store.log_path, digest, entry)
         fresh = CostStore(tmp_path / "s")
         assert fresh.get(key) is None
         assert fresh.corrupt_entries == 1
@@ -268,7 +261,7 @@ class TestDamage:
     def test_truncation_fuzz_never_uncaught(
         self, tiny_net, testchip, tmp_path, seed
     ):
-        """Truncating any shard anywhere yields a typed error or empty."""
+        """Truncating the log anywhere yields a typed error or empty."""
         import random
 
         store = self._warm_store(tiny_net, testchip, tmp_path / "s")
@@ -284,7 +277,7 @@ class TestDamage:
             assert exc.code
         # The lookup path must stay silent and serve misses.
         healing = CostStore(tmp_path / "s")
-        entries = healing._entries(victim.stem)
+        entries = healing._entries()
         assert isinstance(entries, dict)
 
 
@@ -300,15 +293,19 @@ def _group_entries(root):
 
 
 def _rewrite_entry(path, digest, entry):
-    """Replace one entry inside a valid, checksummed shard envelope."""
-    from repro.check.artifacts import save_artifact
+    """Replace one entry in every log record that holds it, each record
+    staying a valid, checksummed envelope."""
+    from repro.check.artifacts import envelope_line
     from repro.dse.store import SHARD_KIND
 
-    entries = CostStore(path.parent.parent).load_shard(path)
-    entries[digest] = entry
-    save_artifact(
-        path, SHARD_KIND, {"key_version": KEY_VERSION, "entries": entries}
-    )
+    lines = []
+    for line in path.read_text().splitlines(keepends=True):
+        payload = json.loads(line)["payload"]
+        if digest in payload["entries"]:
+            payload["entries"][digest] = entry
+            line = envelope_line(SHARD_KIND, payload)
+        lines.append(line)
+    path.write_text("".join(lines))
 
 
 def _flip_bit(text):
@@ -530,13 +527,13 @@ class TestHygiene:
     def test_stale_key_version_shard_reads_empty(
         self, tiny_net, testchip, tmp_path
     ):
-        from repro.check.artifacts import save_artifact
+        from repro.check.artifacts import append_envelope_line
         from repro.dse.store import SHARD_KIND
 
         store = CostStore(tmp_path / "s")
-        store.shards_dir.mkdir(parents=True)
-        path = store.shard_path("ab")
-        save_artifact(
+        store.root.mkdir(parents=True)
+        path = store.log_path
+        append_envelope_line(
             path,
             SHARD_KIND,
             {"key_version": KEY_VERSION + 1, "entries": {"x": {"impl": {}}}},
@@ -581,6 +578,26 @@ class TestConcurrency:
         for path in store.shard_paths():
             store.load_shard(path)  # every shard loads cleanly
 
+    def test_refresh_adds_other_writers_records(self, tmp_path):
+        from repro.check.durability import _store_entries
+
+        entries = sorted(_store_entries().items())
+        root = tmp_path / "s"
+        CostStore(root).put_many(dict(entries[:1]))
+        reader = CostStore(root)
+        assert reader.get(entries[0][0]) is not None
+        CostStore(root).put_many(dict(entries[1:2]))  # another writer
+        assert reader.get(entries[1][0]) is None  # a view is not live
+        reader.refresh()
+        assert reader.get(entries[1][0]) is not None
+        assert reader._read_to[1] == reader.log_path.stat().st_size
+        # A compaction replaces the file: the next refresh reads it whole.
+        CostStore(root).gc()
+        CostStore(root).put_many(dict(entries[2:]))
+        reader.refresh()
+        assert all(reader.get(key) is not None for key, _ in entries)
+        assert reader.corrupt_shards == 0
+
     def test_shard_files_are_valid_json_envelopes(
         self, tiny_net, testchip, tmp_path
     ):
@@ -588,9 +605,187 @@ class TestConcurrency:
             tiny_net, testchip, tiny_net.feature_map_bytes(),
             context=EvalContext(store=tmp_path / "s"),
         )
-        for path in CostStore(tmp_path / "s").shard_paths():
-            document = json.loads(path.read_text())
-            assert document["repro_artifact"] == "cost_store_shard"
+        paths = CostStore(tmp_path / "s").shard_paths()
+        assert paths
+        for path in paths:
+            for line in path.read_text().splitlines():
+                document = json.loads(line)
+                assert document["repro_artifact"] == "cost_store_shard"
+
+
+def _tiny_run(root, device_name):
+    """A store-backed compile of tiny_cnn (module-level: a fork target)."""
+    network = models.tiny_cnn()
+    return optimize(
+        network, get_device(device_name), network.feature_map_bytes(),
+        context=EvalContext(store=root),
+    )
+
+
+def _healed_entries(root):
+    """The log's entries, loaded strictly, without their timestamps."""
+    store = CostStore(root)
+    return {
+        digest: {k: v for k, v in entry.items() if k != "created"}
+        for digest, entry in store.load_shard(store.log_path).items()
+    }
+
+
+class TestFlushShape:
+    """A flush appends one record: one fsync, nothing rewritten."""
+
+    def test_cold_flush_is_one_fsync(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.toolflow import compile_model
+
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        store = CostStore(tmp_path / "s")
+        compile_model(
+            models.catalog()["vgg_e"](), device="zc706",
+            transfer_constraint_bytes=2 * 1024 * 1024,
+            context=EvalContext(store=store),
+        )
+        assert len(fsyncs) == 1
+        assert store.stats().entries > 256
+
+    def test_flush_keeps_old_bytes_as_prefix(self, tmp_path):
+        root = tmp_path / "s"
+        _tiny_run(root, "testchip")
+        before = CostStore(root).log_path.read_bytes()
+        _tiny_run(root, "zc706")  # another device: all fresh entries
+        after = CostStore(root).log_path.read_bytes()
+        assert len(after) > len(before)
+        assert after.startswith(before)
+
+
+class TestCompaction:
+    """A run that met a damaged record rewrites the log at its flush."""
+
+    def _damaged_store(self, root):
+        """A two-record log whose first record is damaged."""
+        _tiny_run(root, "testchip")
+        _tiny_run(root, "zc706")
+        log = CostStore(root).log_path
+        first, second = log.read_text().splitlines(keepends=True)
+        log.write_text(first.replace('"entries"', '"entr!es"', 1) + second)
+        return log
+
+    def test_damaged_record_compacts_at_flush(self, tmp_path):
+        root = tmp_path / "s"
+        log = self._damaged_store(root)
+        with pytest.raises(ArtifactError):
+            CostStore(root).load_shard(log)
+        survivor = set(
+            json.loads(log.read_text().splitlines()[1])["payload"]["entries"]
+        )
+        healing = CostStore(root)
+        _tiny_run(healing, "testchip")
+        assert healing.corrupt_shards == 1
+        healed = CostStore(root).load_shard(log)  # strict: no damage left
+        assert len(log.read_text().splitlines()) == 1
+        assert survivor <= set(healed)
+        network = models.tiny_cnn()
+        for device_name in ("testchip", "zc706"):
+            warm = EvalContext(store=CostStore(root))
+            optimize(
+                network, get_device(device_name),
+                network.feature_map_bytes(), context=warm,
+            )
+            assert warm.stats.evaluations == 0
+
+    @pytest.mark.parametrize(
+        "point", ["atomic.temp_written", "atomic.synced", "atomic.replaced"]
+    )
+    def test_kill_inside_compaction(self, tmp_path, point):
+        import shutil
+
+        from repro.faults.process import fork_available, run_to_kill
+
+        if not fork_available():
+            pytest.skip("requires fork (POSIX)")
+        pristine = tmp_path / "pristine"
+        old = self._damaged_store(pristine).read_bytes()
+        done = tmp_path / "done"
+        shutil.copytree(pristine, done)
+        baseline = strategy_to_dict(_tiny_run(done, "testchip"))
+        healed = _healed_entries(done)
+
+        victim = tmp_path / "victim"
+        shutil.copytree(pristine, victim)
+        outcome = run_to_kill(_tiny_run, point, args=(victim, "testchip"))
+        assert outcome == "killed"
+        # The log is the old file until the rename lands, then the new.
+        if point == "atomic.replaced":
+            assert _healed_entries(victim) == healed
+        else:
+            assert CostStore(victim).log_path.read_bytes() == old
+        rerun = _tiny_run(victim, "testchip")
+        assert strategy_to_dict(rerun) == baseline
+        assert _healed_entries(victim) == healed
+
+
+class TestOldLayout:
+    """A store left in the 256-shard layout is never read."""
+
+    def _old_store(self, root, tiny_net, testchip):
+        from repro.check.artifacts import save_artifact
+        from repro.dse.store import SHARD_KIND
+
+        key, impl = _first_key_and_impl(tiny_net, testchip)
+        digest = key_digest(key)
+        (root / "shards").mkdir(parents=True)
+        (root / "locks").mkdir()
+        save_artifact(
+            root / "shards" / f"{digest[:2]}.json",
+            SHARD_KIND,
+            {
+                "key_version": KEY_VERSION,
+                "entries": {
+                    digest: {
+                        "key": stable_key_text(key),
+                        "created": 0.0,
+                        "impl": implementation_to_dict(impl),
+                    }
+                },
+            },
+        )
+        (root / "locks" / f"{digest[:2]}.lock").touch()
+        return key
+
+    def test_old_layout_entries_are_misses(self, tiny_net, testchip, tmp_path):
+        root = tmp_path / "s"
+        key = self._old_store(root, tiny_net, testchip)
+        store = CostStore(root)
+        assert store.get(key) is None
+        assert store.corrupt_shards == store.corrupt_entries == 0
+        stats = store.stats()
+        assert stats.entries == stats.corrupt_shards == 0
+        context = EvalContext(store=store)
+        optimize(
+            tiny_net, testchip, tiny_net.feature_map_bytes(), context=context
+        )
+        assert context.stats.store_hits == 0  # the store starts cold once
+        assert CostStore(root).get(key) is not None
+
+    @pytest.mark.parametrize("action", ["clear", "gc"])
+    def test_cache_command_deletes_old_layout(
+        self, tiny_net, testchip, tmp_path, capsys, action
+    ):
+        from repro.cli import main
+
+        root = tmp_path / "s"
+        self._old_store(root, tiny_net, testchip)
+        assert main(["cache", action, "--dir", str(root)]) == 0
+        assert not (root / "shards").exists()
+        assert not (root / "locks").exists()
 
 
 class TestLocking:
@@ -640,6 +835,29 @@ class TestLocking:
         assert "attempts" in str(excinfo.value)
         assert store.lock_retries == store_module.LOCK_ATTEMPTS - 1
         assert not store._locks_unsupported  # transient, not permanent
+
+    def test_reader_that_cannot_lock_reads_anyway(
+        self, tiny_net, testchip, tmp_path, monkeypatch
+    ):
+        import errno
+        import fcntl as real_fcntl
+
+        from repro.dse import store as store_module
+
+        key, impl = _first_key_and_impl(tiny_net, testchip)
+        CostStore(tmp_path / "s").put_many({key: impl})
+        real_flock = real_fcntl.flock
+
+        def no_shared_flock(fd, op):
+            if op == real_fcntl.LOCK_SH:
+                raise OSError(errno.EACCES, "read-only store")
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(store_module.fcntl, "flock", no_shared_flock)
+        reader = CostStore(tmp_path / "s")
+        assert reader.get(key) is not None
+        assert reader.lock_fallbacks == 1
+        assert reader.lock_retries == 0
 
     def test_transient_contention_recovers(
         self, tiny_net, testchip, tmp_path, monkeypatch

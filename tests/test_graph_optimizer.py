@@ -168,7 +168,7 @@ class TestDownstreamAgreement:
             for info in chain_net.infos
         }
         # The same conv optimized as part of the branch shares the key.
-        context = EvalContext(testchip)
+        context = EvalContext()
         _optimize_graph(graph, testchip, context=context)
         hits_before = context.stats.evaluations
         _optimize_graph(graph, testchip, context=context)
@@ -178,7 +178,7 @@ class TestDownstreamAgreement:
         assert sig_graph  # the branch conv produced a signature at all
 
     def test_shared_context_warms_graph_from_chain(self, tiny_net, testchip):
-        context = EvalContext(testchip)
+        context = EvalContext()
         budget = tiny_net.feature_map_bytes()
         optimize(tiny_net, testchip, budget, context=context)
         evaluations = context.stats.evaluations
