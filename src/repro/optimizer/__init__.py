@@ -9,11 +9,11 @@ parallelism>} minimizing end-to-end latency:
   branch-and-bound that evaluates ``fusion[i][j]`` (best fused design of
   a layer range under R, balancing the inter-layer pipeline);
 * :mod:`repro.optimizer.dp` — Algorithm 1, the dynamic program over
-  (layer range, transfer budget); provided both as the paper's literal
-  tabular recurrence over 10 KB transfer units and as an equivalent
-  exact Pareto-frontier formulation that is fast in Python;
-* :mod:`repro.optimizer.exhaustive` — a brute-force oracle used by the
-  tests to certify optimality on small networks;
+  (layer range, transfer budget), as an exact Pareto-frontier
+  formulation whose budget gates which ``fusion[i][j]`` are searched;
+* :mod:`repro.optimizer.exhaustive` — the test oracles: a brute-force
+  search that certifies optimality on small networks, and the paper's
+  literal tabular Algorithm 1 over 10 KB transfer units;
 * :mod:`repro.optimizer.graph_dp` — the branch-aware lift of the whole
   stack onto the DAG IR: series-parallel decomposition drives the same
   DP/B&B machinery per branch, joins are priced for transfer, and chain
@@ -32,8 +32,8 @@ from repro.optimizer.dp import (
     FrontierOptimizer,
     optimize,
     optimize_many,
-    optimize_tabular,
 )
+from repro.optimizer.exhaustive import optimize_tabular
 from repro.optimizer.graph_dp import (
     ChainSegment,
     FusedParallelSegment,

@@ -152,6 +152,18 @@ def extend_floors(
     )
 
 
+def conv_depth(network: Network, start: int, stop: int) -> int:
+    """What the fusion-depth cap counts in ``[start, stop)``.
+
+    Convolution engines only: pool and LRN stages are lightweight and do
+    not hold memory ports (the paper's Table 2 lumps them as "other
+    layers" inside the single fused AlexNet group).
+    """
+    return sum(
+        1 for i in range(start, stop) if isinstance(network[i].layer, ConvLayer)
+    )
+
+
 class _BudgetExhausted(Exception):
     """Raised inside a search once it visits more than its node budget."""
 
@@ -387,16 +399,7 @@ class GroupSearch:
         key = (start, stop)
         if key in self._fusion_cache:
             return self._fusion_cache[key]
-        # The fusion-depth bound counts convolution engines only: pool and
-        # LRN stages are lightweight and do not hold memory ports (the
-        # paper's Table 2 lumps them as "other layers" inside the single
-        # fused AlexNet group).
-        conv_depth = sum(
-            1
-            for i in range(start, stop)
-            if isinstance(self.network[i].layer, ConvLayer)
-        )
-        if conv_depth > self.device.max_fusion_depth:
+        if conv_depth(self.network, start, stop) > self.device.max_fusion_depth:
             self._fusion_cache[key] = None
             return None
         group_key = self._group_key(start, stop)

@@ -6,16 +6,14 @@ from Algorithm 2, needing transfer ``min_t[i][j]``), or split at some
 ``k`` with a budget split ``x`` (paper's recursion).  The paper quantizes
 ``t`` in 10 KB units and bounds fusion depth at 8 layers.
 
-Two equivalent solvers are provided:
-
-* :func:`optimize_tabular` — the literal triple-loop recurrence of the
-  paper's Algorithm 1, O(N^3 T^2) over quantized budgets, with the
-  ``k_mark`` / ``t_mark`` backtracking tables.  Faithful, but the unit
-  count T can make it slow for multi-MB budgets in Python.
-* :func:`optimize` — an exact Pareto-frontier reformulation: for every
-  range keep the set of non-dominated (transfer, latency) partitions;
-  answering a query is a frontier lookup.  Produces the same optimum
-  (the tests cross-check the two) and runs in milliseconds.
+:func:`optimize` solves it exactly as a Pareto-frontier DP: for every
+range keep the non-dominated (transfer, latency) partitions, and answer
+a query by a frontier lookup.  Like the paper's ``t ≥ min_t[i][j]``
+test, a query's budget gates ``fusion[i][j]``: a range is searched only
+when some plan within the budget can use it, which a transfer table
+built without any search decides.  The literal triple-loop recurrence
+(:func:`repro.optimizer.exhaustive.optimize_tabular`) is kept beside
+the exhaustive oracle; the tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import OptimizationError
-from repro.arch.fusion import group_min_transfer_bytes
 from repro.hardware.device import FPGADevice
 from repro.nn.network import Network
-from repro.optimizer.branch_and_bound import GroupSearch
+from repro.optimizer.branch_and_bound import GroupSearch, conv_depth
 from repro.optimizer.strategy import Strategy
 from repro.perf.cost import CostModel, EvalContext
 
@@ -44,11 +41,6 @@ def transfer_units(transfer_bytes: int, unit: int = TRANSFER_UNIT_BYTES) -> int:
     if transfer_bytes < 0:
         raise OptimizationError("transfer must be non-negative")
     return math.ceil(transfer_bytes / unit)
-
-
-# ---------------------------------------------------------------------------
-# Pareto-frontier solver (default)
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -72,6 +64,43 @@ def _prune(plans: List[_Plan]) -> List[_Plan]:
     return kept
 
 
+def _transfer_tables(
+    network: Network, device: FPGADevice
+) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+    """Transfer bounds of every range ``[i, j)``, without any search.
+
+    ``transfer[i][j]`` is the range's feature-map transfer fused: its
+    boundary tensors, the paper's ``min_t`` and what every design's
+    ``feature_transfer_bytes`` reports.  ``least[i][j]`` is the least
+    transfer of any split of the range into groups within the fusion
+    depth, so no plan of the range transfers less.  No plan transfers
+    more than the range unfused, ``unfused[j] - unfused[i]``.
+    """
+    n = len(network)
+    element = device.element_bytes
+    infos = network.infos
+    transfer = [[0] * (n + 1) for _ in range(n + 1)]
+    least = [[0] * (n + 1) for _ in range(n + 1)]
+    unfused = [0] * (n + 1)
+    for i, info in enumerate(infos):
+        unfused[i + 1] = unfused[i] + (info.input_size + info.output_size) * element
+    for i in range(n - 1, -1, -1):
+        head = infos[i].input_size * element
+        reach = i + 1
+        while (
+            reach < n
+            and conv_depth(network, i, reach + 1) <= device.max_fusion_depth
+        ):
+            reach += 1
+        for j in range(i + 1, n + 1):
+            transfer[i][j] = head + infos[j - 1].output_size * element
+            least[i][j] = min(
+                transfer[i][k] + least[k][j]
+                for k in range(i + 1, min(j, reach) + 1)
+            )
+    return transfer, least, unfused
+
+
 class FrontierOptimizer:
     """Exact (transfer, latency) Pareto frontiers for every layer range."""
 
@@ -88,11 +117,11 @@ class FrontierOptimizer:
             context: Shared signature-keyed evaluation layer (created
                 privately when omitted); pass one to share
                 ``implement()`` results and telemetry across sweeps.
-            workers: When > 1, the independent ``fusion[i][j]`` group
-                searches are precomputed by a thread pool before the
-                first frontier query (safe: the context is the only
-                shared state).  The chosen strategies are identical to
-                the sequential search.
+            workers: When > 1, each frontier query first runs the
+                independent ``fusion[i][j]`` group searches it can use
+                on a thread pool (safe: the context is the only shared
+                state).  The same ranges are searched, and the same
+                strategies chosen, as by the sequential search.
         """
         if len(network) == 0:
             raise OptimizationError("cannot optimize an empty network")
@@ -107,36 +136,77 @@ class FrontierOptimizer:
             explore_tile_sizes=explore_tile_sizes,
             context=self.context,
         )
-        self._frontiers: Dict[Tuple[int, int], List[_Plan]] = {}
-        self._prewarmed = False
+        # Each range's frontier with the budget it was built for.
+        self._frontiers: Dict[Tuple[int, int], Tuple[float, List[_Plan]]] = {}
+        self._transfer, self._least, self._unfused = _transfer_tables(
+            network, device
+        )
 
     @property
     def telemetry(self):
         """Search telemetry accumulated in the shared context."""
         return self.context.stats
 
-    def frontier(self, start: int, stop: int) -> List[_Plan]:
-        """Non-dominated plans for layers ``[start, stop)``."""
-        if self.workers is not None and self.workers > 1 and not self._prewarmed:
-            self._prewarmed = True
-            self.search.precompute(workers=self.workers)
+    def frontier(
+        self, start: int, stop: int, budget: Optional[int] = None
+    ) -> List[_Plan]:
+        """Non-dominated plans for layers ``[start, stop)``.
+
+        With a ``budget``, exactly the unbudgeted frontier's plans whose
+        transfer is at most ``budget``, in the same order; only the
+        ranges such a plan can use are searched.
+        """
+        limit = _INF if budget is None else budget
+        if self.workers is not None and self.workers > 1:
+            # Prewarm exactly the ranges the recursion below would search.
+            transfer, least = self._transfer, self._least
+            self.search.precompute(
+                [
+                    (a, b)
+                    for a in range(start, stop)
+                    for b in range(a + 1, stop + 1)
+                    if least[start][a] + transfer[a][b] + least[b][stop] <= limit
+                ],
+                workers=self.workers,
+            )
+        return self._frontier(start, stop, limit)
+
+    def _frontier(self, start: int, stop: int, budget: float) -> List[_Plan]:
+        if budget >= self._unfused[stop] - self._unfused[start]:
+            # No plan of the range exceeds it: build and cache the whole
+            # frontier, which every later budget can filter.
+            budget = _INF
         key = (start, stop)
         cached = self._frontiers.get(key)
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0] >= budget:
+            plans = cached[1]
+            if not plans or plans[-1].transfer_bytes <= budget:
+                return plans
+            return [plan for plan in plans if plan.transfer_bytes <= budget]
         plans: List[_Plan] = []
-        design = self.search.fusion(start, stop)
-        if design is not None:
-            plans.append(
-                _Plan(
-                    transfer_bytes=design.feature_transfer_bytes,
-                    latency_cycles=design.latency_cycles,
-                    groups=((start, stop),),
+        if self._transfer[start][stop] <= budget:
+            design = self.search.fusion(start, stop)
+            if design is not None:
+                plans.append(
+                    _Plan(
+                        transfer_bytes=design.feature_transfer_bytes,
+                        latency_cycles=design.latency_cycles,
+                        groups=((start, stop),),
+                    )
                 )
-            )
+        least = self._least
         for split in range(start + 1, stop):
-            for left in self.frontier(start, split):
-                for right in self.frontier(split, stop):
+            # Every plan of a side costs at least its least transfer, so
+            # a side may spend only what the other side leaves.
+            if least[start][split] + least[split][stop] > budget:
+                continue
+            lefts = self._frontier(start, split, budget - least[split][stop])
+            rights = self._frontier(split, stop, budget - least[start][split])
+            for left in lefts:
+                room = budget - left.transfer_bytes
+                for right in rights:
+                    if right.transfer_bytes > room:
+                        break
                     plans.append(
                         _Plan(
                             transfer_bytes=left.transfer_bytes + right.transfer_bytes,
@@ -146,20 +216,16 @@ class FrontierOptimizer:
                         )
                     )
         pruned = _prune(plans)
-        self._frontiers[key] = pruned
+        self._frontiers[key] = (budget, pruned)
         return pruned
 
     def best_plan(self, transfer_constraint_bytes: int) -> _Plan:
         """Cheapest plan whose feature-map transfer fits the constraint."""
-        feasible = [
-            plan
-            for plan in self.frontier(0, len(self.network))
-            if plan.transfer_bytes <= transfer_constraint_bytes
-        ]
+        n = len(self.network)
+        feasible = self.frontier(0, n, transfer_constraint_bytes)
         if not feasible:
             minimum = min(
-                (p.transfer_bytes for p in self.frontier(0, len(self.network))),
-                default=None,
+                (p.transfer_bytes for p in self.frontier(0, n)), default=None
             )
             hint = (
                 f"; the minimum achievable is {minimum} bytes"
@@ -250,12 +316,15 @@ def optimize_many(
     Equivalent to calling :func:`optimize` per constraint, but amortizes
     the Algorithm-2 ``fusion[i][j]`` table and the signature-keyed
     evaluation cache across all of them; this is how the Figure 5 sweep
-    is produced.
+    is produced.  The frontier is built once, for the largest
+    constraint; every other constraint filters it.
     """
     optimizer = FrontierOptimizer(
         network, device, explore_tile_sizes=explore_tile_sizes,
         context=context, workers=workers,
     )
+    if transfer_constraints_bytes:
+        optimizer.frontier(0, len(network), max(transfer_constraints_bytes))
     strategies = []
     for constraint in transfer_constraints_bytes:
         plan = optimizer.best_plan(constraint)
@@ -290,101 +359,3 @@ def transfer_latency_frontier(
         (plan.transfer_bytes, plan.latency_cycles)
         for plan in optimizer.frontier(0, len(network))
     ]
-
-
-# ---------------------------------------------------------------------------
-# Literal tabular Algorithm 1
-# ---------------------------------------------------------------------------
-
-
-def optimize_tabular(
-    network: Network,
-    device: FPGADevice,
-    transfer_constraint_bytes: int,
-    unit_bytes: int = TRANSFER_UNIT_BYTES,
-    context: Optional[CostModel] = None,
-) -> Strategy:
-    """The paper's Algorithm 1, verbatim structure.
-
-    Builds ``L[i][j][t]`` bottom-up over quantized transfer budgets with
-    ``k_mark``/``t_mark`` backtracking, then materializes the strategy
-    and regenerates each group's implementation details (Algorithm 1,
-    lines 22-24).  Complexity O(N^3 T^2): keep ``unit_bytes`` coarse or
-    budgets small; :func:`optimize` is the fast equivalent.
-    """
-    n = len(network)
-    if n == 0:
-        raise OptimizationError("cannot optimize an empty network")
-    t_units = transfer_units(transfer_constraint_bytes, unit_bytes) + 1
-    search = GroupSearch(network, device, context=context)
-
-    # fusion[i][j] and min_t[i][j] (inclusive j), as in the paper.
-    fusion: List[List[Optional[float]]] = [[None] * n for _ in range(n)]
-    min_t: List[List[int]] = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            design = search.fusion(i, j + 1)
-            fusion[i][j] = design.latency_cycles if design is not None else None
-            min_t[i][j] = transfer_units(
-                group_min_transfer_bytes(network, i, j + 1, device.element_bytes),
-                unit_bytes,
-            )
-
-    # L[i][j][t], k_mark, t_mark.  j outer ascending, i descending, as in
-    # the paper's loop nest.
-    L = [[[_INF] * t_units for _ in range(n)] for _ in range(n)]
-    k_mark = [[[-1] * t_units for _ in range(n)] for _ in range(n)]
-    t_mark = [[[-1] * t_units for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for i in range(j, -1, -1):
-            for t in range(t_units):
-                if t < min_t[i][j]:
-                    continue  # L stays infinity
-                fused = fusion[i][j]
-                min_latency = fused if fused is not None else _INF
-                k_flag, t_flag = j, t
-                for k in range(i, j):
-                    # Both halves must at least afford their minimal
-                    # transfers (paper line 11).
-                    if t < min_t[i][k] + min_t[k + 1][j]:
-                        continue
-                    for x in range(min_t[i][k], t - min_t[k + 1][j] + 1):
-                        candidate = L[i][k][x] + L[k + 1][j][t - x]
-                        if candidate < min_latency:
-                            min_latency = candidate
-                            k_flag, t_flag = k, x
-                L[i][j][t] = min_latency
-                k_mark[i][j][t] = k_flag
-                t_mark[i][j][t] = t_flag
-
-    final = L[0][n - 1][t_units - 1]
-    if final == _INF:
-        raise OptimizationError(
-            f"no strategy fits transfer constraint {transfer_constraint_bytes} "
-            f"bytes on {device.name}"
-        )
-
-    # Backtrack the fused structure (Algorithm 1, line 22).
-    boundaries: List[Tuple[int, int]] = []
-
-    def backtrack(i: int, j: int, t: int) -> None:
-        k = k_mark[i][j][t]
-        if k == j:
-            boundaries.append((i, j + 1))
-            return
-        x = t_mark[i][j][t]
-        backtrack(i, k, x)
-        backtrack(k + 1, j, t - x)
-
-    backtrack(0, n - 1, t_units - 1)
-    boundaries.sort()
-    designs = []
-    for start, stop in boundaries:
-        design = search.fusion(start, stop)
-        if design is None:
-            raise OptimizationError("backtracked group is infeasible")
-        designs.append(design)
-    return Strategy(
-        network, device, boundaries, designs,
-        telemetry=search.context.stats,
-    )

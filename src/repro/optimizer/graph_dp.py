@@ -758,11 +758,17 @@ class GraphOptimizer:
     # -- queries --------------------------------------------------------------
 
     def frontier(
-        self, start: int = 0, stop: Optional[int] = None
+        self,
+        start: int = 0,
+        stop: Optional[int] = None,
+        budget: Optional[int] = None,
     ) -> List[_GPlan]:
         """Non-dominated (transfer, latency) plans for the top-level
         blocks ``[start, stop)`` of the decomposition (default: the
-        whole graph)."""
+        whole graph), only those within ``budget`` when one is given.
+
+        The search itself is unbounded; ``budget`` filters its result.
+        """
         key = (start, len(self._tree.blocks) if stop is None else stop)
         cached = self._frontiers.get(key)
         if cached is None:
@@ -771,7 +777,9 @@ class GraphOptimizer:
                 for plan in self._series_frontier(self.graph, self._tree, *key)
             ]
             self._frontiers[key] = cached
-        return cached
+        if budget is None:
+            return cached
+        return [plan for plan in cached if plan.transfer_bytes <= budget]
 
     def best_plan(self, transfer_constraint_bytes: int) -> _GPlan:
         """Cheapest plan whose feature-map transfer fits the constraint."""

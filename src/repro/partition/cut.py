@@ -20,9 +20,11 @@ a chain, a :class:`~repro.optimizer.graph_dp.GraphOptimizer` for a DAG
 (which answers a unit range by combining range queries on its leaf
 runs' chain searches with per-block frontiers computed once) — all of
 them sharing one signature-keyed :class:`~repro.perf.cost.EvalContext`.
-Because the frontier recursion for the full range already visits every
-sub-range, partitioning costs barely more than one single-device compile
-per distinct device model.  The cut tensor is the output of the unit
+A chain query carries the stage's transfer budget, so only the ranges a
+stage plan within it can use are searched; the ``fusion[i][j]`` table
+and the sub-range frontiers are shared by every stage query on one
+device, so partitioning costs little more than searching each distinct
+device's usable ranges once.  The cut tensor is the output of the unit
 before the cut (a block's join).
 
 Ties on the bottleneck break toward lower end-to-end latency, then
@@ -146,9 +148,8 @@ class CutOptimizer:
         key = (device, start, stop)
         if key in self._stage_cache:
             return self._stage_cache[key]
-        frontier = self._optimizer_for(device).frontier(start, stop)
         budget = self._stage_budget(device, start, stop)
-        feasible = [p for p in frontier if p.transfer_bytes <= budget]
+        feasible = self._optimizer_for(device).frontier(start, stop, budget)
         plan = (
             min(feasible, key=lambda p: p.latency_cycles) if feasible else None
         )

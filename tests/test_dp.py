@@ -1,6 +1,7 @@
 """Tests for Algorithm 1 (the transfer-constrained DP) in both forms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import OptimizationError
 from repro.hardware.device import get_device
@@ -10,12 +11,16 @@ from repro.optimizer.dp import (
     minimum_transfer_bytes,
     optimize,
     optimize_many,
-    optimize_tabular,
     transfer_latency_frontier,
     transfer_units,
     TRANSFER_UNIT_BYTES,
 )
-from repro.optimizer.exhaustive import exhaustive_optimize
+from repro.optimizer.exhaustive import exhaustive_optimize, optimize_tabular
+from repro.perf.cost import EvalContext
+from tests.test_invariants import random_networks
+
+KB = 1024
+MB = 1024 * KB
 
 
 @pytest.fixture
@@ -105,6 +110,100 @@ class TestFrontier:
         optimizer = FrontierOptimizer(tiny, testchip)
         with pytest.raises(OptimizationError, match="minimum achievable"):
             optimizer.best_plan(10)
+
+
+def _filtered(plans, budget):
+    return [plan for plan in plans if plan.transfer_bytes <= budget]
+
+
+class TestBudgetedFrontier:
+    """A budget only gates which ``fusion[i][j]`` are searched: the
+    answer is the unbudgeted frontier filtered to the budget."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(net=random_networks(), data=st.data())
+    def test_equals_filtered_unbudgeted_frontier(self, net, data):
+        device = get_device("testchip")
+        n = len(net)
+        start = data.draw(st.integers(0, n - 1), label="start")
+        stop = data.draw(st.integers(start + 1, n), label="stop")
+        full = FrontierOptimizer(net, device).frontier(start, stop)
+        edges = [plan.transfer_bytes + d for plan in full for d in (-1, 0)]
+        top = net.feature_map_bytes(device.element_bytes)
+        budgets = data.draw(
+            st.lists(
+                st.one_of(st.integers(0, top), st.sampled_from(edges or [0])),
+                min_size=1, max_size=3,
+            ),
+            label="budgets",
+        )
+        # One optimizer answers every budget in turn, so later queries
+        # exercise both the cached filter and the rebuild.
+        optimizer = FrontierOptimizer(net, device)
+        for budget in budgets:
+            assert optimizer.frontier(start, stop, budget) == _filtered(
+                full, budget
+            ), budget
+
+    @settings(max_examples=6, deadline=None)
+    @given(net=random_networks(), data=st.data())
+    def test_optimize_matches_exhaustive_oracle(self, net, data):
+        device = get_device("testchip")
+        low = min(
+            plan.transfer_bytes
+            for plan in FrontierOptimizer(net, device).frontier(0, len(net))
+        )
+        budget = data.draw(
+            st.integers(low, net.feature_map_bytes(device.element_bytes)),
+            label="budget",
+        )
+        context = EvalContext()
+        ours = optimize(net, device, budget, context=context)
+        oracle = exhaustive_optimize(net, device, budget, context=context)
+        assert ours.latency_cycles == oracle.latency_cycles
+        assert ours.feature_transfer_bytes <= budget
+
+    @settings(max_examples=15, deadline=None)
+    @given(net=random_networks(), data=st.data())
+    def test_infeasible_budget_hint_is_exact_minimum(self, net, data):
+        device = get_device("testchip")
+        minimum = minimum_transfer_bytes(net, device)
+        budget = data.draw(st.integers(0, minimum - 1), label="budget")
+        with pytest.raises(
+            OptimizationError,
+            match=f"the minimum achievable is {minimum} bytes$",
+        ):
+            FrontierOptimizer(net, device).best_plan(budget)
+
+    @pytest.mark.parametrize(
+        "name, build, budget",
+        [
+            ("vgg_e", models.vgg_fused_prefix, 2 * MB),
+            (
+                "alexnet_prefix8",
+                lambda: models.alexnet().prefix(8, name="alexnet_prefix8"),
+                512 * KB,
+            ),
+        ],
+    )
+    def test_thread_prewarm_searches_what_serial_does(self, name, build, budget):
+        zc706 = get_device("zc706")
+        network = build()
+        serial_ctx, threaded_ctx = EvalContext(), EvalContext()
+        serial = optimize(network, zc706, budget, context=serial_ctx)
+        threaded = optimize(
+            network, zc706, budget, workers=2, context=threaded_ctx
+        )
+        assert threaded.boundaries == serial.boundaries
+        assert threaded.latency_cycles == serial.latency_cycles
+        for field in ("groups_searched", "nodes_visited", "nodes_pruned"):
+            assert getattr(threaded_ctx.stats, field) == getattr(
+                serial_ctx.stats, field
+            ), field
+        if name == "vgg_e":
+            # Table 1's 2 MB admits one range, [0:7].
+            assert serial_ctx.stats.groups_searched == 1
+            assert serial.latency_cycles == 2_600_192
 
 
 class TestTabular:

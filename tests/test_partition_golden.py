@@ -36,8 +36,8 @@ GOLDEN = {
     "chain_tiny_cnn_x1": "0278823b722ed9db8a4e0ff43c72efcdc37270557e49bafb3cc58592bc28d2aa",
     "chain_tiny_cnn_x2": "8588a4275521ee5257bd0fc0ee7f67fff58240b6b154c82bd2c36d4da7c85c6d",
     "chain_tiny_cnn_x3": "8f01ee194ec335b8aead167e0d4c94d326c22d4cc795113b26158b0600c77d6d",
-    "chain_tiny_cnn_binding_budget": "f7d2994e3f78630a8670617d99553bf0d0f0ebbaf0ba1f63480fa7c73c83f6cb",
-    "chain_vgg_fused_prefix_2mb": "9a47ac4eb3001af263aa1ddef3c2245b0c1fd3733e645d23b5952697574618fe",
+    "chain_tiny_cnn_binding_budget": "2bf54db47c479035dce1913396d1b69b937961548ce7adc18691261c4facac76",
+    "chain_vgg_fused_prefix_2mb": "7b425add46c3d28e73f762a1ca9e8192020bad254fb386b4d355376c53abca36",
     "chain_slow_link_collapse": "9c3a200df20584deec143003566f7016a9755ce5879d207890365b2ac01a2218",
     "chain_heterogeneous_fleet": "47a2f94a865bf841b074e501830fc127d9cdf50f54462112539a66deeaab183e",
     "replan_vgg_e_survivor": "a4ff204006ba3ab3f1cdfb4738d35e2586cd8054f772aab8d04e799d10beea5c",
