@@ -24,11 +24,7 @@ BUDGET_MB = 32
 
 
 def _unfused_conventional(network, device):
-    search = GroupSearch(
-        network,
-        device,
-        algorithm_filter=lambda info, algo: algo != Algorithm.WINOGRAD,
-    )
+    search = GroupSearch(network, device, algorithms=(Algorithm.CONVENTIONAL,))
     boundaries = [(i, i + 1) for i in range(len(network))]
     designs = [search.fusion(i, i + 1) for i in range(len(network))]
     return Strategy(network, device, boundaries, designs)

@@ -6,8 +6,8 @@ repeat shapes), so keying the ``implement()`` cache by signature
 instead of layer index answers the repeats from cache.  This benchmark
 runs the Figure 5 ``optimize_many`` sweep twice over one
 
-* *index-keyed* context (``share_identical_layers=False`` — the legacy
-  per-layer caching), then
+* *index-keyed* context (``IndexKeyedContext`` from the tests — the
+  legacy per-layer caching, with no group memo), then
 * *signature-keyed* context (the default),
 
 checks the chosen strategies are identical (the refactor is
@@ -21,6 +21,7 @@ import pytest
 from repro.nn import models
 from repro.optimizer.dp import optimize_many
 from repro.perf.cost import EvalContext, layer_signature
+from tests.test_cost_model import IndexKeyedContext
 
 from conftest import FIG5_CONSTRAINTS_MB, MB, write_result
 
@@ -40,7 +41,7 @@ def _run_sweep(network, device, context):
 def test_signature_cache_reduces_evaluations(zc706):
     network = models.vgg19().accelerated_prefix()
 
-    index_keyed = EvalContext(share_identical_layers=False)
+    index_keyed = IndexKeyedContext()
     before, before_s = _run_sweep(network, zc706, index_keyed)
 
     signature_keyed = EvalContext()

@@ -37,6 +37,10 @@ import numpy as np
 from repro.algorithms import poly
 from repro.errors import AlgorithmError
 
+#: Output channels :func:`winograd_conv2d` transforms and multiplies at
+#: once; bounds its transformed-filter working set.
+KERNEL_BLOCK = 32
+
 #: Interpolation points used in order of preference.  Small values and
 #: simple fractions keep the transform matrices well conditioned — the
 #: same choice wincnn and Lavin's paper make.
@@ -281,16 +285,20 @@ def winograd_conv2d(
                 ]
         # Input transform V = B^T d B over the trailing two axes.
         v = np.einsum("ax,cijxy,by->cijab", transform.BT, tiles, transform.BT)
-        # Filter transform U = G g G^T.
-        u = transform.transform_kernels(w)
-        # Element-wise product, accumulated over input channels (paper:
-        # "the results are accumulated to produce an output tile").
-        mprod = np.einsum("ncab,cijab->nijab", u, v)
-        # Inverse transform Y = A^T M A.
-        y = np.einsum("xa,nijab,yb->nijxy", transform.AT, mprod, transform.AT)
-        out[g * group_out : (g + 1) * group_out] = (
-            y.transpose(0, 1, 3, 2, 4).reshape(group_out, tiles_h * m, tiles_w * m)
-        )
+        # A block of output channels at a time: a wide layer's whole U
+        # (384 x 384 x alpha^2 doubles for AlexNet conv4) is tens of MB.
+        for lo in range(0, group_out, KERNEL_BLOCK):
+            hi = min(lo + KERNEL_BLOCK, group_out)
+            # Filter transform U = G g G^T.
+            u = transform.transform_kernels(w[lo:hi])
+            # Element-wise product, accumulated over input channels (paper:
+            # "the results are accumulated to produce an output tile").
+            mprod = np.einsum("ncab,cijab->nijab", u, v)
+            # Inverse transform Y = A^T M A.
+            y = np.einsum("xa,nijab,yb->nijxy", transform.AT, mprod, transform.AT)
+            out[g * group_out + lo : g * group_out + hi] = (
+                y.transpose(0, 1, 3, 2, 4).reshape(hi - lo, tiles_h * m, tiles_w * m)
+            )
     out = out[:, :out_h, :out_w]
     if bias is not None:
         out = out + bias.reshape(-1, 1, 1)

@@ -9,13 +9,10 @@ and the completely unfused layer-by-layer design.
 
 from repro.baselines.alwani import alwani_design, AlwaniDesign
 from repro.baselines.homogeneous import homogeneous_optimize, unfused_optimize
-from repro.baselines.recompute import analyze_group, summarize
 
 __all__ = [
     "AlwaniDesign",
     "alwani_design",
-    "analyze_group",
     "homogeneous_optimize",
-    "summarize",
     "unfused_optimize",
 ]

@@ -17,22 +17,12 @@ from typing import List, Optional, Tuple
 
 from repro.errors import OptimizationError
 from repro.hardware.device import FPGADevice
-from repro.nn.layers import ConvLayer
 from repro.nn.network import Network
 from repro.optimizer.branch_and_bound import GroupSearch
 from repro.optimizer.dp import FrontierOptimizer
 from repro.optimizer.strategy import Strategy
 from repro.perf.cost import CostModel
 from repro.perf.implement import Algorithm
-
-
-def _pin_algorithm(algorithm: Algorithm):
-    def allow(info, candidate: Algorithm) -> bool:
-        if not isinstance(info.layer, ConvLayer):
-            return True
-        return candidate == algorithm
-
-    return allow
 
 
 def homogeneous_optimize(
@@ -46,13 +36,15 @@ def homogeneous_optimize(
 
     Conv layers that cannot legally use ``algorithm`` (Winograd needs
     stride 1) keep their full menu — matching how a homogeneous-Winograd
-    accelerator still needs a conventional engine for such layers.
+    accelerator still needs a conventional engine for such layers — and
+    so do pool and LRN layers.  The pinned set is part of the group
+    memo's key, so a shared ``context`` recalls a repeated baseline's
+    searches.
     """
     if algorithm not in (Algorithm.CONVENTIONAL, Algorithm.WINOGRAD):
         raise OptimizationError(f"{algorithm} is not a convolution algorithm")
     optimizer = FrontierOptimizer(
-        network, device, algorithm_filter=_pin_algorithm(algorithm),
-        context=context,
+        network, device, algorithms=(algorithm,), context=context,
     )
     plan = optimizer.best_plan(transfer_constraint_bytes)
     strategy = optimizer.materialize(plan)

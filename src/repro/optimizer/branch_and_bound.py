@@ -204,7 +204,7 @@ class GroupSearch:
         self,
         network: Network,
         device: FPGADevice,
-        algorithm_filter=None,
+        algorithms: Optional[Tuple[Algorithm, ...]] = None,
         node_budget: int = 250_000,
         explore_tile_sizes: bool = False,
         context: Optional[CostModel] = None,
@@ -212,9 +212,11 @@ class GroupSearch:
         """Args:
             network: The network whose layer ranges will be fused.
             device: Target device (resource constraint R).
-            algorithm_filter: Optional ``f(info, algorithm) -> bool``
-                restricting the per-layer algorithm menu; used by the
-                homogeneous-design ablation baselines.
+            algorithms: Optional algorithm set each layer's menu is cut
+                to; a layer none of them serves keeps its full menu
+                (pool and LRN engines, Winograd pinned on a strided
+                conv).  Used by the homogeneous-design baselines; part
+                of the group memo's key.
             node_budget: Per-query cap on search nodes.  The search is
                 exact whenever it completes within the budget (always the
                 case for the group depths the paper's case studies need);
@@ -229,7 +231,9 @@ class GroupSearch:
         """
         self.network = network
         self.device = device
-        self.algorithm_filter = algorithm_filter
+        self.algorithms = (
+            None if algorithms is None else tuple(sorted(set(algorithms)))
+        )
         self.node_budget = node_budget
         self.explore_tile_sizes = explore_tile_sizes
         self.context: CostModel = context if context is not None else EvalContext()
@@ -262,10 +266,9 @@ class GroupSearch:
         min_dsp_work = None
         min_res: Optional[ResourceVector] = None
         algorithms = candidate_algorithms(info)
-        if self.algorithm_filter is not None:
-            filtered = [a for a in algorithms if self.algorithm_filter(info, a)]
-            if filtered:
-                algorithms = filtered
+        if self.algorithms is not None:
+            pinned = [a for a in algorithms if a in self.algorithms]
+            algorithms = pinned or algorithms
         for algo in algorithms:
             parallelisms = candidate_parallelisms(info, algo, self.device)
             if algo == Algorithm.WINOGRAD:
@@ -403,11 +406,10 @@ class GroupSearch:
             self._fusion_cache[key] = None
             return None
         group_key = self._group_key(start, stop)
-        if group_key is not None:
-            design = self._recall(start, stop, group_key)
-            if design is not _MISS:
-                self._fusion_cache[key] = design
-                return design
+        design = self._recall(start, stop, group_key)
+        if design is not _MISS:
+            self._fusion_cache[key] = design
+            return design
         began = time.perf_counter()
         best, nodes, pruned, truncated = self._search(start, stop)
         design = (
@@ -422,26 +424,20 @@ class GroupSearch:
                 self.network.name, self.device.name, start, stop,
                 elapsed, nodes, pruned,
             )
-        if group_key is not None and not truncated:
+        if not truncated:
             self.context.remember_group(
                 group_key, () if best is None else tuple(row[7] for row in best)
             )
         self._fusion_cache[key] = design
         return design
 
-    def _group_key(self, start: int, stop: int) -> Optional[GroupKey]:
-        """The context's memo key for ``[start, stop)``, or None when
-        there is no memo: a filtered menu (the homogeneous baselines),
-        or a cost model that does not offer one."""
-        if self.algorithm_filter is not None:
-            return None
-        group_key = getattr(self.context, "group_key", None)
-        if group_key is None:
-            return None
-        return group_key(
+    def _group_key(self, start: int, stop: int) -> GroupKey:
+        """The context's memo key for ``[start, stop)``."""
+        return self.context.group_key(
             [menu.info for menu in self._menus[start:stop]],
             self.device,
             self.explore_tile_sizes,
+            self.algorithms,
         )
 
     def _recall(self, start: int, stop: int, group_key: GroupKey):
@@ -511,8 +507,7 @@ class GroupSearch:
                     rest.append(pair)
                 else:
                     first.append(pair)
-                    if group_key is not None:
-                        seen.add(group_key)
+                    seen.add(group_key)
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 # list() propagates the first worker exception, if any.
                 list(pool.map(lambda pair: self.fusion(*pair), first))

@@ -28,6 +28,7 @@ from repro.nn.network import Network
 from repro.optimizer.branch_and_bound import GroupSearch, conv_depth
 from repro.optimizer.strategy import Strategy
 from repro.perf.cost import CostModel, EvalContext
+from repro.perf.implement import Algorithm
 
 #: The paper's transfer-budget quantum: "we define the unit of transfer
 #: constraint as 10 KB".
@@ -108,12 +109,14 @@ class FrontierOptimizer:
         self,
         network: Network,
         device: FPGADevice,
-        algorithm_filter=None,
+        algorithms: Optional[Tuple[Algorithm, ...]] = None,
         explore_tile_sizes: bool = False,
         context: Optional[CostModel] = None,
         workers: Optional[int] = None,
     ):
         """Args:
+            algorithms / explore_tile_sizes: Forwarded to the
+                :class:`~repro.optimizer.branch_and_bound.GroupSearch`.
             context: Shared signature-keyed evaluation layer (created
                 privately when omitted); pass one to share
                 ``implement()`` results and telemetry across sweeps.
@@ -132,7 +135,7 @@ class FrontierOptimizer:
         self.search = GroupSearch(
             network,
             device,
-            algorithm_filter=algorithm_filter,
+            algorithms=algorithms,
             explore_tile_sizes=explore_tile_sizes,
             context=self.context,
         )

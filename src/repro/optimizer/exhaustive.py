@@ -95,15 +95,11 @@ def exhaustive_optimize(
     network: Network,
     device: FPGADevice,
     transfer_constraint_bytes: int,
-    max_parallelism_options: Optional[int] = None,
     context: Optional[CostModel] = None,
 ) -> Strategy:
     """Exhaustive equivalent of the full optimizer (Problem 1).
 
     Args:
-        max_parallelism_options: Unused hook kept for call-compatibility
-            with older tests; the full candidate ladder is always used so
-            the oracle matches the real optimizer's search space.
         context: Shared evaluation layer; one is created (and shared
             across all enumerated groupings) when omitted.
     """

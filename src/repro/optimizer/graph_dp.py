@@ -427,7 +427,6 @@ class GraphOptimizer:
         self,
         graph: Graph,
         device: FPGADevice,
-        explore_tile_sizes: bool = False,
         context: Optional[CostModel] = None,
         workers: Optional[int] = None,
     ):
@@ -436,7 +435,6 @@ class GraphOptimizer:
         self.graph = graph
         self.device = device
         self.context: CostModel = context if context is not None else EvalContext()
-        self.explore_tile_sizes = explore_tile_sizes
         self.workers = workers
         self._tree = graph.decompose()
         self._frontiers: Dict[Tuple[int, int], List[_GPlan]] = {}
@@ -470,7 +468,6 @@ class GraphOptimizer:
             cached = FrontierOptimizer(
                 self._chain_network(graph, names),
                 self.device,
-                explore_tile_sizes=self.explore_tile_sizes,
                 context=self.context,
                 workers=self.workers,
             )
@@ -689,12 +686,7 @@ class GraphOptimizer:
                 return None  # nested forks: split mode only
             names = sub.topo_order
             network = sub.to_network()
-            search = GroupSearch(
-                network,
-                self.device,
-                explore_tile_sizes=self.explore_tile_sizes,
-                context=self.context,
-            )
+            search = GroupSearch(network, self.device, context=self.context)
             design = search.fusion(0, len(network))
             if design is None:
                 return None
@@ -841,20 +833,19 @@ def optimize_graph(
     graph: Graph,
     device: FPGADevice,
     transfer_constraint_bytes: int,
-    explore_tile_sizes: bool = False,
     context: Optional[CostModel] = None,
     workers: Optional[int] = None,
 ) -> GraphStrategy:
     """Minimal-latency branch-aware strategy under a transfer constraint.
 
-    The DAG sibling of :func:`repro.optimizer.dp.optimize` — identical
-    knobs, and bit-identical output on chain graphs (the whole graph is
-    then one series run through the unchanged chain DP).
+    The DAG sibling of :func:`repro.optimizer.dp.optimize` — the same
+    knobs less the chain-only tile-size search, and bit-identical output
+    on chain graphs (the whole graph is then one series run through the
+    unchanged chain DP).
     """
     optimizer = GraphOptimizer(
         graph,
         device,
-        explore_tile_sizes=explore_tile_sizes,
         context=context,
         workers=workers,
     )

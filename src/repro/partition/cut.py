@@ -70,8 +70,7 @@ class CutOptimizer:
             budget (the paper's T, applied to each board separately);
             defaults to each stage's unfused traffic — effectively
             unconstrained, matching ``compile_model``'s default.
-        explore_tile_sizes / workers: Forwarded to the
-            underlying single-device searches.
+        workers: Forwarded to the underlying single-device searches.
         context: Shared evaluation layer; one context serves every
             device in the fleet (device identity is part of its key).
     """
@@ -81,7 +80,6 @@ class CutOptimizer:
         network: Union[Network, Graph],
         fleet: DeviceFleet,
         transfer_constraint_bytes: Optional[int] = None,
-        explore_tile_sizes: bool = False,
         context: Optional[CostModel] = None,
         workers: Optional[int] = None,
     ):
@@ -92,10 +90,7 @@ class CutOptimizer:
         self.fleet = fleet
         self.transfer_constraint_bytes = transfer_constraint_bytes
         self.context: CostModel = context if context is not None else EvalContext()
-        self._optimizer_kwargs = dict(
-            explore_tile_sizes=explore_tile_sizes,
-            workers=workers,
-        )
+        self.workers = workers
         # One search per *distinct* device model: a homogeneous N-board
         # fleet shares a single search.
         self._optimizers: Dict[FPGADevice, Search] = {}
@@ -120,7 +115,7 @@ class CutOptimizer:
             )
             optimizer = search(
                 self.network, device, context=self.context,
-                **self._optimizer_kwargs,
+                workers=self.workers,
             )
             self._optimizers[device] = optimizer
         return optimizer
@@ -305,7 +300,6 @@ def partition_network(
     network: Union[Network, Graph],
     fleet: DeviceFleet,
     transfer_constraint_bytes: Optional[int] = None,
-    explore_tile_sizes: bool = False,
     context: Optional[CostModel] = None,
     workers: Optional[int] = None,
 ) -> PartitionPlan:
@@ -320,7 +314,6 @@ def partition_network(
         network,
         fleet,
         transfer_constraint_bytes=transfer_constraint_bytes,
-        explore_tile_sizes=explore_tile_sizes,
         context=context,
         workers=workers,
     )

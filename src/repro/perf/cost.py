@@ -27,11 +27,11 @@ This module replaces those ad-hoc caches with one first-class layer:
   results are deterministic regardless of evaluation order).
 * :class:`GroupKey` — the identity of one exact ``fusion[i][j]``
   search: the range's layer signatures, the device subset the search
-  reads, and the tile-size switch.  :class:`EvalContext` remembers what
-  each *completed* search chose under this key, in memory and in the
-  persistent store, so a signature-identical range — in the same
-  search, another search, or another process — is rebuilt instead of
-  searched.
+  reads, the tile-size switch and the algorithm set its menus are cut
+  to.  :class:`EvalContext` remembers what each *completed* search
+  chose under this key, in memory and in the persistent store, so a
+  signature-identical range — in the same search, another search, or
+  another process — is rebuilt instead of searched.
 * :class:`SearchTelemetry` — counters the context and the searches
   thread through it accumulate: cost-model evaluations, cache hits,
   branch-and-bound nodes visited/pruned, and per-group wall times.
@@ -116,6 +116,11 @@ class GroupKey:
             ``max_fusion_depth``.  Bandwidth-scaled variants of one
             device share ``implement()`` entries but not these.
         explore_tile_sizes: Whether the menus offer every Winograd m.
+        algorithms: The sorted algorithm set every member's menu is cut
+            to (a layer none of them serves keeps its full menu), or
+            None for the full menus.  A sorted tuple, not a set: the
+            store addresses keys by ``repr``, and a frozenset's order
+            depends on the process's hash seed.
 
     The node budget is deliberately absent: only searches that finish
     are remembered, and a finished search returns the first optimal leaf
@@ -125,6 +130,7 @@ class GroupKey:
     layers: Tuple[Hashable, ...]
     device: Hashable
     explore_tile_sizes: bool
+    algorithms: Optional[Tuple[Algorithm, ...]]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -261,9 +267,9 @@ class CostModel(Protocol):
     """Protocol of the evaluation layer every search consumer uses.
 
     Anything with this shape can stand in for :class:`EvalContext` —
-    e.g. a measurement-backed model, or an index-keyed context used to
-    quantify what signature sharing saves (see
-    ``benchmarks/test_optimizer_cache.py``).
+    e.g. a measurement-backed model, or a timing proxy that forwards to
+    one.  A model that keeps no group memo answers every
+    :meth:`recall_group` with None.
     """
 
     stats: SearchTelemetry
@@ -280,16 +286,32 @@ class CostModel(Protocol):
         """Evaluate (or recall) one layer engine design point."""
         ...  # pragma: no cover - protocol stub
 
+    def group_key(
+        self,
+        infos: Sequence[LayerInfo],
+        device: FPGADevice,
+        explore_tile_sizes: bool,
+        algorithms: Optional[Tuple[Algorithm, ...]],
+    ) -> GroupKey:
+        """The memo key of a ``fusion[i][j]`` search over ``infos``."""
+        ...  # pragma: no cover - protocol stub
+
+    def recall_group(self, key: GroupKey) -> Optional[GroupChoices]:
+        """Choices of a completed search under ``key``; None on a miss."""
+        ...  # pragma: no cover - protocol stub
+
+    def remember_group(self, key: GroupKey, choices: GroupChoices) -> None:
+        """Record what a completed search chose."""
+        ...  # pragma: no cover - protocol stub
+
 
 class EvalContext:
     """Memoizing :class:`CostModel` shared across searches and sweeps.
 
+    Results are keyed by :func:`layer_signature`, so shape-identical
+    layers share entries.
+
     Args:
-        share_identical_layers: When True (default) results are keyed by
-            :func:`layer_signature`, so shape-identical layers share
-            entries.  When False the layer index joins the key,
-            reproducing the legacy per-layer caching — kept for A/B
-            accounting in benchmarks.
         store: Optional persistent tier
             (:class:`repro.dse.store.CostStore` or a path to one): on a
             memory miss the store is consulted before ``implement()``
@@ -309,12 +331,11 @@ class EvalContext:
     the same :meth:`flush_store`.
     """
 
-    def __init__(self, *, share_identical_layers: bool = True, store=None):
+    def __init__(self, *, store=None):
         if store is not None and not hasattr(store, "put_many"):
             from repro.dse.store import CostStore
 
             store = CostStore(store)
-        self.share_identical_layers = share_identical_layers
         self.store = store
         self.stats = SearchTelemetry()
         self._cache: Dict[Hashable, Implementation] = {}
@@ -337,11 +358,8 @@ class EvalContext:
         winograd_m: int = WINOGRAD_M,
     ) -> Hashable:
         """The cache key one query resolves to (exposed for tests)."""
-        signature = layer_signature(info)
-        if not self.share_identical_layers:
-            signature = (info.index, signature)
         return (
-            signature,
+            layer_signature(info),
             algorithm,
             weight_mode,
             winograd_m,
@@ -407,11 +425,9 @@ class EvalContext:
         infos: Sequence[LayerInfo],
         device: FPGADevice,
         explore_tile_sizes: bool,
-    ) -> Optional[GroupKey]:
-        """The memo key of a search over ``infos``; None when the memo is
-        off (the index-keyed context shares nothing by signature)."""
-        if not self.share_identical_layers:
-            return None
+        algorithms: Optional[Tuple[Algorithm, ...]],
+    ) -> GroupKey:
+        """The memo key of a search over ``infos``."""
         return GroupKey(
             layers=tuple(layer_signature(info) for info in infos),
             device=(
@@ -420,6 +436,7 @@ class EvalContext:
                 device.max_fusion_depth,
             ),
             explore_tile_sizes=explore_tile_sizes,
+            algorithms=algorithms,
         )
 
     def recall_group(self, key: GroupKey) -> Optional[GroupChoices]:

@@ -28,6 +28,13 @@ def _activate(row: np.ndarray, relu: bool) -> np.ndarray:
     return np.maximum(row, 0) if relu else row
 
 
+def _release(rows: List[Optional[np.ndarray]], start: int, stop: int) -> None:
+    """Drop ``rows[start:stop]``: rows below the next window's start,
+    which no window reads again."""
+    for i in range(max(start, 0), min(stop, len(rows))):
+        rows[i] = None
+
+
 def conv_stream(
     rows: Iterator[np.ndarray],
     layer: ConvLayer,
@@ -116,7 +123,10 @@ def winograd_stream(
     tiles_h = -(-out_h // m)
 
     width: Optional[int] = None
-    strip_rows: List[np.ndarray] = []
+    channels: Optional[int] = None
+    # Indexed by padded row; rows no strip reads again are set to None,
+    # so only the current strip's ``alpha`` rows stay resident.
+    strip_rows: List[Optional[np.ndarray]] = []
     state = {"tiles": 0, "rows": 0, "done_feeding": False}
 
     def emit_ready() -> Iterator[np.ndarray]:
@@ -125,6 +135,7 @@ def winograd_stream(
             need = base + alpha
             if len(strip_rows) < need and not state["done_feeding"]:
                 return
+            _release(strip_rows, base - m, base)
             strip = np.stack(strip_rows[base : min(need, len(strip_rows))], axis=1)
             if strip.shape[1] < alpha:
                 strip = np.pad(strip, [(0, 0), (0, alpha - strip.shape[1]), (0, 0)])
@@ -146,17 +157,17 @@ def winograd_stream(
     for row in rows:
         row = np.asarray(row)
         if width is None:
-            width = row.shape[1]
+            channels, width = row.shape
             for _ in range(pad):
-                strip_rows.append(np.zeros((row.shape[0], width + 2 * pad)))
-        padded_row = np.zeros((row.shape[0], width + 2 * pad))
+                strip_rows.append(np.zeros((channels, width + 2 * pad)))
+        padded_row = np.zeros((channels, width + 2 * pad))
         padded_row[:, pad : pad + width] = row
         strip_rows.append(padded_row)
         yield from emit_ready()
     if width is None:
         raise SimulationError("winograd engine received no rows")
     for _ in range(pad):
-        strip_rows.append(np.zeros((strip_rows[0].shape[0], width + 2 * pad)))
+        strip_rows.append(np.zeros((channels, width + 2 * pad)))
     state["done_feeding"] = True
     yield from emit_ready()
     if state["rows"] != out_h:
@@ -175,7 +186,7 @@ def pool_stream(
 
     width: Optional[int] = None
     channels: Optional[int] = None
-    acc: List[np.ndarray] = []
+    acc: List[Optional[np.ndarray]] = []  # padded rows, dead ones None
     state = {"emitted": 0, "done_feeding": False}
 
     def fill_row() -> np.ndarray:
@@ -206,6 +217,7 @@ def pool_stream(
             need = base + k
             if len(acc) < need and not state["done_feeding"]:
                 return
+            _release(acc, base - s, base)
             window = list(acc[base : min(need, len(acc))])
             while len(window) < k:
                 window.append(fill_row())

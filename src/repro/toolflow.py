@@ -211,7 +211,6 @@ def compile_model(
     device: Union[str, FPGADevice] = "zc706",
     transfer_constraint_bytes: Optional[int] = None,
     output_dir: Optional[Path] = None,
-    explore_tile_sizes: bool = False,
     weights: Optional[dict] = None,
     workers: Optional[int] = None,
     context: Optional[CostModel] = None,
@@ -228,8 +227,6 @@ def compile_model(
         transfer_constraint_bytes: The paper's T; defaults to the
             unfused feature-map traffic (i.e. effectively unconstrained).
         output_dir: If given, the HLS project is written there.
-        explore_tile_sizes: Also search Winograd tile sizes m in
-            {2, 4, 6} per layer (extension; the paper fixes m = 4).
         weights: Optional trained parameters; when given the project
             includes quantized weight headers (Winograd kernels
             pre-transformed).
@@ -273,7 +270,6 @@ def compile_model(
         transfer_constraint_bytes = network.feature_map_bytes(target.element_bytes)
     strategy = (optimize_graph if is_graph else optimize)(
         network, target, transfer_constraint_bytes,
-        explore_tile_sizes=explore_tile_sizes,
         workers=workers, context=context,
     )
     if verify:
@@ -298,7 +294,6 @@ def partition_model(
     devices: Union[str, Sequence, DeviceFleet] = "zc706,zc706",
     link: Optional[Link] = None,
     transfer_constraint_bytes: Optional[int] = None,
-    explore_tile_sizes: bool = False,
     workers: Optional[int] = None,
     context: Optional[CostModel] = None,
     verify: bool = True,
@@ -326,7 +321,7 @@ def partition_model(
             board-to-board link).
         transfer_constraint_bytes: Optional per-stage DRAM feature-map
             budget (each board gets the paper's T separately).
-        explore_tile_sizes / workers / context / verify: As in
+        workers / context / verify: As in
             :func:`compile_model`
             (``verify`` runs :func:`repro.check.verify_plan` on the
             finished plan).
@@ -347,7 +342,6 @@ def partition_model(
         network,
         fleet,
         transfer_constraint_bytes=transfer_constraint_bytes,
-        explore_tile_sizes=explore_tile_sizes,
         context=context,
         workers=workers,
     )

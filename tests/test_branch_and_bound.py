@@ -22,6 +22,7 @@ from repro.optimizer.exhaustive import best_group_design
 from repro.perf.cost import EvalContext
 from repro.perf.implement import Algorithm
 from repro.toolflow import compile_model
+from tests.test_cost_model import IndexKeyedContext
 
 
 @pytest.fixture
@@ -121,10 +122,7 @@ class TestConstraints:
         conventional_only = GroupSearch(
             tiny,
             testchip,
-            algorithm_filter=lambda info, algo: not isinstance(
-                info.layer, ConvLayer
-            )
-            or algo == Algorithm.CONVENTIONAL,
+            algorithms=(Algorithm.CONVENTIONAL,),
         )
         design = conventional_only.fusion(0, len(tiny))
         for impl in design.implementations:
@@ -135,7 +133,7 @@ class TestConstraints:
         pinned = GroupSearch(
             tiny,
             testchip,
-            algorithm_filter=lambda info, algo: algo != Algorithm.WINOGRAD,
+            algorithms=(Algorithm.CONVENTIONAL,),
         ).fusion(0, len(tiny))
         assert free.latency_cycles <= pinned.latency_cycles
 
@@ -383,6 +381,23 @@ class TestGroupMemo:
             expected = private if order is runs else private[::-1]
             assert results == expected
 
+    def test_repeated_baseline_recalls_every_search(self, tiny, testchip):
+        from repro.baselines.homogeneous import homogeneous_optimize
+        from repro.optimizer.serialize import strategy_to_dict
+
+        budget = tiny.feature_map_bytes()
+        shared = EvalContext()
+        first = homogeneous_optimize(
+            tiny, testchip, budget, Algorithm.CONVENTIONAL, context=shared
+        )
+        searched = shared.stats.groups_searched
+        assert searched > 0
+        again = homogeneous_optimize(
+            tiny, testchip, budget, Algorithm.CONVENTIONAL, context=shared
+        )
+        assert shared.stats.groups_searched == searched
+        assert strategy_to_dict(again) == strategy_to_dict(first)
+
     def test_bandwidth_variant_searches_afresh(self, tiny, testchip):
         from repro.hardware.dse import scale_bandwidth
         from repro.optimizer.dp import optimize
@@ -404,7 +419,7 @@ class TestGroupMemo:
         assert strategy_to_dict(variant) == strategy_to_dict(expected)
 
     def test_index_keyed_context_has_no_memo(self, tiny, testchip):
-        context = EvalContext(share_identical_layers=False)
+        context = IndexKeyedContext()
         GroupSearch(tiny, testchip, context=context).precompute()
         searched = context.stats.groups_searched
         GroupSearch(tiny, testchip, context=context).precompute()

@@ -6,7 +6,7 @@ Covers the three properties the refactor must preserve:
    cache key, strided/shape-distinct layers do not, and cached results
    are re-labelled for the querying layer.
 2. *Strategy preservation* — sharing a context (across calls, across
-   constraint sweeps, with ``share_identical_layers`` off, or with a
+   constraint sweeps, against an index-keyed context, or with a
    thread pool) never changes the chosen strategy; the optimizer still
    matches the exhaustive oracle choice for choice.
 3. *Telemetry* — the context reports what the search actually did.
@@ -48,6 +48,17 @@ def repeated_net():
         PoolLayer(name="p1", kernel=2, stride=2),
     ]
     return Network("repeated", InputSpec(8, 16, 16), layers)
+
+
+class IndexKeyedContext(EvalContext):
+    """The legacy per-layer cache, kept as a reference: the layer index
+    joins every ``implement()`` key, and no group search is recalled."""
+
+    def key_for(self, info, *args, **kwargs):
+        return (info.index, super().key_for(info, *args, **kwargs))
+
+    def recall_group(self, key):
+        return None
 
 
 def choice_triples(strategy):
@@ -104,15 +115,6 @@ class TestEvalContext:
         assert ctx.stats.evaluations == 2
         assert ctx.stats.cache_hits == 0
 
-    def test_index_keyed_mode_disables_sharing(self, repeated_net, testchip):
-        ctx = EvalContext(share_identical_layers=False)
-        ctx.implement(repeated_net[1], Algorithm.CONVENTIONAL, 4, testchip)
-        ctx.implement(repeated_net[2], Algorithm.CONVENTIONAL, 4, testchip)
-        assert ctx.stats.evaluations == 2
-        # ... but repeat queries on the same layer still hit.
-        ctx.implement(repeated_net[1], Algorithm.CONVENTIONAL, 4, testchip)
-        assert ctx.stats.cache_hits == 1
-
     def test_flags_are_keyword_only(self):
         with pytest.raises(TypeError):
             EvalContext(object())
@@ -147,7 +149,7 @@ class TestStrategyPreservation:
             repeated_net,
             testchip,
             budget,
-            context=EvalContext(share_identical_layers=False),
+            context=IndexKeyedContext(),
         )
         assert choice_triples(fresh) == choice_triples(shared)
         assert choice_triples(fresh) == choice_triples(legacy)

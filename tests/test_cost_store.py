@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -39,6 +40,7 @@ from repro.optimizer.branch_and_bound import GroupSearch
 from repro.optimizer.dp import optimize, optimize_many
 from repro.optimizer.serialize import strategy_to_dict
 from repro.perf.cost import EvalContext
+from repro.perf.implement import Algorithm
 from tests.test_search_golden import TRUNCATING_BUDGET
 
 
@@ -54,32 +56,52 @@ class TestAddressing:
     def test_key_text_is_deterministic_across_processes(
         self, tiny_net, testchip
     ):
-        """repr() of a cache key must not embed memory addresses."""
+        """repr() of a cache key must not embed memory addresses, and a
+        group key's algorithm set must not depend on the hash seed."""
         key, _ = _first_key_and_impl(tiny_net, testchip)
         text = stable_key_text(key)
         assert "0x" not in text
+        # Conventional-only in effect: convs get CONVENTIONAL, pools keep
+        # POOL; three members, so a set's repr order would vary by seed.
         script = (
             "from repro.nn import models\n"
             "from repro.hardware.device import get_device\n"
+            "from repro.optimizer.branch_and_bound import GroupSearch\n"
             "from repro.optimizer.dp import optimize\n"
             "from repro.perf.cost import EvalContext\n"
+            "from repro.perf.implement import Algorithm\n"
             "from repro.dse.store import key_digest\n"
             "net = models.tiny_cnn()\n"
             "ctx = EvalContext()\n"
             "optimize(net, get_device('testchip'), "
             "net.feature_map_bytes(), context=ctx)\n"
             "print('\\n'.join(sorted(key_digest(k) for k in ctx._cache)))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, check=True,
+            "ctx = EvalContext()\n"
+            "GroupSearch(net, get_device('testchip'), algorithms=("
+            "Algorithm.POOL, Algorithm.LRN, Algorithm.CONVENTIONAL), "
+            "context=ctx).precompute()\n"
+            "print('\\n'.join(sorted(key_digest(k) for k in ctx._groups)))\n"
         )
         context = EvalContext()
         optimize(
             tiny_net, testchip, tiny_net.feature_map_bytes(), context=context
         )
         ours = sorted(key_digest(k) for k in context._cache)
-        assert result.stdout.split() == ours
+        pinned = EvalContext()
+        GroupSearch(
+            tiny_net, testchip,
+            algorithms=(Algorithm.CONVENTIONAL, Algorithm.LRN, Algorithm.POOL),
+            context=pinned,
+        ).precompute()
+        assert pinned._groups
+        ours += sorted(key_digest(k) for k in pinned._groups)
+        for seed in ("1", "4"):
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert result.stdout.split() == ours, seed
 
     def test_digest_is_salted_with_key_version(
         self, tiny_net, testchip, monkeypatch

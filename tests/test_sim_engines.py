@@ -141,6 +141,39 @@ class TestPoolStream:
         np.testing.assert_allclose(out, max_pool2d(data, k, s), atol=1e-10)
 
 
+class TestBoundedBuffers:
+    """Engines keep only the rows a later window reads, like the
+    hardware's line buffers, not the whole input map."""
+
+    @pytest.mark.parametrize("engine", ["winograd", "pool"])
+    def test_peak_memory_is_a_window_not_the_map(self, engine):
+        import tracemalloc
+
+        channels, height, width = 8, 1024, 32
+        rng = np.random.default_rng(3)
+        if engine == "winograd":
+            layer = ConvLayer(name="c", out_channels=8, kernel=3, pad=1)
+            params = {"weight": rng.normal(size=(8, channels, 3, 3))}
+            make = lambda rows: winograd_stream(rows, layer, params, height)
+        else:
+            layer = PoolLayer(name="p", kernel=3, stride=2, pad=1)
+            make = lambda rows: pool_stream(rows, layer, height)
+        map_bytes = channels * height * width * 8
+
+        def fresh_rows():
+            for _ in range(height):
+                yield rng.normal(size=(channels, width))
+
+        tracemalloc.start()
+        try:
+            emitted = sum(1 for _ in make(fresh_rows()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emitted > 0
+        assert peak < map_bytes / 4
+
+
 class TestLRNStream:
     def test_matches_reference(self, rng):
         layer = LRNLayer(name="n", local_size=5, alpha=1e-3, beta=0.75)

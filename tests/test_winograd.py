@@ -121,6 +121,7 @@ class TestWinogradConv:
             (3, 2, 11, 11, 5, 2, 4),
             (2, 3, 10, 10, 3, 1, 2),
             (4, 4, 6, 6, 3, 2, 4),  # pad > standard
+            (3, 70, 9, 9, 3, 1, 4),  # output channels span three blocks
         ],
     )
     def test_matches_direct(self, channels, out_channels, h, w, r, pad, m):
