@@ -143,10 +143,6 @@ class MultiTenantScheduler(FleetScheduler):
     takes.  One tenant with default knobs is the parent scheduler.
     """
 
-    # Shared-board attempt spans include warm-swap cycles, so the
-    # latency-inflation trigger stays off (as for pipelines).
-    latency_trigger = False
-
     def __init__(
         self,
         tenants: Sequence[Tenant],

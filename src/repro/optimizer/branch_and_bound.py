@@ -189,6 +189,9 @@ class _LayerMenu:
     #: smallest DSP multiplication count across algorithms (0 for engines
     #: that do not occupy DSPs, e.g. pooling)
     min_dsp_work: int
+    #: whether the search's algorithm set dropped some of this layer's
+    #: candidate algorithms
+    pinned: bool
 
 
 class GroupSearch:
@@ -265,7 +268,7 @@ class GroupSearch:
         min_weight = None
         min_dsp_work = None
         min_res: Optional[ResourceVector] = None
-        algorithms = candidate_algorithms(info)
+        candidates = algorithms = candidate_algorithms(info)
         if self.algorithms is not None:
             pinned = [a for a in algorithms if a in self.algorithms]
             algorithms = pinned or algorithms
@@ -317,6 +320,7 @@ class GroupSearch:
             min_resources=min_res,
             min_weight_dram=min_weight,
             min_dsp_work=min_dsp_work,
+            pinned=len(algorithms) < len(candidates),
         )
 
     def _row(self, index: int, option: int, k: int) -> _Row:
@@ -418,12 +422,10 @@ class GroupSearch:
         )
         elapsed = time.perf_counter() - began
         self.nodes_visited += nodes
-        record = getattr(self.context, "record_search", None)
-        if record is not None:
-            record(
-                self.network.name, self.device.name, start, stop,
-                elapsed, nodes, pruned,
-            )
+        self.context.record_search(
+            self.network.name, self.device.name, start, stop,
+            elapsed, nodes, pruned,
+        )
         if not truncated:
             self.context.remember_group(
                 group_key, () if best is None else tuple(row[7] for row in best)
@@ -432,12 +434,18 @@ class GroupSearch:
         return design
 
     def _group_key(self, start: int, stop: int) -> GroupKey:
-        """The context's memo key for ``[start, stop)``."""
+        """The context's memo key for ``[start, stop)``.
+
+        The algorithm set joins the key only when it cuts some layer's
+        menu in the range: otherwise the search is the unpinned one, and
+        shares its memo entry.
+        """
+        menus = self._menus[start:stop]
         return self.context.group_key(
-            [menu.info for menu in self._menus[start:stop]],
+            [menu.info for menu in menus],
             self.device,
             self.explore_tile_sizes,
-            self.algorithms,
+            self.algorithms if any(m.pinned for m in menus) else None,
         )
 
     def _recall(self, start: int, stop: int, group_key: GroupKey):

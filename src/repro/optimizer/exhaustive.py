@@ -15,14 +15,14 @@
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OptimizationError
 from repro.arch.fusion import enumerate_groupings, group_min_transfer_bytes
 from repro.hardware.device import FPGADevice
 from repro.nn.network import Network
 from repro.perf.cost import CostModel, EvalContext
-from repro.perf.group import compose_group
+from repro.perf.group import GroupDesign, compose_group
 from repro.perf.implement import (
     Algorithm,
     WINOGRAD_M,
@@ -107,6 +107,10 @@ def exhaustive_optimize(
     if n == 0:
         raise OptimizationError("cannot optimize an empty network")
     cost = context if context is not None else EvalContext()
+    # Each range's brute-force design, found once per call: a range
+    # recurs in many groupings.  Local to the call, so the oracle shares
+    # nothing with the search it certifies.
+    group_designs: Dict[Tuple[int, int], Optional[GroupDesign]] = {}
     best_latency = None
     best: Optional[Tuple[List[Tuple[int, int]], list]] = None
     for grouping in enumerate_groupings(n, device.max_fusion_depth):
@@ -115,7 +119,11 @@ def exhaustive_optimize(
         transfer = 0
         latency = 0
         for start, stop in grouping:
-            design = best_group_design(network, start, stop, device, context=cost)
+            if (start, stop) not in group_designs:
+                group_designs[start, stop] = best_group_design(
+                    network, start, stop, device, context=cost
+                )
+            design = group_designs[start, stop]
             if design is None:
                 feasible = False
                 break

@@ -304,6 +304,19 @@ class CostModel(Protocol):
         """Record what a completed search chose."""
         ...  # pragma: no cover - protocol stub
 
+    def record_search(
+        self,
+        network_name: str,
+        device_name: str,
+        start: int,
+        stop: int,
+        seconds: float,
+        nodes_visited: int,
+        nodes_pruned: int,
+    ) -> None:
+        """Account one ``fusion[i][j]`` search (wall time, node counts)."""
+        ...  # pragma: no cover - protocol stub
+
 
 class EvalContext:
     """Memoizing :class:`CostModel` shared across searches and sweeps.

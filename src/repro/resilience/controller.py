@@ -26,12 +26,12 @@ settings of the re-planner), and it travels as a checksummed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.resilience.health import HealthMonitor, ReplicaState
+from repro.resilience.health import HealthMonitor
 
 #: Artifact kind of an exported recovery log.
 RECOVERY_LOG_KIND = "recovery_log"
@@ -233,9 +233,11 @@ class RecoveryController:
         base_max_batch: int,
         base_max_queue: Optional[int],
         fallback_available: bool = False,
-        latency_trigger: bool = True,
         baseline_fn: Optional[Callable[[int], float]] = None,
     ):
+        """``baseline_fn(B)`` is a batch's analytic service time; given,
+        it arms the latency trigger (successes slower than
+        ``policy.latency_degrade_factor`` times it degrade a replica)."""
         self.policy = policy
         self.monitor = HealthMonitor(
             num_replicas=num_replicas,
@@ -243,7 +245,9 @@ class RecoveryController:
             degrade_after_failures=policy.degrade_after_failures,
             recover_after_successes=policy.recover_after_successes,
             latency_degrade_factor=(
-                policy.latency_degrade_factor if latency_trigger else None
+                policy.latency_degrade_factor
+                if baseline_fn is not None
+                else None
             ),
         )
         self.ladder = build_ladder(

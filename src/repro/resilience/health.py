@@ -74,8 +74,9 @@ class HealthMonitor:
             back ``degraded -> up`` (the hysteresis gap).
         latency_degrade_factor: Latency-inflation EWMA threshold that
             also counts as degradation (brownout detection); ``None``
-            disables the latency trigger (pipelined/shared fleets,
-            where attempt spans legitimately include queueing).
+            disables the latency trigger (fleets of several tenants or
+            stages, where attempt spans legitimately include warm swaps
+            or downstream queueing).
     """
 
     num_replicas: int

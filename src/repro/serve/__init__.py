@@ -17,6 +17,10 @@ Typical use::
 
 Or from the command line: ``repro serve-sim vgg19_prefix7 --replicas 4``.
 
+Flat, multi-tenant and pipelined fleets run one executor,
+:class:`Replica`: a single board is the one-stage, link-free
+:class:`PipelineServiceModel`.
+
 Resilience: pass ``faults=`` (a :class:`repro.faults.FaultSpec` or its
 CLI string form) plus ``fault_seed`` / ``retry`` / ``max_queue`` /
 ``slo_cycles`` to either scheduler for deterministic chaos runs — see
@@ -30,17 +34,12 @@ from repro.serve.metrics import (
     aggregate_metrics,
     percentile,
 )
-from repro.serve.pipeline import (
-    PipelineFleetScheduler,
-    PipelineReplica,
-    PipelineServiceModel,
-    build_pipeline_model,
-)
+from repro.serve.pipeline import PipelineFleetScheduler, build_pipeline_model
 from repro.serve.runtime import (
-    AcceleratorReplica,
     BatchAttempt,
+    PipelineServiceModel,
+    Replica,
     ReplicaStats,
-    build_fleet,
 )
 from repro.serve.scheduler import (
     FleetScheduler,
@@ -50,22 +49,20 @@ from repro.serve.scheduler import (
 )
 
 __all__ = [
-    "AcceleratorReplica",
     "BatchAttempt",
     "DynamicBatcher",
     "FleetScheduler",
     "InferenceRequest",
     "PipelineFleetScheduler",
-    "PipelineReplica",
     "PipelineServiceModel",
     "Policy",
+    "Replica",
     "ReplicaStats",
     "RequestRecord",
     "ServingError",
     "ServingMetrics",
     "ServingResult",
     "aggregate_metrics",
-    "build_fleet",
     "build_pipeline_model",
     "percentile",
     "synthetic_arrivals",

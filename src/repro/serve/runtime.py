@@ -1,26 +1,30 @@
-"""Accelerator replica: executes request batches on the timing model.
+"""Replica: executes request batches on the timing model.
 
-One :class:`AcceleratorReplica` stands for one FPGA board (or one
-partition of a board) programmed with the compiled strategy.  It
-executes batches through the same streaming-engine timing the
+One :class:`Replica` stands for one member of a fleet: a single FPGA
+board programmed with the compiled strategy, or a chain of boards
+running a partition plan's stages joined by links.  A single board is
+that chain with one stage and no links (:meth:`PipelineServiceModel.of`),
+so one executor serves flat, multi-tenant and pipelined fleets alike.
+It executes batches through the same streaming-engine timing the
 single-image simulator replays — service time comes from
 :class:`repro.sim.simulator.ServiceModel`, i.e. the row-level pipeline
 recurrence with the per-group resident-weight preload paid once per
 batch — but tracks only *time*, not feature maps, so a replica can
 serve thousands of requests in microseconds of host time.
 
-Replicas live entirely on the scheduler's virtual clock: ``execute``
-takes the dispatch cycle and returns the span the batch occupied.
+Replicas live entirely on the scheduler's virtual clock:
+``execute_attempt`` takes the dispatch cycle and returns the span the
+batch occupied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from math import inf
+from typing import Callable, List, Optional, Sequence
 
-from repro.optimizer.strategy import Strategy
 from repro.serve.batcher import InferenceRequest, ServingError
-from repro.sim.simulator import ServiceModel, build_service_model
+from repro.sim.simulator import ServiceModel
 
 
 @dataclass(frozen=True)
@@ -54,69 +58,125 @@ class BatchAttempt:
     failure: Optional[str] = None  # "crash" | "transient"
 
 
-class AcceleratorReplica:
-    """One accelerator board executing batches back to back.
+class _ScaledStage:
+    """One stage's batched service times on another board's clock."""
 
-    A board shared by several tenants (several compiled models, see
-    :class:`~repro.serve.scheduler.Tenant`) keeps one tenant's weights
-    resident: a batch of another tenant first pays that tenant's
-    ``swap_cycles`` to reload them (scaled by any active brownout, like
-    the rest of the service), while the first load of an idle board is
-    free.  Counters are kept per tenant.  With one tenant the swap term
-    is identically zero.
+    def __init__(self, model: ServiceModel, scale: float):
+        self.model = model
+        self.scale = scale
+
+    def batch_cycles(self, batch_size: int) -> float:
+        return self.model.batch_cycles(batch_size) * self.scale
+
+
+class PipelineServiceModel:
+    """Batch-aware timing of a chain of stages joined by links.
+
+    ``stages`` are per-stage batched timings in the fleet's reference
+    cycles (a :class:`~repro.sim.simulator.ServiceModel` on the
+    reference clock, a :class:`_ScaledStage` on any other), and
+    ``transfer_cycles[i](B)`` is link ``i``'s transfer time from stage
+    ``i`` to stage ``i + 1``.  ``batch_cycles(B)`` is one batch's full
+    traversal (the latency term), while :meth:`bottleneck_cycles` is the
+    slowest stage or link (the throughput term a pipeline sustains).
+    One board is the one-stage, link-free case (:meth:`of`).
     """
 
-    def __init__(self, replica_id: int, service_model: ServiceModel):
+    def __init__(
+        self,
+        stages: Sequence,
+        transfer_cycles: Sequence[Callable[[int], float]],
+    ):
+        if not stages:
+            raise ServingError("a pipeline needs at least one stage")
+        if len(transfer_cycles) != len(stages) - 1:
+            raise ServingError(
+                f"{len(stages)} stages need {len(stages) - 1} transfers, "
+                f"got {len(transfer_cycles)}"
+            )
+        self.stages = list(stages)
+        self.transfer_cycles = list(transfer_cycles)
+
+    @classmethod
+    def of(cls, model) -> "PipelineServiceModel":
+        """``model`` as a pipeline: a plain service model becomes one
+        link-free stage on the reference clock, so its batch times keep
+        their bits."""
+        return model if isinstance(model, cls) else cls([model], [])
+
+    def batch_cycles(self, batch_size: int) -> float:
+        """Reference cycles for one batch to traverse every stage."""
+        total = 0.0
+        for index, stage in enumerate(self.stages):
+            total += stage.batch_cycles(batch_size)
+            if index < len(self.transfer_cycles):
+                total += self.transfer_cycles[index](batch_size)
+        return total
+
+    @property
+    def single_image_cycles(self) -> float:
+        """Pipeline latency of a lone image — the request-latency floor."""
+        return self.batch_cycles(1)
+
+    def bottleneck_cycles(self, batch_size: int) -> float:
+        """Slowest stage or link for one batch — the initiation interval."""
+        spans = [stage.batch_cycles(batch_size) for stage in self.stages]
+        spans.extend(fn(batch_size) for fn in self.transfer_cycles)
+        return max(spans)
+
+
+class Replica:
+    """One fleet member: a chain of boards executing batches in order.
+
+    A flat fleet's replica is one board, a pipelined fleet's is a chain
+    of stages joined by links; each tenant (see
+    :class:`~repro.serve.scheduler.Tenant`) runs on its own
+    :class:`PipelineServiceModel` of that shape.  ``busy_until`` is the
+    head stage's availability — downstream stages and links drain
+    concurrently with newly admitted batches, each busy until its
+    previous batch clears it.
+
+    A replica keeps one tenant's weights resident: a batch of another
+    tenant first pays that tenant's ``swap_prices`` entry on the head
+    stage (scaled by any active brownout, like the rest of the
+    service), while the first load of an idle replica is free.
+    Counters are kept per tenant and per stage.
+    """
+
+    def __init__(
+        self,
+        replica_id: int,
+        models: Sequence[PipelineServiceModel],
+        swap_prices: Optional[Sequence[float]] = None,
+        ready_cycle: float = 0.0,
+        stats_base: Optional[int] = None,
+    ):
+        """``models`` holds one pipeline per tenant (all of one shape).
+        ``ready_cycle`` delays the first admission — a replica rebuilt
+        mid-run (online re-partitioning) starts busy until its re-plan
+        and weight handover complete.  ``stats_base`` overrides the
+        default per-stage stats-row ids, so a rebuilt replica with a
+        different stage count cannot collide with the original fleet's
+        rows."""
         self.replica_id = replica_id
-        self.models = [service_model]  # per tenant
-        self.swap_prices = [0.0]  # per tenant
-        self.busy_until = 0.0
+        self.models = list(models)
+        self.swap_prices = (
+            list(swap_prices) if swap_prices is not None
+            else [0.0] * len(self.models)
+        )
+        self.stats_base = stats_base
+        self.num_stages = stages = len(self.models[0].stages)
+        self.busy_until = ready_cycle  # head stage
+        self._stage_busy_until = [ready_cycle] * (stages - 1)  # stages 1..
+        self._link_busy_until = [ready_cycle] * (stages - 1)
         self.loaded: Optional[int] = None  # tenant whose weights are resident
         self.swaps = 0
         self.swap_cycles = 0.0
-        self._clear_counters()
-
-    def _clear_counters(self) -> None:
-        n = len(self.models)
-        self._busy = [0.0] * n
-        self._batches = [0] * n
-        self._requests = [0] * n
-        self._failed_batches = [0] * n
-        self._wasted = [0.0] * n
-
-    @classmethod
-    def shared(cls, replica_id: int, tenants: Sequence) -> "AcceleratorReplica":
-        """A board serving ``tenants`` (in scheduler order): tenant ``t``'s
-        batches run on ``tenants[t].service_model`` and pay its
-        ``swap_cycles`` after another tenant's batch."""
-        replica = cls(replica_id, tenants[0].service_model)
-        replica.models = [t.service_model for t in tenants]
-        replica.swap_prices = [t.swap_cycles for t in tenants]
-        replica._clear_counters()
-        return replica
-
-    @classmethod
-    def for_strategy(cls, replica_id: int, strategy: Strategy) -> "AcceleratorReplica":
-        """Build a replica programmed with ``strategy``."""
-        return cls(replica_id, build_service_model(strategy))
-
-    def batch_cycles(self, batch_size: int) -> float:
-        """Service time of one batch of the first tenant on this replica."""
-        return self.models[0].batch_cycles(batch_size)
-
-    def execute(
-        self, batch: Sequence[InferenceRequest], dispatch_cycle: float
-    ) -> Tuple[float, float]:
-        """Run a batch, starting no earlier than ``dispatch_cycle``.
-
-        The replica serves batches strictly in dispatch order: if it is
-        still busy, the batch waits for the previous one to drain.
-
-        Returns:
-            ``(start_cycle, completion_cycle)`` of the batch.
-        """
-        attempt = self.execute_attempt(batch, dispatch_cycle)
-        return attempt.start_cycle, attempt.end_cycle
+        self._busy = [[0.0] * stages for _ in self.models]
+        self._wasted = [[0.0] * stages for _ in self.models]
+        self._batches = [0] * len(self.models)
+        self._requests = [0] * len(self.models)
+        self._failed_batches = [0] * len(self.models)
 
     def execute_attempt(
         self,
@@ -125,18 +185,25 @@ class AcceleratorReplica:
         injector=None,
         tenant: int = 0,
     ) -> BatchAttempt:
-        """Run tenant ``tenant``'s batch under an optional fault injector.
+        """Push tenant ``tenant``'s batch through every stage under an
+        optional fault injector.
 
-        With no injector the batch always succeeds.  With one, the
-        start skips the replica's down windows, the service time absorbs
-        any active brownout scale, and the attempt can fail: a crash
-        window opening mid-batch aborts it at the crash cycle, and a
-        transient fault wastes the full service time.  Failed work is
-        tracked in the wasted-cycle / failed-batch counters, never in
-        the success counters.
+        With no injector the batch always succeeds.  With one, the head
+        start skips the replica's down windows, each stage's service
+        absorbs the brownout scale active at its start, and each link
+        transfer is stretched by the link's degradation scale and stalled
+        through partition windows.  A crash window opening inside the
+        traversal aborts the batch: stages and links are committed only
+        up to the crash cycle.  A batch that traverses cleanly can still
+        fail a transient draw, wasting its full service.  Work is booked
+        as each stage's exact service time (a crashed stage books the
+        span it ran), successful work in the busy counters and failed
+        work in the wasted ones.
         """
         if not batch:
             raise ServingError("cannot execute an empty batch")
+        size = len(batch)
+        model = self.models[tenant]
         swap = 0.0
         if self.loaded is not None and self.loaded != tenant:
             swap = self.swap_prices[tenant]
@@ -146,27 +213,72 @@ class AcceleratorReplica:
         if injector is not None:
             start = injector.available_from(self.replica_id, start)
             scale = injector.service_scale(self.replica_id, start)
-        service = (swap + self.models[tenant].batch_cycles(len(batch))) * scale
-        end = start + service
+        service = (swap + model.stages[0].batch_cycles(size)) * scale
+        head_end = end = start + service
         if swap > 0:
             self.swaps += 1
             self.swap_cycles += swap * scale
+        # Plan the downstream traversal first, commit after the crash
+        # check — an aborted batch must not advance stages past it.
+        tail = None
+        if self.num_stages > 1:
+            tail, end = self._plan_tail(model, size, end, injector)
         if injector is not None:
             crash = injector.crash_in(self.replica_id, start, end)
             if crash is not None:
-                self.busy_until = crash
-                self._wasted[tenant] += crash - start
+                self.busy_until = min(head_end, crash)
+                wasted = self._wasted[tenant]
+                wasted[0] += service if head_end <= crash else crash - start
+                if tail is not None:
+                    self._commit_tail(tail, wasted, crash)
                 self._failed_batches[tenant] += 1
                 return BatchAttempt(start, crash, ok=False, failure="crash")
-        self.busy_until = end
-        if injector is not None and injector.transient_failure(self.replica_id):
-            self._wasted[tenant] += service
+        self.busy_until = head_end
+        failed = injector is not None and injector.transient_failure(
+            self.replica_id
+        )
+        book = self._wasted[tenant] if failed else self._busy[tenant]
+        book[0] += service
+        if tail is not None:
+            self._commit_tail(tail, book)
+        if failed:
             self._failed_batches[tenant] += 1
             return BatchAttempt(start, end, ok=False, failure="transient")
-        self._busy[tenant] += service
         self._batches[tenant] += 1
-        self._requests[tenant] += len(batch)
+        self._requests[tenant] += size
         return BatchAttempt(start, end, ok=True)
+
+    def _plan_tail(self, model, size, clock, injector):
+        """Link ``i`` then stage ``i + 1``, for every link: their
+        ``(begin, end)`` and ``(start, end, service)`` spans, and the
+        traversal's end."""
+        tail = []
+        for index, transfer_cycles in enumerate(model.transfer_cycles):
+            transfer = transfer_cycles(size)
+            begin = max(clock, self._link_busy_until[index])
+            if injector is not None:
+                transfer *= injector.link_scale(index, clock)
+                begin = injector.link_available_from(index, begin)
+            clock = begin + transfer
+            start = max(clock, self._stage_busy_until[index])
+            service = model.stages[index + 1].batch_cycles(size)
+            if injector is not None:
+                service *= injector.service_scale(self.replica_id, start)
+            tail.append(((begin, clock), (start, start + service, service)))
+            clock = start + service
+        return tail, clock
+
+    def _commit_tail(self, tail, book, crash: float = inf) -> None:
+        """Advance links and downstream stages, up to ``crash`` at most,
+        booking each stage's service (or, cut by the crash, its span)."""
+        for index, ((begin, arrive), (start, stop, service)) in enumerate(tail):
+            if begin >= crash:
+                return
+            self._link_busy_until[index] = min(arrive, crash)
+            if start >= crash:
+                return
+            self._stage_busy_until[index] = min(stop, crash)
+            book[index + 1] += service if stop <= crash else crash - start
 
     def health(self, cycle: float, injector=None) -> str:
         """``up`` / ``draining`` / ``down`` at virtual time ``cycle``."""
@@ -174,20 +286,34 @@ class AcceleratorReplica:
             return "up"
         return injector.health(self.replica_id, cycle, self.busy_until)
 
-    def stats(self, tenant: int = 0) -> ReplicaStats:
-        """This replica's counters restricted to one tenant's work."""
-        return ReplicaStats(
-            replica_id=self.replica_id,
-            batches=self._batches[tenant],
-            requests=self._requests[tenant],
-            busy_cycles=self._busy[tenant],
-            failed_batches=self._failed_batches[tenant],
-            wasted_cycles=self._wasted[tenant],
+    def stats(self, tenant: int = 0) -> List[ReplicaStats]:
+        """One row of tenant ``tenant``'s work per stage.
+
+        Rows are numbered from ``stats_base`` (default: ``replica_id``
+        times the stage count).  Failed-batch counts live on the head
+        stage's row — a batch fails as a unit — while each stage keeps
+        its own wasted cycles.
+        """
+        base = (
+            self.stats_base
+            if self.stats_base is not None
+            else self.replica_id * self.num_stages
         )
+        return [
+            ReplicaStats(
+                replica_id=base + index,
+                batches=self._batches[tenant],
+                requests=self._requests[tenant],
+                busy_cycles=self._busy[tenant][index],
+                failed_batches=self._failed_batches[tenant] if index == 0 else 0,
+                wasted_cycles=self._wasted[tenant][index],
+            )
+            for index in range(self.num_stages)
+        ]
 
     def __repr__(self) -> str:
         return (
-            f"AcceleratorReplica(id={self.replica_id}, "
+            f"Replica(id={self.replica_id}, stages={self.num_stages}, "
             f"busy_until={self.busy_until:.0f}, "
             f"requests={sum(self._requests)}, swaps={self.swaps})"
         )
@@ -208,12 +334,3 @@ def weight_load_cycles(strategy, frequency_hz: Optional[float] = None) -> float:
         / device.bandwidth_bytes_per_s
         * frequency_hz
     )
-
-
-def build_fleet(
-    service_model: ServiceModel, replicas: int
-) -> List[AcceleratorReplica]:
-    """Instantiate ``replicas`` identical accelerator instances."""
-    if replicas < 1:
-        raise ServingError(f"a fleet needs >= 1 replica, got {replicas}")
-    return [AcceleratorReplica(i, service_model) for i in range(replicas)]

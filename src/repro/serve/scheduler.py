@@ -61,13 +61,15 @@ from repro.resilience.controller import RecoveryController, ResiliencePolicy
 from repro.serve.batcher import DynamicBatcher, InferenceRequest, ServingError
 from repro.serve.metrics import RequestRecord, ServingMetrics, aggregate_metrics
 from repro.serve.runtime import (
-    AcceleratorReplica,
+    PipelineServiceModel,
+    Replica,
     ReplicaStats,
     weight_load_cycles,
 )
 from repro.sim.simulator import ServiceModel, build_service_model
 
 _busy_until = attrgetter("busy_until")
+_replica_id = attrgetter("replica_id")
 
 
 class Policy(str, Enum):
@@ -254,11 +256,6 @@ class FleetScheduler:
     share the replicas.
     """
 
-    #: Whether an attempt's span is pure service time, so the control
-    #: plane may read latency inflation as degradation (brownouts).
-    #: Pipelines (downstream queueing) and shared boards (warm swaps)
-    #: turn it off.
-    latency_trigger = True
     #: Lower-resource model served by the ladder's warm-swap rung.
     fallback_model: Optional[ServiceModel] = None
 
@@ -359,10 +356,23 @@ class FleetScheduler:
         self.max_queue = max_queue
         self.resilience = resilience
         self._active_control: Optional[RecoveryController] = None
-        # The batchers validate max_batch / max_wait_cycles; building the
-        # injector validates the fault spec against the fleet shape.
+        # Every tenant runs on a pipeline of one shape; a plain service
+        # model is the one-stage, link-free pipeline.
+        self._pipelines = [
+            PipelineServiceModel.of(t.service_model) for t in self.tenants
+        ]
+        shape = self._pipelines[0]
+        self._stages = len(shape.stages)
+        self._links = len(shape.transfer_cycles)
+        if any(len(p.stages) != self._stages for p in self._pipelines):
+            raise ServingError("tenants of one fleet must share a stage count")
+        # The batchers validate max_batch / max_wait_cycles; the fault
+        # spec is validated against the fleet shape.
         self._new_batchers()
-        self._build_injector()
+        if self.faults is not None:
+            self.faults.validate(
+                replicas, links=self._links, stages=self._stages
+            )
 
     @classmethod
     def for_strategy(
@@ -435,8 +445,12 @@ class FleetScheduler:
     # -- capacity helpers ----------------------------------------------------
 
     def per_request_capacity_cycles(self) -> float:
-        """Cycles one request costs a replica when batches run full."""
-        return self.service_model.batch_cycles(self.max_batch) / self.max_batch
+        """Cycles one request costs a replica when batches run full: its
+        slowest stage or link per request (the initiation interval)."""
+        return (
+            self._pipelines[0].bottleneck_cycles(self.max_batch)
+            / self.max_batch
+        )
 
     def saturating_interarrival(self, load: float = 1.0) -> float:
         """Mean interarrival that offers ``load`` x one replica's peak rate."""
@@ -462,42 +476,24 @@ class FleetScheduler:
             for tenant in self.tenants
         ]
 
-    def _build_replicas(self) -> List[AcceleratorReplica]:
-        """The executors one run dispatches to (overridable: pipelines)."""
-        return [
-            AcceleratorReplica.shared(i, self.tenants)
-            for i in range(self.num_replicas)
-        ]
-
-    def _build_injector(self) -> Optional[FaultInjector]:
-        """A fresh injector per run (overridable: pipelines add links)."""
-        if self.faults is None or self.faults.empty:
-            return None
-        return FaultInjector(
-            self.faults, seed=self.fault_seed, replicas=self.num_replicas
-        )
-
-    def _collect_stats(self, fleet, tenant: int) -> List[ReplicaStats]:
-        """Per-executor stats of one tenant (overridable: per stage)."""
-        return [replica.stats(tenant) for replica in fleet]
-
     # -- the control plane (inert unless a resilience policy is attached) ----
 
     def _build_control(self) -> Optional[RecoveryController]:
         """A fresh controller per run; None without a resilience policy."""
         if self.resilience is None:
             return None
+        # Latency inflation reads as degradation (brownouts) only where
+        # an attempt's span is pure service time: one tenant (no warm
+        # swaps) on one stage (no downstream queueing).
+        pure = len(self.tenants) == 1 and self._stages == 1
         return RecoveryController(
             self.resilience,
             num_replicas=self.num_replicas,
             base_max_batch=self.max_batch,
             base_max_queue=self.max_queue,
             fallback_available=self.fallback_model is not None,
-            latency_trigger=self.latency_trigger,
             baseline_fn=(
-                self.service_model.batch_cycles
-                if self.latency_trigger
-                else None
+                self.tenants[0].service_model.batch_cycles if pure else None
             ),
         )
 
@@ -526,10 +522,13 @@ class FleetScheduler:
         The swap is charged on the virtual clock at the fallback's
         weight-transfer cost: each replica finishes its in-flight batch,
         then spends ``fallback_swap_cycles`` loading weights before it
-        accepts new work.
+        accepts new work.  Only one-tenant, one-stage fleets
+        (:meth:`for_strategy`) have a fallback: the swap replaces tenant
+        0's model and holds the head stage.
         """
+        model = PipelineServiceModel.of(self.fallback_model)
         for replica in fleet:
-            replica.models[0] = self.fallback_model
+            replica.models[0] = model
             replica.busy_until = (
                 max(replica.busy_until, cycle) + self.fallback_swap_cycles
             )
@@ -566,7 +565,7 @@ class FleetScheduler:
 
     def _pick_replica(
         self, fleet, rotation: int, clock: float, injector
-    ) -> Tuple[Optional[AcceleratorReplica], float]:
+    ) -> Tuple[Optional[Replica], float]:
         """The policy's target and the cycle it can start new work.
 
         Without faults this is exactly the classic policy (the ready
@@ -699,8 +698,21 @@ class FleetScheduler:
             )
             arrivals.append(math.inf)
             arrival_at.append(arrivals)
-        fleet = self._build_replicas()
-        injector = self._build_injector()
+        swap_prices = [tenant.swap_cycles for tenant in tenants]
+        fleet = [
+            Replica(i, self._pipelines, swap_prices)
+            for i in range(self.num_replicas)
+        ]
+        injector = None
+        if self.faults is not None and not self.faults.empty:
+            # Fresh per run: its transient draws are part of the run.
+            injector = FaultInjector(
+                self.faults,
+                seed=self.fault_seed,
+                replicas=self.num_replicas,
+                links=self._links,
+                stages=self._stages,
+            )
         control = self._build_control()
         self._active_control = control
         batchers = self._new_batchers()
@@ -962,7 +974,18 @@ class FleetScheduler:
         for t in range(n):
             records[t].sort(key=lambda r: r.request_id)
             failures[t].sort(key=lambda r: r.request_id)
-        stats = [self._collect_stats(fleet, t) for t in range(n)]
+        # One row per stage; a rebuilt replica's predecessor left its
+        # rows with the control plane (only single-tenant pipelines
+        # rebuild).
+        archived = control.archived_stats if control is not None else []
+        stats = [
+            sorted(
+                [row for replica in fleet for row in replica.stats(t)]
+                + archived,
+                key=_replica_id,
+            )
+            for t in range(n)
+        ]
         self._active_control = None
         return _Outcome(records, failures, retries, stats, fleet, control)
 

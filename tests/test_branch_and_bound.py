@@ -398,6 +398,45 @@ class TestGroupMemo:
         assert shared.stats.groups_searched == searched
         assert strategy_to_dict(again) == strategy_to_dict(first)
 
+    def test_pin_keys_only_ranges_it_cuts(self, tiny, testchip):
+        """After a free compile on one context, a conventional-only
+        search re-searches only ranges holding a Winograd-capable conv;
+        the rest recall the free searches, with identical designs."""
+        from repro.perf.implement import candidate_algorithms
+
+        class Recording(EvalContext):
+            def __init__(self):
+                super().__init__()
+                self.searched = []
+
+            def record_search(self, network_name, device_name, start,
+                              stop, *counts):
+                super().record_search(
+                    network_name, device_name, start, stop, *counts
+                )
+                self.searched.append((start, stop))
+
+        def cut(info):
+            return len(candidate_algorithms(info)) > 1  # conv + Winograd
+
+        shared = Recording()
+        GroupSearch(tiny, testchip, context=shared).precompute()
+        free_ranges = len(shared.searched)
+        pinned = GroupSearch(
+            tiny, testchip, algorithms=(Algorithm.CONVENTIONAL,),
+            context=shared,
+        )
+        pinned.precompute()
+        again = shared.searched[free_ranges:]
+        assert again
+        for start, stop in again:
+            assert any(cut(info) for info in tiny.infos[start:stop])
+        private = GroupSearch(
+            tiny, testchip, algorithms=(Algorithm.CONVENTIONAL,)
+        )
+        for start, stop in _all_ranges(tiny):
+            assert pinned.fusion(start, stop) == private.fusion(start, stop)
+
     def test_bandwidth_variant_searches_afresh(self, tiny, testchip):
         from repro.hardware.dse import scale_bandwidth
         from repro.optimizer.dp import optimize

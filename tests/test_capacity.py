@@ -22,6 +22,7 @@ from repro.capacity import (
     SHARING_KINDS,
     Tenant,
 )
+from repro.resilience import ResiliencePolicy
 from repro.serve.batcher import ServingError
 from repro.serve.scheduler import FleetScheduler, Policy, synthetic_arrivals
 from repro.sim.simulator import GroupServiceModel, ServiceModel
@@ -90,8 +91,12 @@ class TestDegeneracy:
         got = outcome.per_tenant[strategy.network.name]
         assert got.records == expected.records
         assert got.failures == expected.failures
-        assert got.metrics.to_dict() == expected.metrics.to_dict()
+        # A shared fleet reports its recovery log fleet-wide.
+        flat = expected.metrics.to_dict()
+        assert outcome.recovery == flat["recovery"]
+        assert got.metrics.to_dict() == {**flat, "recovery": None}
         assert outcome.swaps == 0 and outcome.swap_cycles == 0.0
+        return expected
 
     def test_fault_free(self, tiny_strategy):
         fleet = FleetScheduler.for_strategy(tiny_strategy, verify=False)
@@ -125,6 +130,25 @@ class TestDegeneracy:
             fault_seed=3,
             max_queue=8,
         )
+
+    def test_resilience_under_brownout(self, tiny_strategy):
+        """One tenant arms the latency trigger like the flat fleet: a
+        brownout degrades the replica and walks the same ladder."""
+        fleet = FleetScheduler.for_strategy(tiny_strategy, verify=False)
+        arrivals = synthetic_arrivals(
+            400,
+            fleet.saturating_interarrival(2.5),
+            np.random.default_rng(3),
+        )
+        expected = self.assert_identical(
+            tiny_strategy,
+            arrivals,
+            replicas=2,
+            faults=f"brownout:replica=1,at=0,for={arrivals[200]:.0f},scale=3",
+            resilience=ResiliencePolicy(),
+        )
+        kinds = [e["kind"] for e in expected.metrics.recovery["events"]]
+        assert "degraded" in kinds and "ladder" in kinds
 
     def test_bursty_arrivals(self, tiny_strategy):
         fleet = FleetScheduler.for_strategy(tiny_strategy, verify=False)

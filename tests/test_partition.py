@@ -368,6 +368,32 @@ class TestPipelineServing:
             > single.metrics.requests_per_second
         )
 
+    def test_one_device_plan_is_a_flat_fleet(self, single_compiled):
+        """A one-device plan is the one-stage pipeline of a flat fleet:
+        under a brownout and the control plane it serves the same
+        records and walks the same recovery ladder."""
+        from repro.resilience import ResiliencePolicy
+        from repro.serve.scheduler import FleetScheduler
+
+        plan = partition_model(models.tiny_cnn(), devices="testchip")
+        flat = FleetScheduler.for_strategy(
+            single_compiled.strategy, replicas=2
+        )
+        window = 200 * flat.saturating_interarrival(2.5)
+        faults = f"brownout:replica=1,at=0,for={window:.0f},scale=3"
+        expected = FleetScheduler.for_strategy(
+            single_compiled.strategy, replicas=2, faults=faults,
+            resilience=ResiliencePolicy(),
+        ).run_open_loop(400, load=2.5, seed=3)
+        got = plan.serve(
+            pipelines=2, faults=faults, resilience=ResiliencePolicy()
+        ).run_open_loop(400, load=2.5, seed=3)
+        assert got.records == expected.records
+        assert got.failures == expected.failures
+        assert got.metrics.recovery == expected.metrics.recovery
+        kinds = [e["kind"] for e in expected.metrics.recovery["events"]]
+        assert "degraded" in kinds and "ladder" in kinds
+
     def test_metrics_expose_one_row_per_stage(self, two_chip_plan):
         result = two_chip_plan.serve().run_open_loop(
             40, load=1.0, rng=np.random.default_rng(1)

@@ -1,11 +1,13 @@
-"""Tests for the accelerator replica and the batched service model."""
+"""Tests for the replica executor and the batched service model."""
 
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultSpec
 from repro.optimizer.dp import optimize
 from repro.serve.batcher import InferenceRequest, ServingError
-from repro.serve.runtime import AcceleratorReplica, build_fleet
+from repro.serve.runtime import PipelineServiceModel, Replica
+from repro.serve.scheduler import FleetScheduler
 from repro.sim.simulator import (
     GroupServiceModel,
     ServiceModel,
@@ -76,29 +78,34 @@ class TestServiceModel:
             flat_model().batch_cycles(0)
 
 
+def one_board(model, replica_id=0):
+    """A replica running ``model`` as one link-free stage."""
+    return Replica(replica_id, [PipelineServiceModel.of(model)])
+
+
 class TestReplica:
     def batch(self, ids, t=0.0):
         return [InferenceRequest(i, t) for i in ids]
 
     def test_execute_spans_service_time(self):
-        replica = AcceleratorReplica(0, flat_model(preload=10, first=100, steady=40))
-        start, end = replica.execute(self.batch([0, 1]), dispatch_cycle=5.0)
-        assert start == 5.0
-        assert end == 5.0 + 150.0  # 10 + 100 + 1 * 40
-        assert replica.busy_until == end
+        replica = one_board(flat_model(preload=10, first=100, steady=40))
+        attempt = replica.execute_attempt(self.batch([0, 1]), 5.0)
+        assert attempt.start_cycle == 5.0
+        assert attempt.end_cycle == 5.0 + 150.0  # 10 + 100 + 1 * 40
+        assert replica.busy_until == attempt.end_cycle
 
     def test_back_to_back_batches_serialize(self):
-        replica = AcceleratorReplica(0, flat_model())
-        _, end1 = replica.execute(self.batch([0]), 0.0)
-        start2, end2 = replica.execute(self.batch([1]), 0.0)
-        assert start2 == end1
-        assert end2 == end1 + 100.0
+        replica = one_board(flat_model())
+        end1 = replica.execute_attempt(self.batch([0]), 0.0).end_cycle
+        second = replica.execute_attempt(self.batch([1]), 0.0)
+        assert second.start_cycle == end1
+        assert second.end_cycle == end1 + 100.0
 
     def test_stats_accumulate(self):
-        replica = AcceleratorReplica(3, flat_model())
-        replica.execute(self.batch([0, 1, 2]), 0.0)
-        replica.execute(self.batch([3]), 0.0)
-        stats = replica.stats()
+        replica = one_board(flat_model(), replica_id=3)
+        replica.execute_attempt(self.batch([0, 1, 2]), 0.0)
+        replica.execute_attempt(self.batch([3]), 0.0)
+        (stats,) = replica.stats()
         assert stats.replica_id == 3
         assert stats.batches == 2
         assert stats.requests == 4
@@ -106,21 +113,42 @@ class TestReplica:
         assert stats.utilization(800) == pytest.approx(0.5)
 
     def test_empty_batch_rejected(self):
-        replica = AcceleratorReplica(0, flat_model())
+        replica = one_board(flat_model())
         with pytest.raises(ServingError):
-            replica.execute([], 0.0)
+            replica.execute_attempt([], 0.0)
 
     def test_for_strategy(self, tiny_strategy):
-        replica = AcceleratorReplica.for_strategy(0, tiny_strategy)
         model = build_service_model(tiny_strategy)
-        assert replica.batch_cycles(4) == model.batch_cycles(4)
+        attempt = one_board(model).execute_attempt(self.batch(range(4)), 0.0)
+        assert attempt.end_cycle == model.batch_cycles(4)
+
+    def test_two_stages_book_exact_service_under_injector(self):
+        """Busy cycles are the stages' exact service times, not the
+        rounded spans: here ``(0.1 + 0.2) - 0.1 != 0.2``."""
+        assert (0.1 + 0.2) - 0.1 != 0.2
+        stage = flat_model(first=0.2, steady=0.2)  # 0.2 cycles per image
+        pipeline = PipelineServiceModel([stage, stage], [lambda size: 0.1])
+        replica = Replica(0, [pipeline])
+        # A brownout long after the run: attached, but it never fires.
+        injector = FaultInjector(
+            FaultSpec.parse("brownout:replica=0,at=1e9,for=1,scale=2"),
+            links=1,
+            stages=2,
+        )
+        attempt = replica.execute_attempt(self.batch([0]), 0.1, injector)
+        assert attempt.ok and attempt.start_cycle == 0.1
+        head, tail = replica.stats()
+        assert head.busy_cycles == tail.busy_cycles == 0.2
+        assert head.wasted_cycles == tail.wasted_cycles == 0.0
 
 
 class TestFleet:
     def test_build_fleet_ids(self):
-        fleet = build_fleet(flat_model(), 3)
-        assert [r.replica_id for r in fleet] == [0, 1, 2]
+        fleet = FleetScheduler(flat_model(), replicas=3)
+        result = fleet.run([0.0] * 24)
+        ids = [s.replica_id for s in result.metrics.replica_stats]
+        assert ids == [0, 1, 2]
 
     def test_fleet_needs_a_replica(self):
         with pytest.raises(ServingError):
-            build_fleet(flat_model(), 0)
+            FleetScheduler(flat_model(), replicas=0)

@@ -35,7 +35,7 @@ GOLDEN = {
     "flat_resilience_fallback": "9d77211ab9b453f652ecf94ed99b40259d60848d6f986fc6ac19393c3e67b985",
     "flat_resilience_dead_fleet": "1ccf7334aefd24ca38a550acd5a3c84a8e5d85d4cb0afdee0a1894a0039fe470",
     "flat_chaos_brownout": "9afa99228f46b25d2fa236bb75d8d51e41d3fc8c8a10c9baf00245aa42df67b2",
-    "pipeline_stage_death_replan": "8f537e9ab256a6bad26750eba101b49a4fd0f536170a56a5b9d90acd84f577d4",
+    "pipeline_stage_death_replan": "a4a52f9f9ec7491f91e0b99c28e9b057c81498c22fd2daf4bd4e9dd90a1cc4f1",
     "multitenant_weighted_fair": "4a9498f63b8cc49e0d0f62e96ea139e30586c6d394f94872f45c044b66ad5b1d",
     "multitenant_strict_priority_floor": "c88245493cca1ed9b6996777a28f3dc4e5068f655cbeedff25c65cb4bf4e1803",
     "multitenant_faults_shed": "19d6b9490036ad6644658cc8168aa5fe497a9893fbfc2f15641cf3e498d44dc8",
