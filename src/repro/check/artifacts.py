@@ -270,6 +270,18 @@ def require_index(
     return value
 
 
+def require_enum(mapping, key: str, enum_cls, path: str = "$"):
+    """Fetch a string field naming a member of ``enum_cls``."""
+    raw = require(mapping, key, str, path)
+    try:
+        return enum_cls(raw)
+    except ValueError:
+        options = ", ".join(member.value for member in enum_cls)
+        raise ArtifactSchemaError(
+            E_FIELD_VALUE, f"{path}.{key}", f"{raw!r} is not one of: {options}"
+        ) from None
+
+
 # -- the envelope ------------------------------------------------------------
 
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import AlgorithmError, VerificationError
-from repro.nn.layers import ConvLayer
 from repro.perf.group import compose_group
-from repro.perf.implement import WINOGRAD_M, Algorithm, WeightMode, implement
+from repro.perf.implement import implement
 
 # Violation codes (documented in docs/validation.md).
 V_TILING = "V_TILING"  # groups/stages do not tile the network
@@ -40,6 +39,14 @@ V_DEVICE = "V_DEVICE"  # stage bound to the wrong fleet device
 V_FLEET = "V_FLEET"  # fleet configuration is unserviceable
 V_BRANCH = "V_BRANCH"  # graph strategy branch coverage is broken
 V_JOIN = "V_JOIN"  # join transfer/latency accounting is wrong
+
+#: What a fused fork-join block records beyond its engines; each must
+#: equal what the engines compose to.
+_FUSED_TOTALS = (
+    "join_kind", "resources", "compute_cycles", "transfer_cycles",
+    "fill_cycles", "latency_cycles", "feature_transfer_bytes",
+    "weight_transfer_bytes", "ops",
+)
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,7 @@ def verify_strategy(
     A :class:`~repro.optimizer.graph_dp.GraphStrategy` is validated by
     :func:`verify_graph_strategy` instead.
     """
+    from repro.optimizer.branch_and_bound import conv_depth
     from repro.optimizer.graph_dp import GraphStrategy
 
     if isinstance(strategy, GraphStrategy):
@@ -167,15 +175,11 @@ def verify_strategy(
                 f"needs {design.resources}, device {device.name} provides "
                 f"{device.resources}",
             )
-        conv_depth = sum(
-            1
-            for i in range(start, min(stop, len(network)))
-            if isinstance(network[i].layer, ConvLayer)
-        )
-        if conv_depth > device.max_fusion_depth:
+        depth = conv_depth(network, start, min(stop, len(network)))
+        if depth > device.max_fusion_depth:
             report.add(
                 V_FUSION_DEPTH, where,
-                f"{conv_depth} conv engines exceed max fusion depth "
+                f"{depth} conv engines exceed max fusion depth "
                 f"{device.max_fusion_depth}",
             )
         # Cycle accounting: the recorded group design must equal what
@@ -185,65 +189,15 @@ def verify_strategy(
         except Exception as exc:  # compose itself rejects the group
             report.add(V_CYCLES, where, f"group does not compose: {exc}")
             continue
-        if recomposed.latency_cycles != design.latency_cycles:
-            report.add(
-                V_CYCLES, where,
-                f"recorded latency {design.latency_cycles} != recomputed "
-                f"{recomposed.latency_cycles}",
-            )
-        if recomposed.feature_transfer_bytes != design.feature_transfer_bytes:
-            report.add(
-                V_CYCLES, where,
-                f"recorded feature traffic {design.feature_transfer_bytes} "
-                f"!= recomputed {recomposed.feature_transfer_bytes}",
-            )
-        if recomposed.resources != design.resources:
-            report.add(
-                V_CYCLES, where,
-                f"recorded resources {design.resources} != recomputed "
-                f"{recomposed.resources}",
-            )
+        _check_totals(
+            report, V_CYCLES, where, design, recomposed,
+            ("latency_cycles", "feature_transfer_bytes", "resources"),
+        )
         # Per-layer algorithm feasibility (and optional cost re-check).
-        for offset, impl in enumerate(design.implementations):
-            layer_where = f"{where}.layers[{offset}]"
-            layer_index = start + offset
-            if layer_index >= len(network):
-                continue
-            info = network[layer_index]
-            if info.name != impl.layer_name:
-                report.add(
-                    V_ALGORITHM, layer_where,
-                    f"implements {impl.layer_name!r} but network layer "
-                    f"{layer_index} is {info.name!r}",
-                )
-                continue
-            if not check_cost_model:
-                continue
-            try:
-                fresh = implement(
-                    info,
-                    Algorithm(impl.algorithm),
-                    impl.parallelism,
-                    device,
-                    weight_mode=WeightMode(impl.weight_mode)
-                    if impl.weight_mode is not None
-                    else None,
-                    winograd_m=impl.winograd_m or WINOGRAD_M,
-                )
-            except AlgorithmError as exc:
-                report.add(
-                    V_ALGORITHM, layer_where,
-                    f"{impl.algorithm.value} x{impl.parallelism} is "
-                    f"infeasible for layer {info.name!r}: {exc}",
-                )
-                continue
-            if fresh.compute_cycles != impl.compute_cycles:
-                report.add(
-                    V_COST_DRIFT, layer_where,
-                    f"recorded {impl.compute_cycles} compute cycles, cost "
-                    f"model now says {fresh.compute_cycles} — the artifact "
-                    "predates a cost-model change",
-                )
+        _check_engines(
+            report, where, network.infos[start:stop],
+            design.implementations, device, check_cost_model,
+        )
 
     # Budget.
     if (
@@ -258,6 +212,57 @@ def verify_strategy(
     return report
 
 
+def _check_totals(report, code, where, recorded, fresh, names) -> None:
+    """One violation per named field where ``recorded`` and ``fresh``
+    (what its parts recompose to) disagree."""
+    for name in names:
+        if getattr(recorded, name) != getattr(fresh, name):
+            report.add(
+                code, where,
+                f"records {name} {getattr(recorded, name)}, its parts "
+                f"give {getattr(fresh, name)}",
+            )
+
+
+def _check_engines(report, where, infos, impls, device, check_cost_model):
+    """Per-engine checks of one group: each engine runs the layer at its
+    position, is feasible for it, and (with ``check_cost_model``)
+    re-evaluates to its recorded compute cycles."""
+    from repro.perf.record import query_of
+
+    for offset, (info, impl) in enumerate(zip(infos, impls)):
+        layer_where = f"{where}.layers[{offset}]"
+        if info.name != impl.layer_name:
+            report.add(
+                V_ALGORITHM, layer_where,
+                f"implements {impl.layer_name!r} but the layer at its "
+                f"position is {info.name!r}",
+            )
+            continue
+        if not check_cost_model:
+            continue
+        algorithm, weight_mode, m, parallelism = query_of(impl)
+        try:
+            fresh = implement(
+                info, algorithm, parallelism, device,
+                weight_mode=weight_mode, winograd_m=m,
+            )
+        except AlgorithmError as exc:
+            report.add(
+                V_ALGORITHM, layer_where,
+                f"{impl.algorithm.value} x{impl.parallelism} is "
+                f"infeasible for layer {info.name!r}: {exc}",
+            )
+            continue
+        if fresh.compute_cycles != impl.compute_cycles:
+            report.add(
+                V_COST_DRIFT, layer_where,
+                f"recorded {impl.compute_cycles} compute cycles, cost "
+                f"model now says {fresh.compute_cycles} — the artifact "
+                "predates a cost-model change",
+            )
+
+
 # -- graph strategy ----------------------------------------------------------
 
 
@@ -268,27 +273,29 @@ def verify_graph_strategy(
 ) -> VerificationReport:
     """Validate a branch-aware :class:`~repro.optimizer.graph_dp.GraphStrategy`.
 
-    On top of running :func:`verify_strategy` on every chain segment
-    (against its own sub-network), this learns the DAG-specific
-    invariants:
+    Chain segments and split branches are verified recursively (a chain
+    segment by :func:`verify_strategy` against its own sub-network);
+    on top, this checks the DAG-specific invariants:
 
     * **V_BRANCH** — the segments' nodes must cover every graph node
       exactly once: no branch dropped, none double-executed.
-    * **V_JOIN** — join transfer accounting: a concat join must be free
-      (channel-major layout makes it address aliasing), an eltwise join
-      must pay exactly one DRAM round trip over its inputs and output
-      at the device's streaming rate.
-    * Fused fork-join blocks must fit the device and their latency must
-      follow the composition law (max of compute and transfer, plus
-      fill).
+    * **V_JOIN** — a split block's join is priced as
+      :func:`~repro.optimizer.graph_dp.join_cost` prices it: a concat is
+      free (channel-major layout makes it address aliasing), an eltwise
+      join pays one DRAM round trip over its inputs and output.
+    * A fused fork-join block must fit the device; every branch engine
+      gets the chain groups' per-engine checks, and recomposing the
+      engines through :func:`~repro.optimizer.graph_dp.fuse_branches`
+      (the search's own composition) must reproduce every recorded
+      block total (**V_CYCLES**).
     """
-    import math
-
-    from repro.nn.layers import ConcatLayer
     from repro.optimizer.graph_dp import (
         ChainSegment,
         FusedParallelSegment,
         ParallelSegment,
+        chain_network,
+        fuse_branches,
+        join_cost,
     )
 
     graph = strategy.graph
@@ -303,57 +310,49 @@ def verify_graph_strategy(
     missing = sorted(set(expected) - set(covered))
     extra = sorted(set(covered) - set(expected))
     duplicated = sorted({name for name in covered if covered.count(name) > 1})
-    if missing:
-        report.add(
-            V_BRANCH, "segments",
-            f"nodes never executed: {', '.join(missing)}",
-        )
-    if extra:
-        report.add(
-            V_BRANCH, "segments",
-            f"nodes outside the graph: {', '.join(extra)}",
-        )
-    if duplicated:
-        report.add(
-            V_BRANCH, "segments",
-            f"nodes executed more than once: {', '.join(duplicated)}",
-        )
+    for names, problem in (
+        (missing, "never executed"),
+        (extra, "outside the graph"),
+        (duplicated, "executed more than once"),
+    ):
+        if names:
+            report.add(
+                V_BRANCH, "segments", f"nodes {problem}: {', '.join(names)}"
+            )
 
-    def check_join(where: str, join_name: str, kind: str,
-                   transfer: int, latency: int) -> None:
-        info = graph.node(join_name)
-        is_concat = isinstance(info.layer, ConcatLayer)
-        if is_concat != (kind == "concat"):
+    def check_fused(where: str, segment) -> None:
+        if not segment.resources.fits(device.resources):
             report.add(
-                V_JOIN, where,
-                f"join {join_name!r} recorded as {kind!r} but the layer "
-                f"is {info.layer.type_name}",
+                V_RESOURCES, where,
+                f"fused block needs {segment.resources}, device "
+                f"{device.name} provides {device.resources}",
             )
-            return
-        if is_concat:
-            if transfer != 0 or latency != 0:
+        designs = []
+        for b, (nodes, impls) in enumerate(
+            zip(segment.branch_nodes, segment.branch_implementations)
+        ):
+            if len(nodes) != len(impls):
                 report.add(
-                    V_JOIN, where,
-                    f"concat join {join_name!r} must be free, recorded "
-                    f"{transfer} bytes / {latency} cycles",
+                    V_TILING, f"{where}.branches[{b}]",
+                    f"covers {len(nodes)} layers but carries "
+                    f"{len(impls)} implementations",
                 )
-            return
-        expected_bytes = (
-            (info.input_size + info.output_size) * device.element_bytes
+                return
+            if nodes:
+                _check_engines(
+                    report, f"{where}.branches[{b}]",
+                    chain_network(graph, nodes).infos, impls, device,
+                    check_cost_model,
+                )
+            designs.append(compose_group(impls, device) if nodes else None)
+        _check_totals(
+            report, V_CYCLES, where, segment,
+            fuse_branches(
+                graph, segment.fork, segment.join, segment.branch_nodes,
+                designs, device,
+            ),
+            _FUSED_TOTALS,
         )
-        expected_latency = math.ceil(expected_bytes / device.bytes_per_cycle)
-        if transfer != expected_bytes:
-            report.add(
-                V_JOIN, where,
-                f"eltwise join {join_name!r} transfers {transfer} bytes, "
-                f"one DRAM round trip is {expected_bytes}",
-            )
-        if latency != expected_latency:
-            report.add(
-                V_JOIN, where,
-                f"eltwise join {join_name!r} records {latency} cycles, "
-                f"streaming {expected_bytes} bytes takes {expected_latency}",
-            )
 
     for index, segment in enumerate(strategy.segments):
         where = f"segments[{index}]"
@@ -365,45 +364,28 @@ def verify_graph_strategy(
                 where,
             )
         elif isinstance(segment, ParallelSegment):
-            check_join(
-                where, segment.join, segment.join_kind,
-                segment.join_transfer_bytes, segment.join_latency_cycles,
+            recorded = (
+                segment.join_kind,
+                segment.join_transfer_bytes,
+                segment.join_latency_cycles,
             )
-            branch_total = sum(
-                b.latency_cycles for b in segment.branches
-            ) + segment.join_latency_cycles
-            if segment.latency_cycles != branch_total:
+            priced = join_cost(graph, segment.join, device)[:3]
+            if recorded != priced:
                 report.add(
-                    V_CYCLES, where,
-                    f"records {segment.latency_cycles} cycles, branch sum "
-                    f"plus join is {branch_total}",
+                    V_JOIN, where,
+                    f"join {segment.join!r} records (kind, bytes, cycles) "
+                    f"{recorded}, its layer prices {priced}",
                 )
             for b, branch in enumerate(segment.branches):
-                if not branch.segments:
-                    continue  # identity skip carries nothing to check
-                report.extend(
-                    verify_graph_strategy(
-                        branch, check_cost_model=check_cost_model
-                    ),
-                    f"{where}.branches[{b}]",
-                )
+                if branch.segments:  # an identity skip has nothing to check
+                    report.extend(
+                        verify_graph_strategy(
+                            branch, check_cost_model=check_cost_model
+                        ),
+                        f"{where}.branches[{b}]",
+                    )
         elif isinstance(segment, FusedParallelSegment):
-            if not segment.resources.fits(device.resources):
-                report.add(
-                    V_RESOURCES, where,
-                    f"fused block needs {segment.resources}, device "
-                    f"{device.name} provides {device.resources}",
-                )
-            composed = (
-                max(segment.compute_cycles, segment.transfer_cycles)
-                + segment.fill_cycles
-            )
-            if segment.latency_cycles != composed:
-                report.add(
-                    V_CYCLES, where,
-                    f"records {segment.latency_cycles} cycles, composition "
-                    f"law gives {composed}",
-                )
+            check_fused(where, segment)
         else:
             report.add(
                 V_BRANCH, where,

@@ -903,8 +903,9 @@ def _check_one(path: Path, model: Optional[str]) -> List[str]:
     envelope = load_envelope(path)
     print(f"{path}: {describe_artifact(envelope)}")
     if envelope.kind == "codegen_strategy":
-        # The embedded codegen blob is a report, not a loadable strategy;
-        # envelope integrity (checksum, digests, schema) is the check.
+        # Generated projects used to embed this report-only blob (their
+        # strategy.json is a plain strategy artifact now); it cannot be
+        # loaded, so envelope integrity (checksum, digests) is the check.
         print(f"{path}: envelope integrity ok")
         return []
     if envelope.kind == "traffic_trace":
@@ -959,15 +960,18 @@ def _check_one(path: Path, model: Optional[str]) -> List[str]:
             return [f"{path}: torture report records failures"]
         return []
 
-    name = model or envelope.payload.get("network")
+    payload = envelope.payload
+    name = model or payload.get("network") or payload.get("graph")
     if not isinstance(name, str):
         return [f"{path}: cannot determine the network (pass --model)"]
-    network = _load_model(name)
-    # Toolflow artifacts cover the accelerated prefix; fall back to the
-    # full network for strategies saved outside the toolflow.
-    candidates = [network.accelerated_prefix()]
-    if len(candidates[0]) != len(network):
-        candidates.append(network)
+    from repro.toolflow import _accelerated_model
+
+    full = _load_model(name)
+    # Toolflow artifacts cover the accelerated model; fall back to the
+    # full model for strategies saved outside the toolflow.
+    candidates = [_accelerated_model(full)]
+    if len(candidates[0]) != len(full):
+        candidates.append(full)
     last_error: Optional[ReproError] = None
     for candidate in candidates:
         try:

@@ -3,7 +3,8 @@
 Walks an optimized :class:`~repro.optimizer.strategy.Strategy`, renders
 one engine per layer from the templates, wraps every fusion group in its
 DATAFLOW top function, and writes the whole HLS project (sources, host
-stub, Tcl build script, strategy report) to a directory.
+stub, Tcl build script, strategy report, and the strategy itself as a
+loadable ``strategy`` artifact) to a directory.
 """
 
 from __future__ import annotations
@@ -13,18 +14,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.check.artifacts import (
-    atomic_write_text,
-    device_digest,
-    network_digest,
-    wrap_payload,
-)
+from repro.check.artifacts import atomic_write_text, wrap_payload
 from repro.errors import CodegenError
 from repro.codegen import templates
+from repro.optimizer.serialize import (
+    ARTIFACT_KIND,
+    strategy_digests,
+    strategy_to_dict,
+)
 from repro.optimizer.strategy import Strategy
-
-#: Envelope kind of the strategy blob embedded in generated projects.
-CODEGEN_ARTIFACT_KIND = "codegen_strategy"
 
 #: FPGA part numbers for the device catalog entries.
 PART_NUMBERS = {
@@ -114,48 +112,14 @@ class CodeGenerator:
             )
         files["build.tcl"] = templates.build_script(self.project_name, sources, part)
         files["strategy_report.txt"] = strategy.report() + "\n"
-        files["strategy.json"] = self._strategy_json()
-        return GeneratedProject(project_name=self.project_name, files=files)
-
-    def _strategy_json(self) -> str:
-        strategy = self.strategy
-        payload = {
-            "network": strategy.network.name,
-            "device": strategy.device.name,
-            "latency_cycles": strategy.latency_cycles,
-            "feature_transfer_bytes": strategy.feature_transfer_bytes,
-            "weight_transfer_bytes": strategy.weight_transfer_bytes,
-            "groups": [
-                {
-                    "range": [start, stop],
-                    "layers": [
-                        {
-                            "name": impl.layer_name,
-                            "algorithm": impl.algorithm.value,
-                            "parallelism": impl.parallelism,
-                            "bram18k": impl.resources.bram18k,
-                            "dsp": impl.resources.dsp,
-                            "ff": impl.resources.ff,
-                            "lut": impl.resources.lut,
-                            "compute_cycles": impl.compute_cycles,
-                        }
-                        for impl in design.implementations
-                    ],
-                }
-                for (start, stop), design in zip(
-                    strategy.boundaries, strategy.designs
-                )
-            ],
-        }
+        # The strategy as an ordinary ``strategy`` artifact document.
         document = wrap_payload(
-            CODEGEN_ARTIFACT_KIND,
-            payload,
-            digests={
-                "network": network_digest(strategy.network),
-                "device": device_digest(strategy.device),
-            },
+            ARTIFACT_KIND,
+            strategy_to_dict(strategy),
+            digests=strategy_digests(strategy),
         )
-        return json.dumps(document, indent=2) + "\n"
+        files["strategy.json"] = json.dumps(document, indent=2) + "\n"
+        return GeneratedProject(project_name=self.project_name, files=files)
 
 
 def generate_project(

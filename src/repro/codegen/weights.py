@@ -28,6 +28,7 @@ from repro.nn.layers import ConvLayer
 from repro.nn.modules import InceptionModule
 from repro.optimizer.strategy import Strategy
 from repro.perf.implement import Algorithm, WINOGRAD_M
+from repro.perf.record import query_of
 
 
 def _identifier(name: str) -> str:
@@ -121,7 +122,7 @@ def strategy_weight_headers(
                     params,
                     impl.algorithm,
                     fmt,
-                    impl.winograd_m or WINOGRAD_M,
+                    query_of(impl)[2],
                 )
                 entries.append(filename)
             elif isinstance(layer, InceptionModule):

@@ -79,6 +79,7 @@ from repro.check.artifacts import (
     envelope_line,
     parse_envelope_bytes,
     require,
+    require_enum,
 )
 from repro.errors import ArtifactError, ArtifactIntegrityError, ArtifactSchemaError
 from repro.faults.process import (
@@ -89,6 +90,7 @@ from repro.faults.process import (
 from repro.hardware.resources import ResourceVector
 from repro.perf.cost import GroupChoices, GroupKey
 from repro.perf.implement import Algorithm, Implementation, WeightMode
+from repro.perf.record import query_from_dict, query_to_dict
 
 try:  # pragma: no cover - POSIX; the spin-lock fallback covers the rest
     import fcntl
@@ -167,16 +169,6 @@ def key_digest(key: Hashable) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _enum(cls, raw: str, path: str, what: str):
-    """``cls(raw)``, or a typed schema error naming the field."""
-    try:
-        return cls(raw)
-    except ValueError:
-        raise ArtifactSchemaError(
-            E_FIELD_VALUE, path, f"{raw!r} is not a known {what}"
-        ) from None
-
-
 # -- Implementation <-> JSON -------------------------------------------------
 
 
@@ -205,16 +197,10 @@ def implementation_to_dict(impl: Implementation) -> dict:
 
 def implementation_from_dict(entry: dict, path: str = "$") -> Implementation:
     """Rebuild an :class:`Implementation`, raising typed errors on damage."""
-    algorithm = _enum(
-        Algorithm, require(entry, "algorithm", str, path),
-        f"{path}.algorithm", "algorithm",
-    )
+    algorithm = require_enum(entry, "algorithm", Algorithm, path)
     weight_mode = None
     if entry.get("weight_mode") is not None:
-        weight_mode = _enum(
-            WeightMode, require(entry, "weight_mode", str, path),
-            f"{path}.weight_mode", "weight mode",
-        )
+        weight_mode = require_enum(entry, "weight_mode", WeightMode, path)
     resources = require(entry, "resources", dict, path)
     return Implementation(
         layer_name=require(entry, "layer_name", str, path),
@@ -247,15 +233,7 @@ def group_to_dict(choices: GroupChoices) -> dict:
     """JSON-serializable record of one completed search's choices."""
     return {
         "feasible": bool(choices),
-        "layers": [
-            {
-                "algorithm": algorithm.value,
-                "weight_mode": mode.value,
-                "winograd_m": m,
-                "parallelism": parallelism,
-            }
-            for algorithm, mode, m, parallelism in choices
-        ],
+        "layers": [query_to_dict(query) for query in choices],
     }
 
 
@@ -275,28 +253,10 @@ def group_from_dict(entry: dict, length: int, path: str = "$") -> GroupChoices:
             f"{len(layers)} layers for a {length}-layer range "
             f"({'feasible' if feasible else 'infeasible'})",
         )
-    choices = []
-    for index, layer in enumerate(layers):
-        where = f"{path}.layers[{index}]"
-        parallelism = require(layer, "parallelism", int, where)
-        if parallelism < 1:
-            raise ArtifactSchemaError(
-                E_FIELD_VALUE, f"{where}.parallelism",
-                f"parallelism {parallelism} is not positive",
-            )
-        choices.append((
-            _enum(
-                Algorithm, require(layer, "algorithm", str, where),
-                f"{where}.algorithm", "algorithm",
-            ),
-            _enum(
-                WeightMode, require(layer, "weight_mode", str, where),
-                f"{where}.weight_mode", "weight mode",
-            ),
-            require(layer, "winograd_m", int, where),
-            parallelism,
-        ))
-    return tuple(choices)
+    return tuple(
+        query_from_dict(layer, f"{path}.layers[{index}]")
+        for index, layer in enumerate(layers)
+    )
 
 
 # -- the log -----------------------------------------------------------------

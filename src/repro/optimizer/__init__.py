@@ -11,9 +11,8 @@ parallelism>} minimizing end-to-end latency:
 * :mod:`repro.optimizer.dp` — Algorithm 1, the dynamic program over
   (layer range, transfer budget), as an exact Pareto-frontier
   formulation whose budget gates which ``fusion[i][j]`` are searched;
-* :mod:`repro.optimizer.exhaustive` — the test oracles: a brute-force
-  search that certifies optimality on small networks, and the paper's
-  literal tabular Algorithm 1 over 10 KB transfer units;
+* :mod:`repro.optimizer.exhaustive` — the brute-force oracle that
+  certifies optimality on small networks;
 * :mod:`repro.optimizer.graph_dp` — the branch-aware lift of the whole
   stack onto the DAG IR: series-parallel decomposition drives the same
   DP/B&B machinery per branch, joins are priced for transfer, and chain
@@ -33,7 +32,6 @@ from repro.optimizer.dp import (
     optimize,
     optimize_many,
 )
-from repro.optimizer.exhaustive import optimize_tabular
 from repro.optimizer.graph_dp import (
     ChainSegment,
     FusedParallelSegment,
@@ -64,6 +62,5 @@ __all__ = [
     "optimize",
     "optimize_graph",
     "optimize_many",
-    "optimize_tabular",
     "save_strategy",
 ]

@@ -56,6 +56,7 @@ from repro.perf.implement import (
     candidate_winograd_tiles,
     WINOGRAD_M,
 )
+from repro.perf.record import rebuild
 
 
 #: One resolved candidate: (compute cycles, fill cycles, DRAM weight
@@ -452,30 +453,26 @@ class GroupSearch:
         """Rebuild a remembered search's design; ``_MISS`` if there is
         none, or if a choice is not on this range's menus.
 
-        Nothing recalled is trusted as a finished design: every engine
-        comes from ``implement()`` (so it carries this range's layer
-        names) and the group from :func:`compose_group`, exactly as the
-        search builds its winner.
+        Nothing recalled is trusted as a finished design:
+        :func:`~repro.perf.record.rebuild` re-evaluates every engine
+        through ``implement()`` (so it carries this range's layer names)
+        and composes the group, exactly as the search builds its winner.
         """
         choices: Optional[GroupChoices] = self.context.recall_group(group_key)
         if choices is None:
             return _MISS
         if not choices:
             return None
-        impls = []
-        for menu, (algo, mode, m, parallelism) in zip(
-            self._menus[start:stop], choices
-        ):
+        menus = self._menus[start:stop]
+        for menu, (algo, mode, m, parallelism) in zip(menus, choices):
             if not any(
                 option[:3] == (algo, mode, m) and parallelism in option[3]
                 for option in menu.options
             ):
                 return _MISS
-            impls.append(self.context.implement(
-                menu.info, algo, parallelism, self.device,
-                weight_mode=mode, winograd_m=m,
-            ))
-        return compose_group(impls, self.device)
+        return rebuild(
+            [menu.info for menu in menus], choices, self.device, self.context
+        )
 
     def precompute(
         self,

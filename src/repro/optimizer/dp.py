@@ -11,9 +11,8 @@ range keep the non-dominated (transfer, latency) partitions, and answer
 a query by a frontier lookup.  Like the paper's ``t ≥ min_t[i][j]``
 test, a query's budget gates ``fusion[i][j]``: a range is searched only
 when some plan within the budget can use it, which a transfer table
-built without any search decides.  The literal triple-loop recurrence
-(:func:`repro.optimizer.exhaustive.optimize_tabular`) is kept beside
-the exhaustive oracle; the tests cross-check the two.
+built without any search decides.  The tests cross-check it against
+the literal triple-loop recurrence and the exhaustive oracle.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import OptimizationError, ResourceError
 from repro.hardware.device import FPGADevice
@@ -51,7 +51,7 @@ from repro.optimizer.branch_and_bound import GroupSearch
 from repro.optimizer.dp import FrontierOptimizer, _flush_context, _prune
 from repro.optimizer.strategy import Strategy
 from repro.perf.cost import CostModel, EvalContext, SearchTelemetry
-from repro.perf.group import fifo_overhead
+from repro.perf.group import GroupDesign, fifo_overhead
 
 _INF = float("inf")
 
@@ -187,6 +187,11 @@ class FusedParallelSegment:
     def peak_resources(self) -> ResourceVector:
         return self.resources
 
+    @property
+    def bottleneck(self) -> str:
+        """Named like :attr:`GroupDesign.bottleneck`."""
+        return "compute" if self.compute_cycles >= self.transfer_cycles else "bandwidth"
+
     def node_names(self) -> List[str]:
         names: List[str] = []
         for nodes in self.branch_nodes:
@@ -297,17 +302,11 @@ class GraphStrategy:
             )
 
     def to_dict(self) -> dict:
-        """JSON view: graph, device, latency and per-segment node lists."""
-        return {
-            "kind": "graph_strategy",
-            "graph": self.graph.name,
-            "device": self.device.name,
-            "latency_cycles": self.latency_cycles,
-            "segments": [
-                {"kind": s.kind, "nodes": s.node_names()}
-                for s in self.segments
-            ],
-        }
+        """The strategy payload: every segment's engines (see
+        :func:`repro.optimizer.serialize.strategy_to_dict`)."""
+        from repro.optimizer.serialize import strategy_to_dict
+
+        return strategy_to_dict(self)
 
     # -- reporting ------------------------------------------------------------
 
@@ -388,12 +387,151 @@ class GraphStrategy:
         )
 
 
-# Fused segments expose the same bottleneck naming as GroupDesign.
-def _bottleneck(self: FusedParallelSegment) -> str:
-    return "compute" if self.compute_cycles >= self.transfer_cycles else "bandwidth"
+# ---------------------------------------------------------------------------
+# Shared construction: what the search builds and a loaded strategy rebuilds
+# ---------------------------------------------------------------------------
 
 
-FusedParallelSegment.bottleneck = property(_bottleneck)
+def series_parts(
+    series: SPSeries, start: int = 0, stop: Optional[int] = None
+) -> Iterator[Union[SPParallel, Tuple[Tuple[str, ...], int, int]]]:
+    """The blocks ``[start, stop)`` of ``series`` as the search prices
+    them: each parallel block alone, each maximal run of leaves as
+    ``(run, a, b)`` — all its node names, of which ``run[a:b]`` lie in
+    the range."""
+    blocks = series.blocks
+    stop = len(blocks) if stop is None else stop
+    index = start
+    while index < stop:
+        block = blocks[index]
+        if isinstance(block, SPParallel):
+            yield block
+            index += 1
+            continue
+        first = last = index
+        while first > 0 and isinstance(blocks[first - 1], SPLeaf):
+            first -= 1
+        while last < len(blocks) and isinstance(blocks[last], SPLeaf):
+            last += 1
+        end = min(last, stop)
+        yield (
+            tuple(leaf.node for leaf in blocks[first:last]),
+            index - first,
+            end - first,
+        )
+        index = end
+
+
+def chain_network(graph: Graph, names: Sequence[str]) -> Network:
+    """The sub-Network of a series run of nodes."""
+    if len(names) == len(graph) and graph.is_chain:
+        # Whole-graph run: keep the graph's own name so the chain
+        # degeneracy is exact (network identity included).
+        return graph.to_network()
+    first = graph.node(names[0])
+    spec = InputSpec(*first.input_shapes[0])
+    layers = [graph.node(name).layer for name in names]
+    return Network(f"{graph.name}[{names[0]}..{names[-1]}]", spec, layers)
+
+
+def branch_graph(graph: Graph, block: SPParallel, index: int) -> Graph:
+    """Branch ``index`` of ``block`` as a graph fed by the fork tensor
+    (no nodes for an identity skip)."""
+    fork_ref = block.fork if block.fork is not None else graph.input_name
+    spec = InputSpec(*graph.producer_shape(fork_ref))
+    branch = block.branches[index]
+    if not branch.blocks:
+        return Graph(f"{graph.name}/identity", spec, [], input_name=fork_ref)
+    return graph.subgraph(
+        sp_leaf_names(branch),
+        name=f"{graph.name}/{fork_ref}..{block.join}#{index}",
+        input_name=fork_ref,
+        input_spec=spec,
+    )
+
+
+def stage_graph(graph: Graph, blocks: Sequence, start: int, stop: int) -> Graph:
+    """The subgraph of top-level ``blocks[start:stop]``, fed by the
+    tensor crossing into block ``start`` (the graph itself when the
+    range is every block)."""
+    if (start, stop) == (0, len(blocks)):
+        return graph
+    names = [name for block in blocks[start:stop] for name in sp_leaf_names(block)]
+    input_name = (
+        graph.input_name if start == 0 else sp_leaf_names(blocks[start - 1])[-1]
+    )
+    return graph.subgraph(
+        names,
+        name=f"{graph.name}[u{start}:u{stop}]",
+        input_name=input_name,
+        input_spec=InputSpec(*graph.producer_shape(input_name)),
+    )
+
+
+def join_cost(
+    graph: Graph, join_name: str, device: FPGADevice
+) -> Tuple[str, int, int, int]:
+    """(kind, transfer_bytes, latency_cycles, ops) of a split-mode join."""
+    info = graph.node(join_name)
+    if isinstance(info.layer, ConcatLayer):
+        # Channel-major layout: branches already stored adjacent
+        # channel ranges; the concat is pure address aliasing.
+        return "concat", 0, 0, 0
+    transfer = (info.input_size + info.output_size) * device.element_bytes
+    latency = math.ceil(transfer / device.bytes_per_cycle)
+    return "eltwise", transfer, latency, info.ops
+
+
+def fuse_branches(
+    graph: Graph,
+    fork: Optional[str],
+    join: str,
+    branch_nodes: Sequence[Tuple[str, ...]],
+    designs: Sequence[Optional[GroupDesign]],
+    device: FPGADevice,
+) -> FusedParallelSegment:
+    """The fork-join block at ``join`` run as one on-chip group.
+
+    ``designs[b]`` is branch ``b``'s single-group design (None for an
+    identity skip).  Branch pipelines run concurrently off one streamed
+    copy of the fork tensor: compute and fill are the slowest branch's,
+    resources and weight traffic add, and only the fork tensor and the
+    join output cross DRAM.  The result may not fit the device.
+    """
+    fork_shape = graph.producer_shape(fork if fork is not None else graph.input_name)
+    feature_bytes = (
+        math.prod(fork_shape) + graph.node(join).output_size
+    ) * device.element_bytes
+    join_kind, _, _, join_ops = join_cost(graph, join, device)
+    real = [d for d in designs if d is not None]
+    # Fork fan-out and join fan-in FIFO channels on top of the branches'
+    # internal ones (already inside each design).
+    resources = ResourceVector.total(d.resources for d in real) + fifo_overhead(
+        2 * len(designs) + 1
+    )
+    compute = max(d.compute_cycles for d in real)
+    fill = max(d.fill_cycles for d in real)
+    weight_bytes = sum(d.weight_transfer_bytes for d in real)
+    transfer_cycles = math.ceil(
+        (feature_bytes + weight_bytes) / device.bytes_per_cycle
+    )
+    return FusedParallelSegment(
+        fork=fork,
+        join=join,
+        join_kind=join_kind,
+        branch_nodes=tuple(branch_nodes),
+        branch_implementations=tuple(
+            () if d is None else d.implementations for d in designs
+        ),
+        resources=resources,
+        compute_cycles=compute,
+        transfer_cycles=transfer_cycles,
+        fill_cycles=fill,
+        latency_cycles=max(compute, transfer_cycles) + fill,
+        feature_transfer_bytes=feature_bytes,
+        weight_transfer_bytes=weight_bytes,
+        ops=sum(d.ops for d in real) + join_ops,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +549,10 @@ class _GPlan:
     #: Top-level blocks ``[start, stop)`` a :meth:`GraphOptimizer.frontier`
     #: plan covers (None inside the search).
     span: Optional[Tuple[int, int]] = None
+
+
+#: The plan of an identity skip: nothing to run, nothing to pay.
+_IDENTITY = _GPlan(transfer_bytes=0, latency_cycles=0, builders=())
 
 
 class GraphOptimizer:
@@ -447,26 +589,13 @@ class GraphOptimizer:
 
     # -- chain runs -----------------------------------------------------------
 
-    def _chain_network(self, graph: Graph, names: Tuple[str, ...]) -> Network:
-        """The sub-Network of a series run of nodes."""
-        if len(names) == len(graph) and graph.is_chain:
-            # Whole-graph run: keep the graph's own name so the chain
-            # degeneracy is exact (network identity included).
-            return graph.to_network()
-        first = graph.node(names[0])
-        spec = InputSpec(*first.input_shapes[0])
-        layers = [graph.node(name).layer for name in names]
-        return Network(
-            f"{graph.name}[{names[0]}..{names[-1]}]", spec, layers
-        )
-
     def _run_optimizer(
         self, graph: Graph, names: Tuple[str, ...]
     ) -> FrontierOptimizer:
         cached = self._chain_runs.get(names)
         if cached is None:
             cached = FrontierOptimizer(
-                self._chain_network(graph, names),
+                chain_network(graph, names),
                 self.device,
                 context=self.context,
                 workers=self.workers,
@@ -527,45 +656,16 @@ class GraphOptimizer:
         part of the run inside the range; each parallel block
         contributes its frontier, computed once.
         """
-        blocks = series.blocks
-        stop = len(blocks) if stop is None else stop
         frontier: Optional[List[_GPlan]] = None
-        index = start
-        while index < stop:
-            block = blocks[index]
-            if isinstance(block, SPParallel):
-                part = self._parallel_frontier(graph, block)
-                index += 1
+        for part in series_parts(series, start, stop):
+            if isinstance(part, SPParallel):
+                front = self._parallel_frontier(graph, part)
             else:
-                first = last = index
-                while first > 0 and isinstance(blocks[first - 1], SPLeaf):
-                    first -= 1
-                while last < len(blocks) and isinstance(blocks[last], SPLeaf):
-                    last += 1
-                run = tuple(leaf.node for leaf in blocks[first:last])
-                end = min(last, stop)
-                part = self._chain_frontier(
-                    graph, run, index - first, end - first
-                )
-                index = end
+                front = self._chain_frontier(graph, *part)
             frontier = (
-                part if frontier is None else self._combine(frontier, part)
+                front if frontier is None else self._combine(frontier, front)
             )
         return frontier if frontier is not None else []
-
-    def _join_cost(
-        self, graph: Graph, join_name: str
-    ) -> Tuple[str, int, int, int]:
-        """(kind, transfer_bytes, latency_cycles, ops) of a split-mode join."""
-        info = graph.node(join_name)
-        if isinstance(info.layer, ConcatLayer):
-            # Channel-major layout: branches already stored adjacent
-            # channel ranges; the concat is pure address aliasing.
-            return "concat", 0, 0, 0
-        element_bytes = self.device.element_bytes
-        transfer = (info.input_size + info.output_size) * element_bytes
-        latency = math.ceil(transfer / self.device.bytes_per_cycle)
-        return "eltwise", transfer, latency, info.ops
 
     def _parallel_frontier(
         self, graph: Graph, block: SPParallel
@@ -573,37 +673,21 @@ class GraphOptimizer:
         cached = self._blocks.get(block.join)
         if cached is not None:
             return cached
-        fork_ref = block.fork if block.fork is not None else graph.input_name
-        fork_shape = graph.producer_shape(fork_ref)
-        spec = InputSpec(*fork_shape)
-        join_kind, join_transfer, join_latency, join_ops = self._join_cost(
-            graph, block.join
+        join_kind, join_transfer, join_latency, join_ops = join_cost(
+            graph, block.join, self.device
         )
-
-        subgraphs: List[Optional[Graph]] = []
-        branch_fronts: List[List[_GPlan]] = []
-        for index, branch in enumerate(block.branches):
-            if not branch.blocks:  # identity skip
-                subgraphs.append(None)
-                branch_fronts.append(
-                    [_GPlan(transfer_bytes=0, latency_cycles=0, builders=())]
-                )
-                continue
-            names = sp_leaf_names(branch)
-            sub = graph.subgraph(
-                names,
-                name=f"{graph.name}/{fork_ref}..{block.join}#{index}",
-                input_name=fork_ref,
-                input_spec=spec,
-            )
-            subgraphs.append(sub)
-            branch_fronts.append(self._series_frontier(sub, branch))
+        subgraphs = [
+            branch_graph(graph, block, index)
+            for index in range(len(block.branches))
+        ]
+        branch_fronts = [
+            self._series_frontier(sub, branch) if branch.blocks else [_IDENTITY]
+            for sub, branch in zip(subgraphs, block.branches)
+        ]
 
         # Split mode: cross-product of branch frontiers (additive both
         # ways — branches share the device sequentially), join priced in.
-        split: List[_GPlan] = [
-            _GPlan(transfer_bytes=0, latency_cycles=0, builders=())
-        ]
+        split: List[_GPlan] = [_IDENTITY]
         for front in branch_fronts:
             split = [
                 _GPlan(
@@ -617,34 +701,15 @@ class GraphOptimizer:
             split = _prune(split)
 
         def split_builder(plan: _GPlan) -> Callable[[], Segment]:
-            branch_builders = plan.builders  # tuple of tuples
-
             def build() -> Segment:
-                branches = []
-                for sub, builders in zip(subgraphs, branch_builders):
-                    if sub is None:
-                        empty = Graph(
-                            f"{graph.name}/identity",
-                            spec,
-                            [],
-                            input_name=fork_ref,
-                        )
-                        branches.append(
-                            GraphStrategy(empty, self.device, [])
-                        )
-                    else:
-                        branches.append(
-                            GraphStrategy(
-                                sub,
-                                self.device,
-                                [b() for b in builders],
-                            )
-                        )
                 return ParallelSegment(
                     fork=block.fork,
                     join=block.join,
                     join_kind=join_kind,
-                    branches=tuple(branches),
+                    branches=tuple(
+                        GraphStrategy(sub, self.device, [b() for b in builders])
+                        for sub, builders in zip(subgraphs, plan.builders)
+                    ),
                     join_transfer_bytes=join_transfer,
                     join_latency_cycles=join_latency,
                     join_ops=join_ops,
@@ -661,90 +726,40 @@ class GraphOptimizer:
             for p in split
         ]
 
-        fused = self._fused_candidate(graph, block, subgraphs, fork_shape)
+        fused = self._fused_candidate(graph, block, subgraphs)
         if fused is not None:
             plans.append(fused)
         pruned = self._blocks[block.join] = _prune(plans)
         return pruned
 
     def _fused_candidate(
-        self,
-        graph: Graph,
-        block: SPParallel,
-        subgraphs: List[Optional[Graph]],
-        fork_shape,
+        self, graph: Graph, block: SPParallel, subgraphs: List[Graph]
     ) -> Optional[_GPlan]:
         """One whole-block on-chip design, when every branch is a chain."""
-        branch_designs = []
-        branch_names: List[Tuple[str, ...]] = []
+        designs: List[Optional[GroupDesign]] = []
         for sub in subgraphs:
-            if sub is None:
-                branch_designs.append(None)
-                branch_names.append(())
+            if len(sub) == 0:
+                designs.append(None)
                 continue
             if not sub.is_chain:
                 return None  # nested forks: split mode only
-            names = sub.topo_order
             network = sub.to_network()
-            search = GroupSearch(network, self.device, context=self.context)
-            design = search.fusion(0, len(network))
+            design = GroupSearch(network, self.device, context=self.context).fusion(
+                0, len(network)
+            )
             if design is None:
                 return None
-            branch_designs.append(design)
-            branch_names.append(names)
-
-        join_info = graph.node(block.join)
-        element_bytes = self.device.element_bytes
-        fork_bytes = (
-            fork_shape[0] * fork_shape[1] * fork_shape[2] * element_bytes
+            designs.append(design)
+        segment = fuse_branches(
+            graph, block.fork, block.join,
+            [sub.topo_order for sub in subgraphs], designs, self.device,
         )
-        out_bytes = join_info.output_size * element_bytes
-        feature_bytes = fork_bytes + out_bytes
-        join_kind = (
-            "concat" if isinstance(join_info.layer, ConcatLayer) else "eltwise"
-        )
-        join_ops = 0 if join_kind == "concat" else join_info.ops
-
-        real = [d for d in branch_designs if d is not None]
-        resources = ResourceVector.total(d.resources for d in real)
-        # Fork fan-out and join fan-in FIFO channels on top of the
-        # branches' internal ones (already inside each design).
-        resources = resources + fifo_overhead(2 * len(block.branches) + 1)
-        if not resources.fits(self.device.resources):
+        if not segment.resources.fits(self.device.resources):
             return None
-        compute = max(d.compute_cycles for d in real)
-        fill = max(d.fill_cycles for d in real)
-        weight_bytes = sum(d.weight_transfer_bytes for d in real)
-        transfer_cycles = math.ceil(
-            (feature_bytes + weight_bytes) / self.device.bytes_per_cycle
-        )
-        latency = max(compute, transfer_cycles) + fill
-        ops = sum(d.ops for d in real) + join_ops
-
-        def build() -> Segment:
-            return FusedParallelSegment(
-                fork=block.fork,
-                join=block.join,
-                join_kind=join_kind,
-                branch_nodes=tuple(branch_names),
-                branch_implementations=tuple(
-                    () if d is None else d.implementations
-                    for d in branch_designs
-                ),
-                resources=resources,
-                compute_cycles=compute,
-                transfer_cycles=transfer_cycles,
-                fill_cycles=fill,
-                latency_cycles=latency,
-                feature_transfer_bytes=feature_bytes,
-                weight_transfer_bytes=weight_bytes,
-                ops=ops,
-            )
-
         return _GPlan(
-            transfer_bytes=feature_bytes,
-            latency_cycles=latency,
-            builders=(build,),
+            transfer_bytes=segment.feature_transfer_bytes,
+            latency_cycles=segment.latency_cycles,
+            builders=(lambda: segment,),
         )
 
     # -- queries --------------------------------------------------------------
@@ -801,26 +816,7 @@ class GraphOptimizer:
         those top-level blocks, fed by the tensor crossing into block
         ``start``.
         """
-        blocks = self._tree.blocks
-        start, stop = plan.span
-        graph = self.graph
-        if (start, stop) != (0, len(blocks)):
-            names = [
-                name
-                for block in blocks[start:stop]
-                for name in sp_leaf_names(block)
-            ]
-            input_name = (
-                graph.input_name
-                if start == 0
-                else sp_leaf_names(blocks[start - 1])[-1]
-            )
-            graph = graph.subgraph(
-                names,
-                name=f"{graph.name}[u{start}:u{stop}]",
-                input_name=input_name,
-                input_spec=InputSpec(*graph.producer_shape(input_name)),
-            )
+        graph = stage_graph(self.graph, self._tree.blocks, *plan.span)
         return GraphStrategy(
             graph,
             self.device,

@@ -5,22 +5,20 @@ A strategy search on a large network can take tens of seconds (Section
 re-run without re-searching — the same role the paper's "optimal
 strategy" file plays between its optimizer and code generator (Figure 4).
 
-Strategies travel in the unified artifact envelope
-(:mod:`repro.check.artifacts`): a versioned, checksummed wrapper around
-the payload dict :func:`strategy_to_dict` produces, written atomically.
-Pre-envelope files (bare payloads from PR <= 4) still load through the
-envelope's legacy migration path.  Loading re-evaluates each engine
-through the same cost model (``implement``), so a reloaded strategy is
-bit-identical in cost terms — drift raises a precise
-:class:`~repro.errors.ArtifactMismatchError`, and any structural damage
-raises an :class:`~repro.errors.ArtifactError` subclass carrying an
-error code and the JSON path of the offending field.
+Chain and graph strategies travel in the unified artifact envelope
+(:mod:`repro.check.artifacts`); pre-envelope files (bare payloads from
+PR <= 4) still load through its legacy migration path.  Loading
+re-evaluates each engine through the same cost model (``implement``),
+so a reloaded strategy is bit-identical in cost terms — drift raises a
+precise :class:`~repro.errors.ArtifactMismatchError`, and any
+structural damage an :class:`~repro.errors.ArtifactError` subclass
+carrying an error code and the JSON path of the offending field.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.check.artifacts import (
     E_DEVICE,
@@ -40,10 +38,10 @@ from repro.errors import (
     ResourceError,
 )
 from repro.hardware.device import FPGADevice, get_device
+from repro.nn.graph import Graph, SPParallel, SPSeries
 from repro.nn.network import Network
 from repro.perf.cost import CostModel, EvalContext
-from repro.perf.group import compose_group
-from repro.perf.implement import Algorithm, WeightMode, WINOGRAD_M
+from repro.perf.record import engine_to_dict, engines_from_dicts, rebuild
 from repro.optimizer.strategy import Strategy
 
 #: Version of the strategy *payload* (the envelope has its own version).
@@ -53,53 +51,69 @@ SCHEMA_VERSION = 1
 ARTIFACT_KIND = "strategy"
 
 
-def strategy_to_dict(strategy: Strategy) -> dict:
+def strategy_to_dict(strategy) -> dict:
     """The JSON-serializable description of a strategy.
 
-    A :class:`~repro.optimizer.graph_dp.GraphStrategy` describes itself
-    (:meth:`~repro.optimizer.graph_dp.GraphStrategy.to_dict`); only
-    chain payloads load back through :func:`strategy_from_dict`.
+    A chain :class:`Strategy` records its groups: each layer range with
+    every engine's layer name and ``implement()`` query
+    (:mod:`repro.perf.record`).  A
+    :class:`~repro.optimizer.graph_dp.GraphStrategy` records its
+    segments in execution order: a chain segment's groups in the same
+    form, a split fork-join block's branches as nested graph payloads,
+    and a fused block's branches as engine lists.
     """
     from repro.optimizer.graph_dp import GraphStrategy
 
-    if isinstance(strategy, GraphStrategy):
-        return strategy.to_dict()
-    return {
+    chain = not isinstance(strategy, GraphStrategy)
+    payload = {
         "schema_version": SCHEMA_VERSION,
-        "network": strategy.network.name,
+        **(
+            {"network": strategy.network.name} if chain
+            else {"kind": "graph_strategy", "graph": strategy.graph.name}
+        ),
         "device": strategy.device.name,
         "latency_cycles": strategy.latency_cycles,
         "feature_transfer_bytes": strategy.feature_transfer_bytes,
-        "groups": [
-            {
-                "range": [start, stop],
-                "layers": [
-                    {
-                        "name": impl.layer_name,
-                        "algorithm": impl.algorithm.value,
-                        "parallelism": impl.parallelism,
-                        "weight_mode": impl.weight_mode.value
-                        if impl.weight_mode is not None
-                        else WeightMode.RESIDENT.value,
-                        "winograd_m": impl.winograd_m or WINOGRAD_M,
-                    }
-                    for impl in design.implementations
-                ],
-            }
-            for (start, stop), design in zip(strategy.boundaries, strategy.designs)
-        ],
     }
+    if chain:
+        payload["groups"] = _groups_to_dict(strategy)
+        return payload
+    payload["segments"] = []
+    for segment in strategy.segments:
+        entry = {"kind": segment.kind, "nodes": segment.node_names()}
+        if segment.kind == "chain":
+            entry["groups"] = _groups_to_dict(segment.strategy)
+        elif segment.kind == "parallel":
+            entry["branches"] = [strategy_to_dict(b) for b in segment.branches]
+        else:
+            entry["branches"] = [
+                [engine_to_dict(impl) for impl in impls]
+                for impls in segment.branch_implementations
+            ]
+        payload["segments"].append(entry)
+    return payload
 
 
-def strategy_digests(strategy: Strategy) -> dict:
-    """Envelope digests binding a strategy to its network and device."""
+def _groups_to_dict(strategy: Strategy) -> list:
+    return [
+        {
+            "range": [start, stop],
+            "layers": [engine_to_dict(impl) for impl in design.implementations],
+        }
+        for (start, stop), design in zip(strategy.boundaries, strategy.designs)
+    ]
+
+
+def strategy_digests(strategy) -> dict:
+    """Envelope digests binding a strategy to its model and device."""
+    model = strategy.graph if hasattr(strategy, "graph") else strategy.network
     return {
-        "network": network_digest(strategy.network),
+        "network": network_digest(model),
         "device": device_digest(strategy.device),
     }
 
 
-def save_strategy(strategy: Strategy, path: Union[str, Path]) -> Path:
+def save_strategy(strategy, path: Union[str, Path]) -> Path:
     """Atomically write a strategy artifact (envelope + payload JSON)."""
     return save_artifact(
         path,
@@ -109,52 +123,38 @@ def save_strategy(strategy: Strategy, path: Union[str, Path]) -> Path:
     )
 
 
-def _parse_enum(entry, key: str, enum_cls, path: str):
-    """Read an enum-valued payload field with a precise error."""
-    raw = require(entry, key, str, path)
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        options = ", ".join(member.value for member in enum_cls)
-        raise ArtifactSchemaError(
-            E_FIELD_VALUE,
-            f"{path}.{key}",
-            f"{raw!r} is not one of: {options}",
-        ) from None
-
-
 def strategy_from_dict(
     payload: dict,
-    network: Network,
+    network: Union[Network, Graph],
     device: Union[str, FPGADevice, None] = None,
     context: Optional[CostModel] = None,
     path: str = "$",
-) -> Strategy:
-    """Rebuild a strategy by re-evaluating every recorded choice.
+    units: Optional[Tuple[int, int]] = None,
+):
+    """Rebuild a strategy by re-evaluating every recorded choice: each
+    group through :func:`repro.perf.record.rebuild`, each fused fork-join
+    block through :func:`~repro.optimizer.graph_dp.fuse_branches`.
 
     Args:
         payload: A dict produced by :func:`strategy_to_dict`.
-        network: The network the strategy was optimized for (must match
-            the recorded layer names).
+        network: The model the strategy was optimized for: the chain
+            :class:`Network` of a chain payload, the :class:`Graph` of a
+            graph payload.  Its layer names must match the recorded ones.
         device: Target device; defaults to the recorded catalog name.
         context: Shared evaluation layer for the re-evaluation (the
             drift check); sharing one across many loads amortizes the
             cost-model calls for shape-identical layers.
         path: JSON path prefix for error reporting (a plan's stage
             strategies live at ``$.stages[i].strategy``).
+        units: The model units ``[start, stop)`` a partition stage's
+            strategy covers (:func:`repro.partition.plan.model_units`);
+            default all.
 
     Raises:
         ArtifactError: On any schema, value, or drift problem, with an
             error code and the JSON path of the offending field.
     """
-    version = require(payload, "schema_version", int, path)
-    if version != SCHEMA_VERSION:
-        raise ArtifactVersionError(
-            "E_VERSION",
-            f"{path}.schema_version",
-            f"unsupported strategy schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})",
-        )
+    _check_version(payload, path)
     if device is None:
         device = require(payload, "device", str, path)
     if isinstance(device, str):
@@ -165,72 +165,34 @@ def strategy_from_dict(
                 E_DEVICE, f"{path}.device", str(exc)
             ) from None
     cost = context if context is not None else EvalContext()
+    if isinstance(network, Graph):
+        from repro.optimizer.graph_dp import stage_graph
 
-    boundaries: List[Tuple[int, int]] = []
-    designs = []
-    groups = require(payload, "groups", list, path)
-    for group_index, group in enumerate(groups):
-        group_path = f"{path}.groups[{group_index}]"
-        span = require(group, "range", list, group_path)
-        if len(span) != 2 or not all(isinstance(v, int) for v in span):
-            raise ArtifactSchemaError(
-                E_FIELD_VALUE,
-                f"{group_path}.range",
-                f"expected [start, stop] integers, found {span!r}",
-            )
-        start, stop = span
-        if not 0 <= start < stop <= len(network):
-            raise ArtifactSchemaError(
-                E_FIELD_VALUE,
-                f"{group_path}.range",
-                f"[{start}, {stop}] out of range for a "
-                f"{len(network)}-layer network",
-            )
-        boundaries.append((start, stop))
-        layers = require(group, "layers", list, group_path)
-        if len(layers) != stop - start:
-            raise ArtifactSchemaError(
-                E_FIELD_VALUE,
-                f"{group_path}.layers",
-                f"group covers {stop - start} layers but records "
-                f"{len(layers)}",
-            )
-        impls = []
-        for offset, entry in enumerate(layers):
-            layer_path = f"{group_path}.layers[{offset}]"
-            index = start + offset
-            info = network[index]
-            name = require(entry, "name", str, layer_path)
-            if info.name != name:
-                raise ArtifactMismatchError(
-                    E_NETWORK,
-                    f"{layer_path}.name",
-                    f"layer {index} is {info.name!r} in the network but "
-                    f"{name!r} in the strategy file",
-                )
-            algorithm = _parse_enum(entry, "algorithm", Algorithm, layer_path)
-            weight_mode = (
-                _parse_enum(entry, "weight_mode", WeightMode, layer_path)
-                if "weight_mode" in entry
-                else WeightMode.RESIDENT
-            )
-            winograd_m = (
-                require(entry, "winograd_m", int, layer_path)
-                if "winograd_m" in entry
-                else WINOGRAD_M
-            )
-            impls.append(
-                cost.implement(
-                    info,
-                    algorithm,
-                    require(entry, "parallelism", int, layer_path),
-                    device,
-                    weight_mode=weight_mode,
-                    winograd_m=winograd_m,
-                )
-            )
-        designs.append(compose_group(impls, device))
-    strategy = Strategy(network, device, boundaries, designs)
+        tree = network.decompose()
+        start, stop = units or (0, len(tree.blocks))
+        return _graph_from_dict(
+            payload, stage_graph(network, tree.blocks, start, stop),
+            network, tree, start, stop, device, cost, path,
+        )
+    if units is not None and units != (0, len(network)):
+        network = network.slice(*units)
+    strategy = _chain_from_dict(payload, network, device, cost, path)
+    return _checked(payload, strategy, path)
+
+
+def _check_version(payload: dict, path: str) -> None:
+    version = require(payload, "schema_version", int, path)
+    if version != SCHEMA_VERSION:
+        raise ArtifactVersionError(
+            "E_VERSION",
+            f"{path}.schema_version",
+            f"unsupported strategy schema version {version!r} "
+            f"(expected {SCHEMA_VERSION})",
+        )
+
+
+def _checked(payload: dict, strategy, path: str):
+    """``strategy``, once its latency matches the recorded one."""
     recorded = payload.get("latency_cycles")
     if recorded is not None and recorded != strategy.latency_cycles:
         raise ArtifactMismatchError(
@@ -242,13 +204,140 @@ def strategy_from_dict(
     return strategy
 
 
+def _chain_from_dict(
+    entry: dict, network: Network, device: FPGADevice, cost: CostModel, path: str
+) -> Strategy:
+    """The chain strategy of ``entry``'s groups over ``network``."""
+    boundaries, designs = [], []
+    for index, group in enumerate(require(entry, "groups", list, path)):
+        group_path = f"{path}.groups[{index}]"
+        span = require(group, "range", list, group_path)
+        if (
+            len(span) != 2
+            or not all(isinstance(v, int) for v in span)
+            or not 0 <= span[0] < span[1] <= len(network)
+        ):
+            raise ArtifactSchemaError(
+                E_FIELD_VALUE,
+                f"{group_path}.range",
+                f"expected [start, stop] within the {len(network)}-layer "
+                f"network, found {span!r}",
+            )
+        infos = network.infos[span[0]:span[1]]
+        queries = engines_from_dicts(
+            require(group, "layers", list, group_path), infos,
+            f"{group_path}.layers",
+        )
+        boundaries.append(tuple(span))
+        designs.append(rebuild(infos, queries, device, cost))
+    return Strategy(network, device, boundaries, designs)
+
+
+def _graph_from_dict(
+    payload: dict,
+    strategy_graph: Graph,
+    graph: Graph,
+    series: SPSeries,
+    start: int,
+    stop: int,
+    device: FPGADevice,
+    cost: CostModel,
+    path: str,
+):
+    """The graph strategy over ``strategy_graph`` whose segments run
+    ``series.blocks[start:stop]`` of ``graph``, walked as the search
+    prices them, with every chain network and subgraph built by the
+    helper the search uses (so names and shapes match)."""
+    from repro.optimizer.graph_dp import (
+        ChainSegment,
+        GraphStrategy,
+        ParallelSegment,
+        branch_graph,
+        chain_network,
+        fuse_branches,
+        join_cost,
+        series_parts,
+    )
+
+    _check_version(payload, path)
+    entries = require(payload, "segments", list, path)
+    parts = list(series_parts(series, start, stop))
+    if len(entries) != len(parts):
+        raise ArtifactSchemaError(
+            E_FIELD_VALUE, f"{path}.segments",
+            f"{strategy_graph.name!r} runs as {len(parts)} segment(s), "
+            f"{len(entries)} recorded",
+        )
+    segments = []
+    for position, (entry, part) in enumerate(zip(entries, parts)):
+        where = f"{path}.segments[{position}]"
+        kind = require(entry, "kind", str, where)
+        allowed = ("parallel", "fused") if isinstance(part, SPParallel) else ("chain",)
+        if kind not in allowed:
+            raise ArtifactMismatchError(
+                E_NETWORK, f"{where}.kind",
+                f"a {kind!r} segment where the graph runs a "
+                f"{' or '.join(allowed)} segment",
+            )
+        if kind == "chain":
+            run, a, b = part
+            network = chain_network(graph, run)
+            if (a, b) != (0, len(run)):
+                network = network.slice(a, b)
+            segments.append(ChainSegment(
+                run[a:b], _chain_from_dict(entry, network, device, cost, where)
+            ))
+            continue
+        branches = require(entry, "branches", list, where)
+        if len(branches) != len(part.branches):
+            raise ArtifactSchemaError(
+                E_FIELD_VALUE, f"{where}.branches",
+                f"the block at {part.join!r} has {len(part.branches)} "
+                f"branches, {len(branches)} recorded",
+            )
+        subgraphs = [branch_graph(graph, part, b) for b in range(len(branches))]
+        if kind == "parallel":
+            join_kind, transfer, latency, ops = join_cost(graph, part.join, device)
+            segments.append(ParallelSegment(
+                part.fork, part.join, join_kind,
+                tuple(
+                    _graph_from_dict(
+                        branches[b], sub, sub, series_b, 0,
+                        len(series_b.blocks), device, cost,
+                        f"{where}.branches[{b}]",
+                    )
+                    for b, (sub, series_b) in enumerate(
+                        zip(subgraphs, part.branches)
+                    )
+                ),
+                transfer, latency, ops,
+            ))
+            continue
+        designs = []
+        for b, sub in enumerate(subgraphs):
+            if not sub.is_chain:
+                raise ArtifactMismatchError(
+                    E_NETWORK, f"{where}.branches[{b}]",
+                    f"branch {b} of the block at {part.join!r} forks again, "
+                    "so the block cannot run fused",
+                )
+            infos = sub.to_network().infos if len(sub) else ()
+            queries = engines_from_dicts(branches[b], infos, f"{where}.branches[{b}]")
+            designs.append(rebuild(infos, queries, device, cost) if infos else None)
+        segments.append(fuse_branches(
+            graph, part.fork, part.join,
+            [sub.topo_order for sub in subgraphs], designs, device,
+        ))
+    return _checked(payload, GraphStrategy(strategy_graph, device, segments), path)
+
+
 def load_strategy(
     path: Union[str, Path],
-    network: Network,
+    network: Union[Network, Graph],
     device: Union[str, FPGADevice, None] = None,
     context: Optional[CostModel] = None,
-) -> Strategy:
-    """Read a strategy artifact and rebuild the Strategy.
+):
+    """Read a strategy artifact and rebuild the strategy.
 
     Accepts both current envelope files and pre-envelope bare payloads
     (which migrate transparently).  When the envelope carries a network
@@ -263,16 +352,10 @@ def load_strategy(
     )
 
 
-def read_strategy_payload(path: Union[str, Path]) -> dict:
-    """Validated payload dict of a strategy artifact (no re-evaluation)."""
-    return load_envelope(path, expected_kind=ARTIFACT_KIND).payload
-
-
 __all__ = [
     "ARTIFACT_KIND",
     "SCHEMA_VERSION",
     "load_strategy",
-    "read_strategy_payload",
     "save_strategy",
     "strategy_digests",
     "strategy_from_dict",

@@ -8,9 +8,8 @@ existing DP chose for it.  A DAG's units are its top-level nodes and
 whole fork-join blocks (:func:`model_units`), and each range carries a
 :class:`~repro.optimizer.graph_dp.GraphStrategy`.  It is to the
 partition layer what ``Strategy`` is to the single-device optimizer: the
-hand-off between search, simulation and serving, which take either kind
-of stage strategy.  Only the saved artifact is chain-only, because
-:func:`plan_from_dict` rebuilds chain strategies alone.
+hand-off between search, simulation, serving and the saved artifact,
+which all take either kind of stage strategy.
 
 Timing is expressed in **seconds**, not cycles: a heterogeneous fleet
 has no single clock, so stage latencies convert through each device's
@@ -333,16 +332,7 @@ class PartitionPlan:
         }
 
     def save(self, path: Union[str, Path]) -> Path:
-        """Atomically write the plan artifact (envelope + payload JSON).
-
-        Chain plans only: :func:`plan_from_dict` rebuilds chain stage
-        strategies, and there is no graph-strategy loader yet.
-        """
-        if any(isinstance(p.strategy, GraphStrategy) for p in self.placements):
-            raise PartitionError(
-                "save() is chain-only; this plan's stages hold graph "
-                "strategies, which have no loader yet"
-            )
+        """Atomically write the plan artifact (envelope + payload JSON)."""
         return save_artifact(
             path, PLAN_ARTIFACT_KIND, self.to_dict(), digests=self.digests()
         )
@@ -406,7 +396,7 @@ class PartitionPlan:
 
 def plan_from_dict(
     payload: dict,
-    network: Network,
+    network: Union[Network, Graph],
     fleet: Optional[DeviceFleet] = None,
     context: Optional[CostModel] = None,
     path: str = "$",
@@ -415,7 +405,8 @@ def plan_from_dict(
 
     Args:
         payload: A dict produced by :meth:`PartitionPlan.to_dict`.
-        network: The (accelerated-prefix) network the plan was built for.
+        network: The accelerated model the plan was built for: the
+            chain :class:`Network` or the DAG :class:`Graph`.
         fleet: Target fleet; defaults to the recorded catalog devices
             and link parameters.
         context: Shared evaluation layer for the re-evaluation drift
@@ -461,6 +452,7 @@ def plan_from_dict(
                 )
             )
         fleet = DeviceFleet(base.devices, links)
+    units = len(model_units(network))
     placements = []
     for index, entry in enumerate(require(payload, "stages", list, path)):
         stage_path = f"{path}.stages[{index}]"
@@ -468,30 +460,25 @@ def plan_from_dict(
         if (
             len(span) != 2
             or not all(isinstance(v, int) for v in span)
-            or not 0 <= span[0] < span[1] <= len(network)
+            or not 0 <= span[0] < span[1] <= units
         ):
             raise ArtifactSchemaError(
                 "E_FIELD_VALUE",
                 f"{stage_path}.range",
-                f"expected [start, stop] within the {len(network)}-layer "
-                f"network, found {span!r}",
+                f"expected [start, stop] within the {units}-unit "
+                f"model, found {span!r}",
             )
         start, stop = span
         device_index = require_index(
             entry, "device_index", len(fleet.devices), "device", stage_path
         )
-        device = fleet.devices[device_index]
-        subnet = (
-            network
-            if start == 0 and stop == len(network)
-            else network.slice(start, stop)
-        )
         strategy = strategy_from_dict(
             require(entry, "strategy", dict, stage_path),
-            subnet,
-            device,
+            network,
+            fleet.devices[device_index],
             context=context,
             path=f"{stage_path}.strategy",
+            units=(start, stop),
         )
         placements.append(
             StagePlacement(
@@ -528,7 +515,7 @@ def plan_from_dict(
 
 def load_plan(
     path: Union[str, Path],
-    network: Network,
+    network: Union[Network, Graph],
     fleet: Optional[DeviceFleet] = None,
     context: Optional[CostModel] = None,
 ) -> PartitionPlan:

@@ -33,14 +33,11 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.nn.functional import forward_join, init_graph_weights
-from repro.nn.graph import Graph
-from repro.nn.layers import InputSpec
-from repro.nn.network import Network
 from repro.optimizer.graph_dp import (
     ChainSegment,
-    FusedParallelSegment,
     GraphStrategy,
     ParallelSegment,
+    chain_network,
 )
 from repro.sim.simulator import (
     GroupServiceModel,
@@ -86,16 +83,6 @@ class GraphSimulationResult:
                 f"{trace.cycles:,.0f} cycles"
             )
         return "\n".join(lines)
-
-
-def _branch_network(graph: Graph, segment: FusedParallelSegment, nodes) -> Network:
-    fork_ref = segment.fork if segment.fork is not None else graph.input_name
-    spec = InputSpec(*graph.producer_shape(fork_ref))
-    return Network(
-        f"{graph.name}/{fork_ref}..{segment.join}",
-        spec,
-        [graph.node(name).layer for name in nodes],
-    )
 
 
 def _simulate(
@@ -166,9 +153,8 @@ def _simulate(
                 if not nodes:  # identity skip
                     outputs.append(fork_blob)
                     continue
-                net = _branch_network(graph, segment, nodes)
                 impls = list(segment.branch_implementations[b])
-                infos = list(net.infos)
+                infos = list(chain_network(graph, nodes).infos)
                 outputs.append(
                     _group_forward(infos, impls, fork_blob, weights, quantize)
                 )

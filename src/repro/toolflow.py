@@ -329,7 +329,7 @@ def partition_model(
     Returns:
         A :class:`~repro.partition.plan.PartitionPlan` with one
         single-device strategy per stage and ``simulate()`` /
-        ``serve()`` hooks; ``save()`` is chain-only.  A 1-device fleet
+        ``serve()`` / ``save()`` hooks.  A 1-device fleet
         returns a plan whose stage strategy is exactly the single-device
         optimum.
     """

@@ -288,7 +288,7 @@ class TestCorruptionFuzz:
 
     @pytest.fixture(scope="class")
     def artifact_paths(self, tmp_path_factory):
-        from repro.toolflow import partition_model
+        from repro.toolflow import compile_model, partition_model
 
         root = tmp_path_factory.mktemp("fuzz")
         net = models.tiny_cnn()
@@ -297,15 +297,26 @@ class TestCorruptionFuzz:
         spath = save_strategy(strategy, root / "strategy.json")
         plan = partition_model(net, devices="testchip,testchip")
         ppath = plan.save(root / "plan.json")
-        return [spath, ppath]
+        dag = models.tiny_resnet()
+        dag_spath = save_strategy(
+            compile_model(dag, "testchip").strategy, root / "dag_strategy.json"
+        )
+        dag_ppath = partition_model(dag, devices="testchip,testchip").save(
+            root / "dag_plan.json"
+        )
+        return [spath, ppath, dag_spath, dag_ppath]
 
     def _load(self, path):
         from repro.partition.plan import load_plan
 
-        net = models.tiny_cnn().accelerated_prefix()
-        if path.name == "plan.json":
-            return load_plan(path, net)
-        return load_strategy(path, net)
+        # Probes are named after their source: trunc_dag_plan_3.json.
+        model = (
+            models.tiny_resnet() if "dag" in path.name
+            else models.tiny_cnn().accelerated_prefix()
+        )
+        if "plan" in path.name:
+            return load_plan(path, model)
+        return load_strategy(path, model)
 
     def test_truncations_always_raise_artifact_error(
         self, artifact_paths, tmp_path
@@ -402,16 +413,37 @@ class TestAdmission:
 
     def test_strategy_from_dict_never_raises_keyerror(self, strategy):
         from repro.optimizer.serialize import strategy_to_dict
+        from repro.toolflow import compile_model
 
-        payload = strategy_to_dict(strategy)
-        for key in list(payload):
-            damaged = {k: v for k, v in payload.items() if k != key}
-            try:
-                strategy_from_dict(damaged, strategy.network)
-            except ArtifactError as exc:
-                assert exc.code
-            except KeyError as exc:  # pragma: no cover
-                pytest.fail(f"KeyError escaped for missing {key!r}: {exc}")
+        # A chain payload, a graph payload with a split block and one
+        # with a fused block; every key at every depth goes missing once.
+        cases = [(strategy_to_dict(strategy), strategy.network)]
+        for device in ("testchip", "zc706"):
+            graph = compile_model(models.tiny_resnet(), device).strategy
+            cases.append((strategy_to_dict(graph), graph.graph))
+        for payload, model in cases:
+            for damaged, key in _without_each_key(payload):
+                try:
+                    strategy_from_dict(damaged, model)
+                except ArtifactError as exc:
+                    assert exc.code
+                except KeyError as exc:  # pragma: no cover
+                    pytest.fail(
+                        f"KeyError escaped for missing {key!r}: {exc}"
+                    )
+
+
+def _without_each_key(payload):
+    """Copies of ``payload`` with one dict key removed, at every depth."""
+    if isinstance(payload, dict):
+        for key in payload:
+            yield {k: v for k, v in payload.items() if k != key}, key
+            for inner, missing in _without_each_key(payload[key]):
+                yield {**payload, key: inner}, missing
+    elif isinstance(payload, list):
+        for index, item in enumerate(payload):
+            for inner, missing in _without_each_key(item):
+                yield payload[:index] + [inner] + payload[index + 1:], missing
 
 
 class TestDurabilityFuzz:

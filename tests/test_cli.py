@@ -356,19 +356,24 @@ class TestPartition:
         assert "fleet simulation:" in out
         assert "served 50 synthetic requests" in out
 
-    def test_partition_dag_save_is_clean_error(self, capsys, tmp_path):
+    def test_partition_dag_save_checks_and_replans(self, capsys, tmp_path):
+        from repro.check.invariants import verify_plan
+        from repro.partition import load_plan
+        from repro.resilience import replan_survivors
+
         path = tmp_path / "plan.json"
         code = main(
             ["partition", "tiny_resnet", "--devices", "testchip,testchip",
              "--simulate", "--save", str(path)]
         )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "chain-only" in captured.err
-        assert captured.err.count("\n") <= 1
-        assert not path.exists()
+        assert code == 0
+        assert main(["check", str(path)]) == 0
+        assert "plan[tiny_resnet across testchip+testchip]: ok" in (
+            capsys.readouterr().out
+        )
+        plan = load_plan(path, models.tiny_resnet())
+        assert verify_plan(plan).ok
+        assert verify_plan(replan_survivors(plan, 0)).ok
 
 
 class TestServeSim:
@@ -551,13 +556,70 @@ class TestCheckCommand:
         assert "E_" in err  # the stable error code surfaces
 
     def test_check_validates_codegen_blob(self, capsys, tmp_path):
+        from repro.optimizer.serialize import load_strategy
         from repro.toolflow import compile_model
 
         result = compile_model(models.tiny_cnn(), device="testchip")
         out_dir = tmp_path / "proj"
         result.project.write_to(out_dir)
-        assert main(["check", str(out_dir / "strategy.json")]) == 0
-        assert "codegen_strategy" in capsys.readouterr().out
+        blob = out_dir / "strategy.json"
+        assert main(["check", str(blob)]) == 0
+        out = capsys.readouterr().out
+        assert "strategy, envelope" in out
+        assert "strategy[tiny_cnn on testchip]: ok" in out
+        reloaded = load_strategy(blob, result.network)
+        assert reloaded.report() == result.strategy.report()
+
+    def test_check_accepts_old_codegen_blob(self, capsys, tmp_path):
+        # Generated projects used to embed a report-only blob of kind
+        # codegen_strategy; it still passes its envelope check.
+        from repro.check.artifacts import save_artifact
+        from repro.optimizer.serialize import strategy_digests
+        from repro.toolflow import compile_model
+
+        strategy = compile_model(models.tiny_cnn(), device="testchip").strategy
+        payload = {
+            "network": strategy.network.name,
+            "device": strategy.device.name,
+            "latency_cycles": strategy.latency_cycles,
+            "feature_transfer_bytes": strategy.feature_transfer_bytes,
+            "weight_transfer_bytes": strategy.weight_transfer_bytes,
+            "groups": [
+                {
+                    "range": [start, stop],
+                    "layers": [
+                        {
+                            "name": impl.layer_name,
+                            "algorithm": impl.algorithm.value,
+                            "parallelism": impl.parallelism,
+                            "compute_cycles": impl.compute_cycles,
+                            **impl.resources.as_dict(),
+                        }
+                        for impl in design.implementations
+                    ],
+                }
+                for (start, stop), design in zip(
+                    strategy.boundaries, strategy.designs
+                )
+            ],
+        }
+        path = save_artifact(
+            tmp_path / "strategy.json", "codegen_strategy", payload,
+            digests=strategy_digests(strategy),
+        )
+        assert main(["check", str(path)]) == 0
+        assert "envelope integrity ok" in capsys.readouterr().out
+
+    def test_check_validates_dag_strategy(self, capsys, tmp_path):
+        from repro.optimizer.serialize import save_strategy
+        from repro.toolflow import compile_model
+
+        result = compile_model(models.tiny_resnet(), device="zc706")
+        path = save_strategy(result.strategy, tmp_path / "s.json")
+        assert main(["check", str(path)]) == 0
+        assert "graph-strategy[tiny_resnet on zc706]: ok" in (
+            capsys.readouterr().out
+        )
 
 
 class TestDoctorCommand:

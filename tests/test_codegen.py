@@ -142,20 +142,22 @@ class TestProject:
     def test_build_script_part_number(self, project):
         assert "xc7z010clg400-1" in project.files["build.tcl"]
 
-    def test_strategy_json_roundtrips(self, project, strategy):
+    def test_strategy_json_roundtrips(self, project, strategy, tmp_path):
+        from repro.optimizer.serialize import load_strategy, strategy_to_dict
+
         document = json.loads(project.files["strategy.json"])
-        assert document["repro_artifact"] == "codegen_strategy"
-        payload = document["payload"]
-        assert payload["network"] == strategy.network.name
-        assert payload["latency_cycles"] == strategy.latency_cycles
-        total_layers = sum(len(g["layers"]) for g in payload["groups"])
-        assert total_layers == len(strategy.network)
+        assert document["repro_artifact"] == "strategy"
+        assert document["payload"] == strategy_to_dict(strategy)
+        path = tmp_path / "strategy.json"
+        path.write_text(project.files["strategy.json"])
+        reloaded = load_strategy(path, strategy.network)
+        assert reloaded.report() == strategy.report()
 
     def test_strategy_json_envelope_validates(self, project):
         from repro.check.artifacts import parse_envelope
 
         document = json.loads(project.files["strategy.json"])
-        envelope = parse_envelope(document, expected_kind="codegen_strategy")
+        envelope = parse_envelope(document, expected_kind="strategy")
         assert "network" in envelope.digests and "device" in envelope.digests
 
     def test_write_to_disk(self, project, tmp_path):

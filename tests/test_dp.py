@@ -1,11 +1,21 @@
-"""Tests for Algorithm 1 (the transfer-constrained DP) in both forms."""
+"""Tests for Algorithm 1 (the transfer-constrained DP) in both forms.
+
+The Pareto-frontier DP is checked against the brute-force oracle and
+against :func:`optimize_tabular`, the paper's Algorithm 1 as its literal
+triple loop over quantized transfer budgets.
+"""
+
+from typing import List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.fusion import group_min_transfer_bytes
 from repro.errors import OptimizationError
-from repro.hardware.device import get_device
+from repro.hardware.device import FPGADevice, get_device
 from repro.nn import models
+from repro.nn.network import Network
+from repro.optimizer.branch_and_bound import GroupSearch
 from repro.optimizer.dp import (
     FrontierOptimizer,
     minimum_transfer_bytes,
@@ -15,8 +25,9 @@ from repro.optimizer.dp import (
     transfer_units,
     TRANSFER_UNIT_BYTES,
 )
-from repro.optimizer.exhaustive import exhaustive_optimize, optimize_tabular
-from repro.perf.cost import EvalContext
+from repro.optimizer.exhaustive import exhaustive_optimize, exhaustive_optimize_many
+from repro.optimizer.strategy import Strategy
+from repro.perf.cost import CostModel, EvalContext
 from tests.test_invariants import random_networks
 
 KB = 1024
@@ -47,13 +58,14 @@ class TestTransferUnits:
 
 class TestOptimize:
     def test_matches_exhaustive_oracle(self, tiny, testchip):
-        for budget in (
+        budgets = [
             tiny.min_fused_transfer_bytes(),
             tiny.feature_map_bytes() // 2,
             tiny.feature_map_bytes(),
-        ):
+        ]
+        oracles = exhaustive_optimize_many(tiny, testchip, budgets)
+        for budget, oracle in zip(budgets, oracles):
             ours = optimize(tiny, testchip, budget)
-            oracle = exhaustive_optimize(tiny, testchip, budget)
             assert ours.latency_cycles == oracle.latency_cycles, budget
 
     def test_respects_transfer_constraint(self, tiny, testchip):
@@ -204,6 +216,105 @@ class TestBudgetedFrontier:
             # Table 1's 2 MB admits one range, [0:7].
             assert serial_ctx.stats.groups_searched == 1
             assert serial.latency_cycles == 2_600_192
+
+
+# -- the paper's literal Algorithm 1 ------------------------------------------
+
+_INF = float("inf")
+
+
+def optimize_tabular(
+    network: Network,
+    device: FPGADevice,
+    transfer_constraint_bytes: int,
+    unit_bytes: int = TRANSFER_UNIT_BYTES,
+    context: Optional[CostModel] = None,
+) -> Strategy:
+    """The paper's Algorithm 1, verbatim structure.
+
+    Builds ``L[i][j][t]`` bottom-up over quantized transfer budgets with
+    ``k_mark``/``t_mark`` backtracking, then materializes the strategy
+    and regenerates each group's implementation details (Algorithm 1,
+    lines 22-24).  Complexity O(N^3 T^2): keep ``unit_bytes`` coarse or
+    budgets small; :func:`repro.optimizer.dp.optimize` is the fast
+    equivalent, and the tests cross-check the two.
+    """
+    n = len(network)
+    if n == 0:
+        raise OptimizationError("cannot optimize an empty network")
+    t_units = transfer_units(transfer_constraint_bytes, unit_bytes) + 1
+    search = GroupSearch(network, device, context=context)
+
+    # fusion[i][j] and min_t[i][j] (inclusive j), as in the paper.
+    fusion: List[List[Optional[float]]] = [[None] * n for _ in range(n)]
+    min_t: List[List[int]] = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            design = search.fusion(i, j + 1)
+            fusion[i][j] = design.latency_cycles if design is not None else None
+            min_t[i][j] = transfer_units(
+                group_min_transfer_bytes(network, i, j + 1, device.element_bytes),
+                unit_bytes,
+            )
+
+    # L[i][j][t], k_mark, t_mark.  j outer ascending, i descending, as in
+    # the paper's loop nest.
+    L = [[[_INF] * t_units for _ in range(n)] for _ in range(n)]
+    k_mark = [[[-1] * t_units for _ in range(n)] for _ in range(n)]
+    t_mark = [[[-1] * t_units for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for i in range(j, -1, -1):
+            for t in range(t_units):
+                if t < min_t[i][j]:
+                    continue  # L stays infinity
+                fused = fusion[i][j]
+                min_latency = fused if fused is not None else _INF
+                k_flag, t_flag = j, t
+                for k in range(i, j):
+                    # Both halves must at least afford their minimal
+                    # transfers (paper line 11).
+                    if t < min_t[i][k] + min_t[k + 1][j]:
+                        continue
+                    for x in range(min_t[i][k], t - min_t[k + 1][j] + 1):
+                        candidate = L[i][k][x] + L[k + 1][j][t - x]
+                        if candidate < min_latency:
+                            min_latency = candidate
+                            k_flag, t_flag = k, x
+                L[i][j][t] = min_latency
+                k_mark[i][j][t] = k_flag
+                t_mark[i][j][t] = t_flag
+
+    final = L[0][n - 1][t_units - 1]
+    if final == _INF:
+        raise OptimizationError(
+            f"no strategy fits transfer constraint {transfer_constraint_bytes} "
+            f"bytes on {device.name}"
+        )
+
+    # Backtrack the fused structure (Algorithm 1, line 22).
+    boundaries: List[Tuple[int, int]] = []
+
+    def backtrack(i: int, j: int, t: int) -> None:
+        k = k_mark[i][j][t]
+        if k == j:
+            boundaries.append((i, j + 1))
+            return
+        x = t_mark[i][j][t]
+        backtrack(i, k, x)
+        backtrack(k + 1, j, t - x)
+
+    backtrack(0, n - 1, t_units - 1)
+    boundaries.sort()
+    designs = []
+    for start, stop in boundaries:
+        design = search.fusion(start, stop)
+        if design is None:
+            raise OptimizationError("backtracked group is infeasible")
+        designs.append(design)
+    return Strategy(
+        network, device, boundaries, designs,
+        telemetry=search.context.stats,
+    )
 
 
 class TestTabular:

@@ -294,3 +294,56 @@ def test_random_sp_graph_optimizes_and_verifies(graph):
     )
     verify_graph_strategy(strategy).raise_if_failed()
     assert sorted(strategy.node_names()) == sorted(i.name for i in graph.infos)
+
+
+# -- saved graph strategies ---------------------------------------------------
+
+
+def _assert_round_trip(strategy, model, tmp_path):
+    """Save, load and compare everything a strategy's consumers read."""
+    from repro.optimizer.serialize import load_strategy, save_strategy
+    from repro.sim.simulator import build_service_model, simulate_strategy
+
+    path = save_strategy(strategy, tmp_path / "graph_strategy.json")
+    loaded = load_strategy(path, model)
+    assert loaded.report() == strategy.report()
+    assert loaded.to_dict() == strategy.to_dict()
+    assert loaded.latency_cycles == strategy.latency_cycles
+    assert loaded.feature_transfer_bytes == strategy.feature_transfer_bytes
+    assert verify_graph_strategy(loaded).ok
+    rng = np.random.default_rng(3)
+    data = rng.normal(0, 0.5, model.input_spec.shape)
+    weights = init_graph_weights(model, rng)
+    original = simulate_strategy(strategy, data, weights)
+    reloaded = simulate_strategy(loaded, data, weights)
+    np.testing.assert_array_equal(reloaded.output, original.output)
+    assert reloaded.latency_cycles == original.latency_cycles
+    assert reloaded.segment_traces == original.segment_traces
+    assert build_service_model(loaded) == build_service_model(strategy)
+
+
+@settings(max_examples=10, deadline=None)
+@given(graph=sp_graphs(), device_name=st.sampled_from(["testchip", "zc706"]))
+def test_random_sp_graph_strategy_round_trips(graph, device_name, tmp_path_factory):
+    from repro.hardware.device import get_device
+
+    strategy = _optimize_graph(graph, get_device(device_name))
+    _assert_round_trip(strategy, graph, tmp_path_factory.mktemp("sp"))
+
+
+def test_googlenet_graph_strategy_round_trips(tmp_path):
+    from repro.hardware.device import get_device
+
+    graph = models.googlenet_graph()
+    strategy = _optimize_graph(graph, get_device("zc706"))
+    assert {s.kind for s in strategy.segments} >= {"chain", "parallel"}
+    _assert_round_trip(strategy, graph, tmp_path)
+
+
+def test_saved_fused_block_round_trips(tmp_path):
+    from repro.hardware.device import get_device
+
+    graph = models.tiny_resnet()
+    strategy = _optimize_graph(graph, get_device("zc706"))
+    assert [s.kind for s in strategy.segments] == ["chain", "fused", "chain"]
+    _assert_round_trip(strategy, graph, tmp_path)

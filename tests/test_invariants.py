@@ -148,3 +148,58 @@ class TestPartitionPlanInvariants:
             t.tensor_bytes for t in plan.transfers
         ]
         assert verify_plan(reloaded).ok
+
+
+class TestFusedBlockInvariants:
+    """A fused fork-join block is checked engine by engine, then
+    recomposed through the search's own fused composition."""
+
+    def _tampered(self, scale_compute=1, scale_total=1):
+        from dataclasses import replace
+
+        from repro.nn import models
+        from repro.toolflow import compile_model
+
+        strategy = compile_model(models.tiny_resnet(), "zc706").strategy
+        index = [s.kind for s in strategy.segments].index("fused")
+        segment = strategy.segments[index]
+        branches = list(segment.branch_implementations)
+        engines = list(branches[1])
+        engines[0] = replace(
+            engines[0], compute_cycles=engines[0].compute_cycles * scale_compute
+        )
+        branches[1] = tuple(engines)
+        strategy.segments[index] = replace(
+            segment,
+            branch_implementations=tuple(branches),
+            compute_cycles=segment.compute_cycles * scale_total,
+        )
+        return strategy, index
+
+    def test_clean_block_verifies(self):
+        from repro.check.invariants import verify_strategy
+
+        strategy, _ = self._tampered()
+        assert verify_strategy(strategy).ok
+
+    def test_branch_engine_drift_is_caught(self):
+        from repro.check.invariants import V_COST_DRIFT, verify_strategy
+
+        strategy, index = self._tampered(scale_compute=7)
+        report = verify_strategy(strategy)
+        assert not report.ok
+        assert any(
+            v.code == V_COST_DRIFT
+            and v.where == f"segments[{index}].branches[1].layers[0]"
+            for v in report.violations
+        )
+
+    def test_recorded_totals_must_recompose(self):
+        from repro.check.invariants import V_CYCLES, verify_strategy
+
+        strategy, index = self._tampered(scale_total=2)
+        report = verify_strategy(strategy)
+        assert [(v.code, v.where) for v in report.violations] == [
+            (V_CYCLES, f"segments[{index}]"),
+        ]
+        assert "compute_cycles" in report.violations[0].message

@@ -258,10 +258,23 @@ class TestDagPlan:
         assert result.metrics.failed == 0
         assert len(result.metrics.replica_stats) == dag_plan.num_stages
 
-    def test_save_is_chain_only(self, dag_plan, tmp_path):
-        with pytest.raises(PartitionError, match="chain-only"):
-            dag_plan.save(tmp_path / "plan.json")
-        assert not (tmp_path / "plan.json").exists()
+    def test_save_load_verify_replan(self, dag_plan, tmp_path):
+        path = dag_plan.save(tmp_path / "plan.json")
+        reloaded = load_plan(path, dag_plan.network)
+        assert reloaded.to_dict() == dag_plan.to_dict()
+        assert reloaded.report() == dag_plan.report()
+        assert reloaded.stage_seconds == dag_plan.stage_seconds
+        assert verify_plan(reloaded).ok
+        survivor = replan_survivors(reloaded, 1)
+        assert survivor.to_dict() == replan_survivors(dag_plan, 1).to_dict()
+        assert verify_plan(survivor).ok
+
+    def test_saved_stage_strategies_match_the_search(self, dag_plan, tmp_path):
+        reloaded = load_plan(dag_plan.save(tmp_path / "plan.json"), dag_plan.network)
+        for original, loaded in zip(dag_plan.placements, reloaded.placements):
+            assert loaded.strategy.graph.name == original.strategy.graph.name
+            assert loaded.strategy.report() == original.strategy.report()
+            assert loaded.nodes == original.nodes
 
 
 class TestPlanArtifact:

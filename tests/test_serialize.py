@@ -132,3 +132,48 @@ class TestValidation:
         with pytest.raises(ArtifactError) as excinfo:
             load_strategy(path, other)
         assert excinfo.value.code in ("E_NETWORK", "E_CHECKSUM")
+
+
+class TestGraphStrategies:
+    def test_compiled_dag_saves_loads_and_verifies(self, tmp_path):
+        from repro.check.invariants import verify_strategy
+        from repro.toolflow import compile_model
+
+        graph = models.tiny_resnet()
+        strategy = compile_model(graph, "testchip").strategy
+        path = save_strategy(strategy, tmp_path / "dag.json")
+        reloaded = load_strategy(path, graph)
+        assert reloaded.report() == strategy.report()
+        assert reloaded.latency_cycles == strategy.latency_cycles
+        assert verify_strategy(reloaded).ok
+
+    def test_graph_payload_needs_a_graph(self, tmp_path):
+        from repro.toolflow import compile_model
+
+        strategy = compile_model(models.tiny_resnet(), "testchip").strategy
+        path = save_strategy(strategy, tmp_path / "dag.json")
+        with pytest.raises(ArtifactError):
+            load_strategy(path, models.tiny_cnn())
+
+    def test_engine_drift_in_fused_block_detected(self):
+        from repro.toolflow import compile_model
+
+        graph = models.tiny_resnet()
+        payload = strategy_to_dict(compile_model(graph, "zc706").strategy)
+        fused = payload["segments"][1]
+        assert fused["kind"] == "fused"
+        fused["branches"][1][0]["parallelism"] //= 2
+        with pytest.raises(ArtifactMismatchError) as excinfo:
+            strategy_from_dict(payload, graph)
+        assert excinfo.value.code == "E_DRIFT"
+
+    def test_segment_kind_mismatch_is_typed(self):
+        from repro.toolflow import compile_model
+
+        graph = models.tiny_resnet()
+        payload = strategy_to_dict(compile_model(graph, "testchip").strategy)
+        payload["segments"][1]["kind"] = "chain"
+        with pytest.raises(ArtifactMismatchError) as excinfo:
+            strategy_from_dict(payload, graph)
+        assert excinfo.value.code == "E_NETWORK"
+        assert excinfo.value.json_path.endswith("segments[1].kind")
