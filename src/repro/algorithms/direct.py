@@ -4,8 +4,9 @@ A thin, explicitly-looped implementation of paper equation (1): kernels
 slide over the input feature maps with stride ``S`` and every output
 element is an ``M x K x K`` dot product.  This is the bit-exact model of
 what the conventional hardware engine computes, kept deliberately simple;
-:func:`repro.nn.functional.conv2d` is the fast vectorized equivalent used
-as the oracle in tests.
+:func:`repro.nn.functional.conv2d` is the fast equivalent (im2col + one
+GEMM per block of output rows) used as the oracle in tests, and agrees
+with it up to floating-point summation order.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ management.
 
 This module provides both the *functional* model — a
 :class:`CircularLineBuffer` whose row-streaming convolution
-(:func:`stream_conv2d`) is bit-identical to the batch reference, proving
+(:func:`stream_conv2d`) agrees with the batch reference within 1e-9, proving
 the architecture computes the right thing — and the *cost* model
 (:func:`line_buffer_brams`, :func:`line_buffer_bits`) used by the
 optimizer's ``implement()`` evaluator.

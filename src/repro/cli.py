@@ -409,10 +409,28 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_partition(args: argparse.Namespace) -> int:
+def _partition_from_args(args: argparse.Namespace, context):
+    """The plan ``partition`` and ``replan`` start from: the model over
+    ``--devices`` joined by the ``--link-*`` link."""
     from repro.partition import DeviceFleet, Link
-    from repro.sim.gantt import render_fleet_gantt
     from repro.toolflow import partition_model
+
+    link = Link(
+        bandwidth_bytes_per_s=args.link_gbs * 1e9,
+        latency_s=args.link_latency_us * 1e-6,
+    )
+    return partition_model(
+        _load_model(args.model),
+        devices=DeviceFleet.from_spec(args.devices, link=link),
+        transfer_constraint_bytes=args.transfer,
+        workers=args.workers,
+        context=context,
+        verify=not args.no_verify,
+    )
+
+
+def _cmd_partition(args: argparse.Namespace) -> int:
+    from repro.sim.gantt import render_fleet_gantt
 
     if args.faults:
         # Parse eagerly: a bad spec fails in milliseconds, before the
@@ -420,19 +438,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         from repro.faults import FaultSpec
 
         FaultSpec.parse(args.faults)
-    network = _load_model(args.model)
-    link = Link(
-        bandwidth_bytes_per_s=args.link_gbs * 1e9,
-        latency_s=args.link_latency_us * 1e-6,
-    )
-    fleet = DeviceFleet.from_spec(args.devices, link=link)
-    plan = partition_model(
-        network,
-        devices=fleet,
-        transfer_constraint_bytes=args.transfer,
-        workers=args.workers,
-        verify=not args.no_verify,
-    )
+    plan = _partition_from_args(args, context=_context_from_args(args))
     # Save first: a plan that cannot be saved fails before any output.
     saved = plan.save(args.save) if args.save else None
     if args.json:
@@ -448,7 +454,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             payload["serving"] = serving.metrics.to_dict()
         print(json.dumps(payload, indent=2))
     else:
-        print(fleet.describe())
+        print(plan.fleet.describe())
         print()
         print(plan.report())
         if args.stats and plan.telemetry is not None:
@@ -497,28 +503,14 @@ def _cmd_replan(args: argparse.Namespace) -> int:
     """Dry-run the online re-partitioning the resilience plane performs."""
     import time
 
-    from repro.partition import DeviceFleet, Link
     from repro.resilience import (
         ResiliencePolicy,
         handover_cycles,
         replan_cycles,
         replan_survivors,
     )
-    from repro.toolflow import partition_model
 
-    network = _load_model(args.model)
-    link = Link(
-        bandwidth_bytes_per_s=args.link_gbs * 1e9,
-        latency_s=args.link_latency_us * 1e-6,
-    )
-    fleet = DeviceFleet.from_spec(args.devices, link=link)
-    plan = partition_model(
-        network,
-        devices=fleet,
-        transfer_constraint_bytes=args.transfer,
-        workers=args.workers,
-        verify=not args.no_verify,
-    )
+    plan = _partition_from_args(args, context=_context_from_args(args))
     started = time.perf_counter()
     survivor = replan_survivors(
         plan,

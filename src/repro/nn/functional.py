@@ -2,8 +2,11 @@
 
 These are the functional oracle for the accelerator: both the Winograd
 engine and the cycle-approximate simulator are validated against the
-outputs computed here.  Correctness over speed — the direct convolution
-is a vectorized sliding-window loop, not an optimized GEMM.
+outputs computed here.  The convolution lowers to im2col + GEMM, one
+matrix product per block of output rows, so its time tracks its MACs
+and its temporaries stay bounded; the scalar-loop
+:func:`repro.algorithms.direct.direct_conv2d_naive` is its independent
+check.
 
 Tensors are ``(channels, height, width)`` float arrays.
 """
@@ -31,6 +34,12 @@ from repro.nn.modules import InceptionModule
 from repro.nn.network import Network
 
 
+#: Byte cap on one block of :func:`conv2d`'s im2col columns.  Each GEMM
+#: covers as many output rows as fit, so temporaries stay bounded while
+#: every product is still large enough to run at BLAS speed.
+_COLUMN_BLOCK_BYTES = 4 * 2**20
+
+
 def pad_spatial(data: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:
     """Zero-pad the two trailing (spatial) dimensions symmetrically."""
     if pad == 0:
@@ -54,6 +63,10 @@ def conv2d(
     groups: int = 1,
 ) -> np.ndarray:
     """Direct 2-D convolution (cross-correlation, Caffe semantics).
+
+    Each channel group is one im2col GEMM, ``(N_g, M_g*K*K)`` weights by
+    ``(M_g*K*K, rows*W')`` columns, run per block of output rows so the
+    column block stays near ``_COLUMN_BLOCK_BYTES``.
 
     Args:
         data: Input of shape ``(M, H, W)``.
@@ -87,21 +100,35 @@ def conv2d(
     out_h = (height - kernel) // stride + 1
     out_w = (width - kernel) // stride + 1
 
-    out = np.zeros((out_channels, out_h, out_w), dtype=np.result_type(data, weights))
+    dtype = np.result_type(data, weights)
+    out = np.empty((out_channels, out_h, out_w), dtype=dtype)
     group_out = out_channels // groups
+    taps = group_channels * kernel * kernel
+    block_rows = max(1, _COLUMN_BLOCK_BYTES // (taps * out_w * dtype.itemsize))
     for g in range(groups):
         d = padded[g * group_channels : (g + 1) * group_channels]
-        w = weights[g * group_out : (g + 1) * group_out]
-        acc = out[g * group_out : (g + 1) * group_out]
-        for u in range(kernel):
-            for v in range(kernel):
-                window = d[
-                    :,
-                    u : u + stride * out_h : stride,
-                    v : v + stride * out_w : stride,
-                ]
-                # (N_g, M_g) x (M_g, H'W') accumulation
-                acc += np.tensordot(w[:, :, u, v], window, axes=(1, 0))
+        w = weights[g * group_out : (g + 1) * group_out].reshape(group_out, taps)
+        w = w.astype(dtype, copy=False)
+        for top in range(0, out_h, block_rows):
+            rows = min(block_rows, out_h - top)
+            # Row (m, u, v) of the column block holds input channel m
+            # under kernel tap (u, v) for every output pixel of the block,
+            # matching the (M_g, K, K) order of each weight row.
+            columns = np.empty((group_channels, kernel, kernel, rows, out_w), dtype)
+            for u in range(kernel):
+                first = u + stride * top
+                for v in range(kernel):
+                    columns[:, u, v] = d[
+                        :,
+                        first : first + stride * rows : stride,
+                        v : v + stride * out_w : stride,
+                    ]
+            block = out[g * group_out : (g + 1) * group_out, top : top + rows]
+            np.matmul(
+                w,
+                columns.reshape(taps, rows * out_w),
+                out=block.reshape(group_out, rows * out_w),
+            )
     if bias is not None:
         out += bias.reshape(-1, 1, 1)
     return out
@@ -129,7 +156,8 @@ def _pool2d(data: np.ndarray, kernel: int, stride: int, pad: int, mode: str) -> 
     out_h = -(-(height + 2 * pad - kernel) // stride) + 1
     out_w = -(-(width + 2 * pad - kernel) // stride) + 1
     fill = -np.inf if mode == "max" else 0.0
-    padded = pad_spatial(data.astype(float), pad, value=fill)
+    # Taps only read the (possibly uncopied) input; ``out`` accumulates.
+    padded = pad_spatial(np.asarray(data, dtype=float), pad, value=fill)
     # Extend so the last (partial) window always has kernel elements to index.
     need_h = (out_h - 1) * stride + kernel
     need_w = (out_w - 1) * stride + kernel
@@ -143,16 +171,14 @@ def _pool2d(data: np.ndarray, kernel: int, stride: int, pad: int, mode: str) -> 
             constant_values=fill,
         )
     out = np.full((channels, out_h, out_w), fill)
+    accumulate = np.maximum if mode == "max" else np.add
     for u in range(kernel):
         for v in range(kernel):
             window = padded[:, u : u + stride * out_h : stride, v : v + stride * out_w : stride]
-            if mode == "max":
-                out = np.maximum(out, window)
-            else:
-                out = out + window
+            accumulate(out, window, out=out)
     if mode == "ave":
         # Caffe averages over the full kernel area including padding.
-        out = out / (kernel * kernel)
+        out /= kernel * kernel
     return out
 
 
@@ -278,7 +304,8 @@ def forward_layer(
             pad=layer.pad,
             groups=layer.groups,
         )
-        return relu(out) if layer.relu else out
+        # The conv output is fresh, so its ReLU may overwrite it.
+        return np.maximum(out, 0, out=out) if layer.relu else out
     if isinstance(layer, PoolLayer):
         pool = max_pool2d if layer.mode == "max" else ave_pool2d
         return pool(data, layer.kernel, layer.stride, layer.pad)
@@ -367,9 +394,11 @@ def forward_graph(
         )
     if weights is None:
         weights = init_graph_weights(graph)
+    # Without ``collect``, a blob is dropped after its last consumer ran.
+    last_use = {ref: index for index, info in enumerate(graph) for ref in info.inputs}
     activations: Dict[str, np.ndarray] = {graph.input_name: data}
     current = data
-    for info in graph:
+    for index, info in enumerate(graph):
         if is_join(info.layer):
             current = forward_join(
                 info.layer, (activations[ref] for ref in info.inputs)
@@ -379,6 +408,10 @@ def forward_graph(
                 info.layer, activations[info.inputs[0]], weights.get(info.name)
             )
         activations[info.name] = current
+        if not collect:
+            for ref in set(info.inputs):
+                if last_use[ref] == index:
+                    del activations[ref]
     if collect:
         activations.pop(graph.input_name)
         return activations

@@ -38,9 +38,13 @@ def percentile(values: Sequence[float], q: float) -> float:
     """
     if not 0 <= q <= 100:
         raise ServingError(f"percentile q must be in [0, 100], got {q}")
-    if not values:
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of an already sorted sample."""
+    if not ordered:
         return float("nan")
-    ordered = sorted(values)
     rank = max(1, ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
 
@@ -312,7 +316,7 @@ def aggregate_metrics(
     """
     if not records and not failures:
         raise ServingError("cannot aggregate metrics over zero requests")
-    latencies = [r.latency_cycles for r in records]
+    latencies = sorted(r.latency_cycles for r in records)
     queues = [r.queue_cycles for r in records]
     services = [r.service_cycles for r in records]
     everything = list(records) + list(failures)
@@ -334,9 +338,9 @@ def aggregate_metrics(
         max_queue_cycles=max(queues) if queues else float("nan"),
         mean_service_cycles=_mean(services),
         mean_batch_size=_mean([r.batch_size for r in records]),
-        p50_latency_cycles=percentile(latencies, 50),
-        p95_latency_cycles=percentile(latencies, 95),
-        p99_latency_cycles=percentile(latencies, 99),
+        p50_latency_cycles=_nearest_rank(latencies, 50),
+        p95_latency_cycles=_nearest_rank(latencies, 95),
+        p99_latency_cycles=_nearest_rank(latencies, 99),
         replica_stats=tuple(replica_stats),
         frequency_hz=frequency_hz,
         ops_per_request=ops_per_request,

@@ -740,6 +740,32 @@ class TestCacheCommand:
         warm = json.loads(capsys.readouterr().out)
         assert cold["rows"] == warm["rows"]
 
+    def test_replan_cache_warms_the_original_plan(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.toolflow
+
+        searched = []
+        partition_model = repro.toolflow.partition_model
+
+        def recording(*args, **kwargs):
+            plan = partition_model(*args, **kwargs)
+            searched.append(plan.telemetry.evaluations)
+            return plan
+
+        monkeypatch.setattr(repro.toolflow, "partition_model", recording)
+        argv = [
+            "replan", "tiny_cnn", "--devices", "testchip,testchip",
+            "--cache", str(tmp_path / "c"), "--json",
+        ]
+        assert main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert searched[0] > 0 and searched[1] == 0
+        assert cold["original"] == warm["original"]
+        assert cold["survivor"] == warm["survivor"]
+
 
 class TestSweepGridCommand:
     ARGS = [

@@ -1,17 +1,23 @@
 """Tests for the numpy reference layer implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShapeError, UnsupportedLayerError
 from repro.algorithms.direct import direct_conv2d_naive
-from repro.nn import models
+from repro.nn import functional, models
 from repro.nn.functional import (
     ave_pool2d,
     conv2d,
     fc,
     forward,
+    forward_graph,
     forward_layer,
+    init_graph_weights,
     init_weights,
     lrn,
     max_pool2d,
@@ -19,7 +25,9 @@ from repro.nn.functional import (
     relu,
     softmax,
 )
-from repro.nn.layers import ConvLayer, FCLayer, ReLULayer
+from repro.nn.graph import Graph, GraphNode
+from repro.nn.layers import ConvLayer, EltwiseLayer, FCLayer, ReLULayer
+from repro.nn.network import InputSpec
 
 
 @pytest.fixture
@@ -69,6 +77,78 @@ class TestConv2d:
         bottom = conv2d(data[2:], weights[3:], stride=1, pad=1)
         np.testing.assert_allclose(out, np.concatenate([top, bottom]), atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from([1, 3, 5, 7, 11]),
+        stride=st.integers(1, 4),
+        pad=st.integers(0, 3),
+        groups=st.integers(1, 2),
+        group_channels=st.integers(1, 3),
+        group_out=st.integers(1, 3),
+        extra_h=st.integers(0, 9),
+        extra_w=st.integers(0, 9),
+        block_bytes=st.integers(1, 4096),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_naive_across_row_blocks(
+        self, kernel, stride, pad, groups, group_channels, group_out,
+        extra_h, extra_w, block_bytes, seed,
+    ):
+        # A small column-block cap splits these inputs into many row
+        # blocks, so every seam between two GEMMs meets the oracle;
+        # ``extra_*`` leaves ragged edges the stride does not reach.
+        rng = np.random.default_rng(seed)
+        side = max(1, kernel - 2 * pad)
+        data = rng.normal(
+            size=(groups * group_channels, side + extra_h, side + extra_w)
+        )
+        weights = rng.normal(
+            size=(groups * group_out, group_channels, kernel, kernel)
+        )
+        bias = rng.normal(size=groups * group_out)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(functional, "_COLUMN_BLOCK_BYTES", block_bytes)
+            fast = conv2d(data, weights, bias, stride, pad, groups)
+        slow = np.concatenate([
+            direct_conv2d_naive(
+                data[g * group_channels : (g + 1) * group_channels],
+                weights[g * group_out : (g + 1) * group_out],
+                bias[g * group_out : (g + 1) * group_out],
+                stride=stride,
+                pad=pad,
+            )
+            for g in range(groups)
+        ])
+        np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+    def test_row_block_seams_at_the_real_cap(self, rng):
+        # 64 channels x 3x3 taps x 224 columns: a few output rows fill
+        # one column block, so twelve rows span at least three GEMMs.
+        # The naive oracle runs on the input rows under each seam only.
+        data = rng.normal(size=(64, 14, 226))
+        weights = rng.normal(size=(1, 64, 3, 3))
+        row_bytes = 64 * 9 * 224 * data.itemsize
+        rows = functional._COLUMN_BLOCK_BYTES // row_bytes
+        out = conv2d(data, weights)
+        assert 1 <= rows and 2 * rows < out.shape[1]
+        for seam in range(rows, out.shape[1], rows):
+            window = data[:, seam - 1 : seam + 3, :]
+            np.testing.assert_allclose(
+                out[:, seam - 1 : seam + 1],
+                direct_conv2d_naive(window, weights),
+                atol=1e-12,
+            )
+
+    def test_float32_stays_float32(self, rng):
+        data = rng.normal(size=(3, 9, 9)).astype(np.float32)
+        weights = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        out = conv2d(data, weights, stride=2, pad=1)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(
+            out, direct_conv2d_naive(data, weights, stride=2, pad=1),
+            rtol=1e-5, atol=1e-5,
+        )
+
     def test_shape_errors(self, rng):
         data = rng.normal(size=(3, 5, 5))
         with pytest.raises(ShapeError):
@@ -101,6 +181,13 @@ class TestPooling:
         data = np.ones((1, 4, 4))
         out = ave_pool2d(data, 2, 2)
         np.testing.assert_allclose(out, np.ones((1, 2, 2)))
+
+    @pytest.mark.parametrize("pool", [max_pool2d, ave_pool2d])
+    def test_pooling_leaves_its_input_alone(self, rng, pool):
+        data = rng.normal(size=(2, 7, 7))
+        before = data.copy()
+        pool(data, 3, 2)
+        np.testing.assert_array_equal(data, before)
 
     def test_max_pool_matches_bruteforce(self, rng):
         data = rng.normal(size=(3, 8, 8))
@@ -211,3 +298,49 @@ class TestForward:
         w1 = init_weights(models.tiny_cnn())
         w2 = init_weights(models.tiny_cnn())
         np.testing.assert_array_equal(w1["conv1"]["weight"], w2["conv1"]["weight"])
+
+
+class TestForwardGraph:
+    @pytest.mark.parametrize("name", ["tiny_resnet", "googlenet_graph"])
+    def test_sink_matches_collected_bit_for_bit(self, rng, name):
+        graph = models.graph_catalog()[name]()
+        data = rng.normal(size=graph.input_spec.shape)
+        weights = init_graph_weights(graph)
+        sink = forward_graph(graph, data, weights)
+        collected = forward_graph(graph, data, weights, collect=True)
+        assert set(collected) == {info.name for info in graph}
+        np.testing.assert_array_equal(sink, collected[graph.sink.name])
+
+    def test_producer_listed_twice_by_one_consumer(self, rng):
+        graph = Graph("twice", InputSpec(3, 6, 6), [
+            GraphNode(
+                name="conv1",
+                layer=ConvLayer(name="conv1", out_channels=4, kernel=3, pad=1),
+                inputs=("data",),
+            ),
+            GraphNode(
+                name="sum1",
+                layer=EltwiseLayer(name="sum1"),
+                inputs=("conv1", "conv1"),
+            ),
+        ])
+        data = rng.normal(size=(3, 6, 6))
+        collected = forward_graph(graph, data, collect=True)
+        np.testing.assert_array_equal(
+            forward_graph(graph, data), 2 * collected["conv1"]
+        )
+
+    def test_activations_are_freed_after_their_last_use(self, rng):
+        graph = models.googlenet_graph()
+        data = rng.normal(size=graph.input_spec.shape)
+        weights = init_graph_weights(graph)
+        collected = forward_graph(graph, data, weights, collect=True)
+        total = sum(blob.nbytes for blob in collected.values())
+        del collected
+        tracemalloc.start()
+        try:
+            forward_graph(graph, data, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < total
