@@ -1077,6 +1077,118 @@ class TestPlanCapacityCommand:
         assert "no feasible fleet" in capsys.readouterr().err
 
 
+class TestCommandShape:
+    """One renderer (save before any output), one seed rule, and one
+    evaluation context per command."""
+
+    PARTITION = ["partition", "tiny_cnn", "--devices", "testchip,testchip"]
+
+    def test_plan_capacity_unsavable_plan_prints_nothing(
+        self, capsys, tmp_path
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        argv = TestPlanCapacityCommand.BASE + [
+            "--json", "--save", str(blocker / "plan.json"),
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_partition_unsavable_plan_prints_nothing(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        argv = self.PARTITION + ["--save", str(blocker / "plan.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_plan_capacity_seed_drives_fault_draws(self, capsys):
+        from repro.capacity import plan_capacity
+        from repro.cli import _parse_tenant_demand
+
+        faults = "transient:p=0.1"
+        argv = TestPlanCapacityCommand.BASE[:-2] + [
+            "--seed", "3", "--faults", faults, "--json",
+        ]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        tenants = TestPlanCapacityCommand.TENANTS[1::2]
+
+        def planned(fault_seed):
+            plan = plan_capacity(
+                [_parse_tenant_demand(spec) for spec in tenants],
+                devices=["testchip"], max_replicas=2, batch_sizes=[1, 4],
+                seed=3, faults=faults, fault_seed=fault_seed,
+            )
+            return json.loads(json.dumps(plan.to_payload()))
+
+        assert payload == planned(3)
+        assert payload != planned(0)
+
+    def test_partition_cache_is_strategy_preserving(self, capsys, tmp_path):
+        assert main(self.PARTITION + ["--json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        argv = self.PARTITION + [
+            "--cache", str(tmp_path / "c"), "--stats", "--json",
+        ]
+        assert main(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert cold["telemetry"]["evaluations"] > 0
+        assert warm["telemetry"]["evaluations"] == 0
+        assert warm["telemetry"]["store_hits"] > 0
+        for payload in (cold, warm):
+            del payload["telemetry"]
+            assert payload == plain
+
+    def test_replan_cache_opens_one_store(self, capsys, tmp_path, monkeypatch):
+        import repro.dse.store as store_module
+
+        opened = []
+
+        class CountingStore(store_module.CostStore):
+            def __init__(self, *args, **kwargs):
+                opened.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "CostStore", CountingStore)
+        argv = [
+            "replan", "tiny_cnn", "--devices", "testchip,testchip",
+            "--cache", str(tmp_path / "c"), "--json",
+        ]
+        assert main(argv) == 0
+        assert len(opened) == 1
+
+    def test_replan_searches_share_one_context(self, capsys, monkeypatch):
+        import repro.resilience
+        import repro.toolflow
+
+        contexts = []
+        partition_model = repro.toolflow.partition_model
+        replan_survivors = repro.resilience.replan_survivors
+
+        def partition_recording(*args, **kwargs):
+            contexts.append(kwargs["context"])
+            return partition_model(*args, **kwargs)
+
+        def replan_recording(*args, **kwargs):
+            contexts.append(kwargs["context"])
+            return replan_survivors(*args, **kwargs)
+
+        monkeypatch.setattr(
+            repro.toolflow, "partition_model", partition_recording
+        )
+        monkeypatch.setattr(
+            repro.resilience, "replan_survivors", replan_recording
+        )
+        argv = ["replan", "tiny_cnn", "--devices", "testchip,testchip"]
+        assert main(argv) == 0
+        assert len(contexts) == 2
+        assert contexts[0] is not None and contexts[0] is contexts[1]
+
+
 class TestCompileEnergyStats:
     def test_stats_prints_energy_line(self, capsys):
         assert main(

@@ -50,8 +50,8 @@ GOLDEN = {
     'serve_multi:json': 'd4957a64ef35a5249b01f4d8e946a7f5b62601630b8fd812f76235c3a74d5a17',
     'plan_capacity_baseline:text': '2b6c2a50eff351f4060ebbde49509e42b904b927ce66972eecd725cb5a39ffde',
     'plan_capacity_baseline:json': '919d8820502e4e2684b045cc48bcd4467b45f71d2b3377e326a298f4f2cfd1ce',
-    'plan_capacity_faults:text': '2167b178c8d7a3fd64dcb0c694556950957c821ae9ccb8cb9b378fcdc7bc42fd',
-    'plan_capacity_faults:json': '1b3f7e8ecec4a3713fbd7d1c9d6e41c5f09f527b3bc8b5e0c7a593119d69f7f8',
+    'plan_capacity_faults:text': '77a59fb369af7aa142c2a0dc69a6271222093379fa13e4bd06f7163e2c1f4c5e',
+    'plan_capacity_faults:json': 'c492a93f9d8e50c53019bb1ef5d6ee961cc2403659d437599ebc3ce0371b466c',
     'sweep_grid:text': 'afeba2f29c7b27620197871d561a092e99810201271f37ed9fb22e44a8f5d023',
     'sweep_grid:json': '1fd50797db120a684dbcc7c36942cd718e9ef9ae7bc0153ff2b8c00019d39881',
     'cache_stats:text': 'a6c5aeaee18048763f607b40e80de21ce6020b3f41bf95b6486fff5d3cdf33ac',
@@ -202,6 +202,7 @@ PARSER_SURFACE = {
     'models': {
     },
     'partition': {
+        'cache': {'flags': '--cache', 'const': '', 'nargs': '?'},
         'devices': {'flags': '--devices', 'default': 'zc706,zc706'},
         'faults': {'flags': '--faults'},
         'json': {'flags': '--json', 'default': False, 'const': True, 'nargs': 0},
@@ -224,7 +225,6 @@ PARSER_SURFACE = {
         'batch_sizes': {'flags': '--batch-sizes', 'default': '1,4,8'},
         'cache': {'flags': '--cache', 'const': '', 'nargs': '?'},
         'devices': {'flags': '--devices', 'default': 'zc706'},
-        'fault_seed': {'flags': '--fault-seed', 'default': 0, 'type': 'int'},
         'faults': {'flags': '--faults'},
         'json': {'flags': '--json', 'default': False, 'const': True, 'nargs': 0},
         'max_replicas': {'flags': '--max-replicas', 'default': 4, 'type': 'int'},
@@ -253,7 +253,6 @@ PARSER_SURFACE = {
         'arrival': {'flags': '--arrival'},
         'device': {'flags': '--device', 'default': 'zc706', 'choices': ['testchip', 'vc707', 'vc709', 'zc706', 'zcu102']},
         'fallback': {'flags': '--fallback', 'default': False, 'const': True, 'nargs': 0},
-        'fault_seed': {'flags': '--fault-seed', 'type': 'int'},
         'faults': {'flags': '--faults'},
         'json': {'flags': '--json', 'default': False, 'const': True, 'nargs': 0},
         'load': {'flags': '--load', 'default': 1.5, 'type': 'float'},
