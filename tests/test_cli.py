@@ -1083,25 +1083,26 @@ class TestCommandShape:
 
     PARTITION = ["partition", "tiny_cnn", "--devices", "testchip,testchip"]
 
-    def test_plan_capacity_unsavable_plan_prints_nothing(
-        self, capsys, tmp_path
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize("command", ["plan-capacity", "partition", "replan"])
+    def test_unsavable_plan_prints_nothing(
+        self, capsys, tmp_path, command, mode
     ):
+        argv = {
+            "plan-capacity": TestPlanCapacityCommand.BASE,
+            "partition": self.PARTITION,
+            "replan": ["replan"] + self.PARTITION[1:],
+        }[command]
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
-        argv = TestPlanCapacityCommand.BASE + [
-            "--json", "--save", str(blocker / "plan.json"),
-        ]
-        assert main(argv) == 1
+        assert main(argv + mode + ["--save", str(blocker / "plan.json")]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
         assert captured.err.startswith("error:")
-
-    def test_partition_unsavable_plan_prints_nothing(self, capsys, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("not a directory")
-        argv = self.PARTITION + ["--save", str(blocker / "plan.json")]
-        assert main(argv) == 1
-        assert capsys.readouterr().out == ""
+        if command == "plan-capacity" and not mode:
+            # Only the progress log: no report, no "written to" line.
+            assert "capacity plan:" not in captured.out
+        else:
+            assert captured.out == ""
 
     def test_plan_capacity_seed_drives_fault_draws(self, capsys):
         from repro.capacity import plan_capacity
