@@ -114,9 +114,7 @@ def _run(
 # -- individual consistency checks ------------------------------------------
 
 
-def check_sim_consistency(
-    strategy, seed: int = 0, ratio_window: Tuple[float, float] = SIM_RATIO_WINDOW
-) -> Tuple[float, float]:
+def check_sim_consistency(strategy, seed: int = 0) -> Tuple[float, float]:
     """Simulate ``strategy`` and compare against the analytic model.
 
     Returns ``(ratio, max_error)``: the simulated/analytic cycle ratio
@@ -130,12 +128,13 @@ def check_sim_consistency(
 
     from repro.errors import SimulationError
     from repro.nn.functional import forward, init_weights
+    from repro.sim.simulator import simulate_strategy
 
     rng = np.random.default_rng(seed)
     network = strategy.network
     data = rng.normal(0, 0.5, network.input_spec.shape)
     weights = init_weights(network, np.random.default_rng(seed))
-    result = _simulate(strategy, data, weights)
+    result = simulate_strategy(strategy, data, weights)
     expected = forward(network, data, weights)
     max_error = float(np.max(np.abs(result.output - expected)))
     if max_error > 1e-6:
@@ -144,19 +143,13 @@ def check_sim_consistency(
             f"by {max_error:.3e}"
         )
     ratio = result.latency_cycles / max(strategy.latency_cycles, 1)
-    low, high = ratio_window
+    low, high = SIM_RATIO_WINDOW
     if not low < ratio < high:
         raise SimulationError(
             f"simulated/analytic latency ratio {ratio:.3f} outside "
             f"({low}, {high}): the cost model and simulator disagree"
         )
     return ratio, max_error
-
-
-def _simulate(strategy, data, weights):
-    from repro.sim.simulator import simulate_strategy
-
-    return simulate_strategy(strategy, data, weights)
 
 
 def check_dp_against_oracle(network, device, budget: int) -> int:

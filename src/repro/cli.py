@@ -192,7 +192,6 @@ def _cmd_compile(args, _log) -> Outcome:
         device=args.device,
         transfer_constraint_bytes=args.transfer,
         output_dir=Path(args.out) if args.out else None,
-        workers=args.workers,
         verify=not args.no_verify,
         context=_context_from_args(args),
     )
@@ -237,8 +236,7 @@ def _cmd_sweep(args, _log) -> Outcome:
     device = get_device(args.device)
     constraints = [_parse_size(c) for c in args.constraints.split(",")]
     strategies = optimize_many(
-        network, device, constraints, workers=args.workers,
-        context=_context_from_args(args),
+        network, device, constraints, context=_context_from_args(args)
     )
     baseline = None
     if args.baseline:
@@ -396,7 +394,6 @@ def _partition_from_args(args: argparse.Namespace, context):
         _load_model(args.model),
         devices=DeviceFleet.from_spec(args.devices, link=link),
         transfer_constraint_bytes=args.transfer,
-        workers=args.workers,
         context=context,
         verify=not args.no_verify,
     )
@@ -412,7 +409,7 @@ def _cmd_partition(args, _log) -> Outcome:
     payload = plan.to_dict()
     details = []
     if args.simulate:
-        sim = plan.simulate(faults=args.faults, fault_seed=args.seed)
+        sim = plan.simulate(faults=args.faults)
         payload["simulated_latency_seconds"] = sim.latency_seconds
         payload["simulated_interval_seconds"] = sim.pipeline_interval_seconds
         details += [sim.report(), render_fleet_gantt(sim)]
@@ -471,7 +468,6 @@ def _cmd_replan(args, _log) -> Outcome:
         args.dead_stage,
         transfer_constraint_bytes=args.transfer,
         context=context,
-        workers=args.workers,
     )
     wall_s = time.perf_counter() - started
     hz = plan.fleet.reference_frequency_hz
@@ -952,7 +948,7 @@ def _option(*flags: str, **kwargs) -> tuple:
 
 
 # Options several commands take, each declared (and documented) once:
-# target (model, device, transfer, workers, cache, no-verify), fleet
+# target (model, device, transfer, cache, no-verify), fleet
 # (devices, link), faults (spec, seed), output (json, stats, save), and
 # the serving policies.  A command names the ones it takes.
 _SHARED = {
@@ -965,11 +961,6 @@ _SHARED = {
         "--transfer", type=_parse_size, default=None,
         help="feature-map transfer constraint per device, e.g. 2MB or "
         "340KB (default: unconstrained)",
-    ),
-    "workers": _option(
-        "--workers", type=int, default=None,
-        help="precompute fusion[i][j] searches with N threads (wall time "
-        "only; the result is strategy-preserving)",
     ),
     "cache": _option(
         "--cache", nargs="?", const="", default=None, metavar="DIR",
@@ -1071,14 +1062,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(
         sub, "compile", _cmd_compile, "map a model onto an FPGA",
-        "model", "device", "transfer", "workers", "cache", "no-verify",
+        "model", "device", "transfer", "cache", "no-verify",
         "simulate", "json", "stats",
     )
     p.add_argument("--out", default=None, help="write the HLS project here")
 
     p = _command(
         sub, "sweep", _cmd_sweep, "latency vs transfer-constraint table",
-        "model", "device", "workers", "cache", "json", "stats",
+        "model", "device", "cache", "json", "stats",
     )
     p.add_argument(
         "--constraints", default="2MB,4MB,8MB,16MB,32MB",
@@ -1192,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "partition", _cmd_partition,
         "split a model across a fleet of FPGAs",
         "model", "devices", "link-gbs", "link-latency-us", "transfer",
-        "workers", "cache", "no-verify", "simulate", "faults", "seed", "load",
+        "cache", "no-verify", "simulate", "faults", "seed", "load",
         "json", "stats", "save",
     )
     p.add_argument(
@@ -1209,7 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dry-run the resilience plane's online re-partitioning: "
         "declare one pipeline stage dead and re-cut over the survivors",
         "model", "devices", "link-gbs", "link-latency-us", "transfer",
-        "workers", "cache", "no-verify", "json", "save",
+        "cache", "no-verify", "json", "save",
     )
     p.add_argument(
         "--dead-stage", type=int, default=0, metavar="N",

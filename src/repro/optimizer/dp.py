@@ -111,7 +111,6 @@ class FrontierOptimizer:
         algorithms: Optional[Tuple[Algorithm, ...]] = None,
         explore_tile_sizes: bool = False,
         context: Optional[CostModel] = None,
-        workers: Optional[int] = None,
     ):
         """Args:
             algorithms / explore_tile_sizes: Forwarded to the
@@ -119,18 +118,12 @@ class FrontierOptimizer:
             context: Shared signature-keyed evaluation layer (created
                 privately when omitted); pass one to share
                 ``implement()`` results and telemetry across sweeps.
-            workers: When > 1, each frontier query first runs the
-                independent ``fusion[i][j]`` group searches it can use
-                on a thread pool (safe: the context is the only shared
-                state).  The same ranges are searched, and the same
-                strategies chosen, as by the sequential search.
         """
         if len(network) == 0:
             raise OptimizationError("cannot optimize an empty network")
         self.network = network
         self.device = device
         self.context: CostModel = context if context is not None else EvalContext()
-        self.workers = workers
         self.search = GroupSearch(
             network,
             device,
@@ -158,20 +151,7 @@ class FrontierOptimizer:
         transfer is at most ``budget``, in the same order; only the
         ranges such a plan can use are searched.
         """
-        limit = _INF if budget is None else budget
-        if self.workers is not None and self.workers > 1:
-            # Prewarm exactly the ranges the recursion below would search.
-            transfer, least = self._transfer, self._least
-            self.search.precompute(
-                [
-                    (a, b)
-                    for a in range(start, stop)
-                    for b in range(a + 1, stop + 1)
-                    if least[start][a] + transfer[a][b] + least[b][stop] <= limit
-                ],
-                workers=self.workers,
-            )
-        return self._frontier(start, stop, limit)
+        return self._frontier(start, stop, _INF if budget is None else budget)
 
     def _frontier(self, start: int, stop: int, budget: float) -> List[_Plan]:
         if budget >= self._unfused[stop] - self._unfused[start]:
@@ -282,7 +262,6 @@ def optimize(
     transfer_constraint_bytes: int,
     explore_tile_sizes: bool = False,
     context: Optional[CostModel] = None,
-    workers: Optional[int] = None,
 ) -> Strategy:
     """Problem 1: minimal-latency strategy under a transfer constraint.
 
@@ -295,13 +274,10 @@ def optimize(
             with a persistent ``store`` warms the search from it and is
             flushed to it on return; the strategy is bit-identical to a
             store-less run.
-        workers: Precompute the independent ``fusion[i][j]`` searches
-            with a thread pool of this size (strategy-preserving).
     """
     return optimize_many(
         network, device, [transfer_constraint_bytes],
         explore_tile_sizes=explore_tile_sizes, context=context,
-        workers=workers,
     )[0]
 
 
@@ -311,7 +287,6 @@ def optimize_many(
     transfer_constraints_bytes: Sequence[int],
     explore_tile_sizes: bool = False,
     context: Optional[CostModel] = None,
-    workers: Optional[int] = None,
 ) -> List[Strategy]:
     """Optimize under several transfer constraints, sharing the search.
 
@@ -323,7 +298,7 @@ def optimize_many(
     """
     optimizer = FrontierOptimizer(
         network, device, explore_tile_sizes=explore_tile_sizes,
-        context=context, workers=workers,
+        context=context,
     )
     if transfer_constraints_bytes:
         optimizer.frontier(0, len(network), max(transfer_constraints_bytes))

@@ -570,14 +570,12 @@ class GraphOptimizer:
         graph: Graph,
         device: FPGADevice,
         context: Optional[CostModel] = None,
-        workers: Optional[int] = None,
     ):
         if len(graph) == 0:
             raise OptimizationError("cannot optimize an empty graph")
         self.graph = graph
         self.device = device
         self.context: CostModel = context if context is not None else EvalContext()
-        self.workers = workers
         self._tree = graph.decompose()
         self._frontiers: Dict[Tuple[int, int], List[_GPlan]] = {}
         self._chain_runs: Dict[Tuple[str, ...], FrontierOptimizer] = {}
@@ -598,7 +596,6 @@ class GraphOptimizer:
                 chain_network(graph, names),
                 self.device,
                 context=self.context,
-                workers=self.workers,
             )
             self._chain_runs[names] = cached
         return cached
@@ -830,7 +827,6 @@ def optimize_graph(
     device: FPGADevice,
     transfer_constraint_bytes: int,
     context: Optional[CostModel] = None,
-    workers: Optional[int] = None,
 ) -> GraphStrategy:
     """Minimal-latency branch-aware strategy under a transfer constraint.
 
@@ -839,12 +835,7 @@ def optimize_graph(
     on chain graphs (the whole graph is then one series run through the
     unchanged chain DP).
     """
-    optimizer = GraphOptimizer(
-        graph,
-        device,
-        context=context,
-        workers=workers,
-    )
+    optimizer = GraphOptimizer(graph, device, context=context)
     plan = optimizer.best_plan(transfer_constraint_bytes)
     strategy = optimizer.materialize(plan)
     strategy.validate(transfer_constraint_bytes)

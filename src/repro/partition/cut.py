@@ -70,7 +70,6 @@ class CutOptimizer:
             budget (the paper's T, applied to each board separately);
             defaults to each stage's unfused traffic — effectively
             unconstrained, matching ``compile_model``'s default.
-        workers: Forwarded to the underlying single-device searches.
         context: Shared evaluation layer; one context serves every
             device in the fleet (device identity is part of its key).
     """
@@ -81,7 +80,6 @@ class CutOptimizer:
         fleet: DeviceFleet,
         transfer_constraint_bytes: Optional[int] = None,
         context: Optional[CostModel] = None,
-        workers: Optional[int] = None,
     ):
         if len(network) == 0:
             raise PartitionError("cannot partition an empty network")
@@ -90,7 +88,6 @@ class CutOptimizer:
         self.fleet = fleet
         self.transfer_constraint_bytes = transfer_constraint_bytes
         self.context: CostModel = context if context is not None else EvalContext()
-        self.workers = workers
         # One search per *distinct* device model: a homogeneous N-board
         # fleet shares a single search.
         self._optimizers: Dict[FPGADevice, Search] = {}
@@ -113,10 +110,7 @@ class CutOptimizer:
                 if isinstance(self.network, Graph)
                 else FrontierOptimizer
             )
-            optimizer = search(
-                self.network, device, context=self.context,
-                workers=self.workers,
-            )
+            optimizer = search(self.network, device, context=self.context)
             self._optimizers[device] = optimizer
         return optimizer
 
@@ -301,7 +295,6 @@ def partition_network(
     fleet: DeviceFleet,
     transfer_constraint_bytes: Optional[int] = None,
     context: Optional[CostModel] = None,
-    workers: Optional[int] = None,
 ) -> PartitionPlan:
     """Split ``network`` across ``fleet``, minimizing the pipeline bottleneck.
 
@@ -315,6 +308,5 @@ def partition_network(
         fleet,
         transfer_constraint_bytes=transfer_constraint_bytes,
         context=context,
-        workers=workers,
     )
     return optimizer.solve()

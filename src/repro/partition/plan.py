@@ -210,7 +210,6 @@ class PartitionPlan:
         weights: Optional[dict] = None,
         seed: int = 0,
         faults=None,
-        fault_seed: int = 0,
     ):
         """Run the cycle-approximate simulator stage by stage.
 
@@ -230,7 +229,6 @@ class PartitionPlan:
             weights=weights,
             seed=seed,
             faults=faults,
-            fault_seed=fault_seed,
         )
 
     def serve(
@@ -246,7 +244,6 @@ class PartitionPlan:
         slo_cycles: Optional[float] = None,
         resilience=None,
         replan_context=None,
-        replan_workers: Optional[int] = None,
         verify: bool = True,
     ):
         """Stand up a simulated pipelined serving fleet for this plan.
@@ -261,7 +258,7 @@ class PartitionPlan:
         :mod:`repro.resilience` control plane — on confirmed death of a
         stage's device the fleet re-partitions the network over the
         survivors (pass ``replan_context`` so the re-plan hits a warm
-        cost cache; ``replan_workers`` only affects wall time).
+        cost cache).
         ``verify`` (default on) runs the plan invariant
         validators at admission, rejecting a stale or inconsistent plan
         with a :class:`~repro.errors.VerificationError` before it serves
@@ -286,7 +283,6 @@ class PartitionPlan:
             slo_cycles=slo_cycles,
             resilience=resilience,
             replan_context=replan_context,
-            replan_workers=replan_workers,
         )
 
     # -- serialization -------------------------------------------------------

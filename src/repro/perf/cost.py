@@ -22,9 +22,9 @@ This module replaces those ad-hoc caches with one first-class layer:
   :class:`~repro.perf.implement.Implementation` results keyed by
   ``(signature, algorithm, weight mode, winograd m, parallelism,
   device)`` and is safely shareable across fusion groups, constraint
-  sweeps (``optimize_many``), device-variant DSE sweeps, and the
-  opt-in ``workers=N`` thread pool (its caches are guarded by a lock;
-  results are deterministic regardless of evaluation order).
+  sweeps (``optimize_many``) and device-variant DSE sweeps (its caches
+  are guarded by a lock; results are deterministic regardless of
+  evaluation order).
 * :class:`GroupKey` — the identity of one exact ``fusion[i][j]``
   search: the range's layer signatures, the device subset the search
   reads, the tile-size switch and the algorithm set its menus are cut
@@ -333,10 +333,10 @@ class EvalContext:
             functions of the key, a store-backed context produces
             bit-identical results to a cold one — only faster.
 
-    The context is the *only* state shared between parallel
-    ``fusion[i][j]`` searches (``workers=N``); its cache and telemetry
-    mutations are lock-guarded, and since ``implement()`` is a pure
-    function of the key, concurrent searches are deterministic.
+    The context is the *only* state shared between ``fusion[i][j]``
+    searches; its cache and telemetry mutations are lock-guarded, and
+    since ``implement()`` is a pure function of the key, results do not
+    depend on the order in which searches query it.
 
     It also remembers the choices of every completed group search by
     :class:`GroupKey` (:meth:`recall_group` / :meth:`remember_group`),

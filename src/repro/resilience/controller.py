@@ -17,8 +17,7 @@ rung ever demands more than the one before it (property-tested in
 
 Every decision appends one :class:`RecoveryEvent` in event-loop order.
 The list is the **recovery log**: with the same seed, fault spec and
-policy it is bit-identical across runs (and across ``--workers``
-settings of the re-planner), and it travels as a checksummed
+policy it is bit-identical across runs, and it travels as a checksummed
 ``recovery_log`` artifact through the standard envelope
 (:func:`save_recovery_log` / ``repro check``).
 """

@@ -56,16 +56,13 @@ def replan_survivors(
     dead_stage: int,
     transfer_constraint_bytes: Optional[int] = None,
     context=None,
-    workers: Optional[int] = None,
 ):
     """Re-run the cut-point DP over the survivors of ``plan``.
 
     ``dead_stage`` names the stage whose device died; the new plan
     covers the *whole* network over the remaining devices.  Pass the
     original search's ``context`` to make the re-plan a warm-cache
-    operation (a store-backed context is flushed on return); a worker
-    count only changes wall time, never the plan (the DP is
-    deterministic — asserted in the tests).
+    operation (a store-backed context is flushed on return).
     """
     from repro.optimizer.dp import _flush_context
     from repro.partition.cut import partition_network
@@ -89,7 +86,6 @@ def replan_survivors(
             survivors,
             transfer_constraint_bytes=transfer_constraint_bytes,
             context=context,
-            workers=workers,
         )
     finally:
         _flush_context(context)

@@ -103,19 +103,16 @@ class PipelineFleetScheduler(FleetScheduler):
         slo_cycles: Optional[float] = None,
         resilience=None,
         replan_context=None,
-        replan_workers: Optional[int] = None,
     ):
         """``resilience`` attaches the :mod:`repro.resilience` control
         plane; on confirmed death of one stage's device the controller
         re-partitions the network over the survivors.  Pass the original
         search's ``replan_context`` so the re-plan runs through a warm
-        cost cache (``replan_workers`` only changes wall time, never
-        the plan)."""
+        cost cache."""
         if pipelines < 1:
             raise ServingError(f"need >= 1 pipeline, got {pipelines}")
         self.plan = plan
         self.replan_context = replan_context
-        self.replan_workers = replan_workers
         model = build_pipeline_model(plan)
         super().__init__(
             model,
@@ -180,7 +177,6 @@ class PipelineFleetScheduler(FleetScheduler):
                 self.plan,
                 dead[0],
                 context=self.replan_context,
-                workers=self.replan_workers,
             )
         except ReproError as exc:
             control.note_rebuild_failed(replica_id, cycle, f"re-plan: {exc}")

@@ -109,7 +109,6 @@ def simulate_partition(
     weights: Optional[dict] = None,
     seed: int = 0,
     faults=None,
-    fault_seed: int = 0,
 ) -> FleetSimulationResult:
     """Run one image through a :class:`~repro.partition.plan.PartitionPlan`.
 
@@ -130,8 +129,6 @@ def simulate_partition(
             either completes or, if a fault never lifts, raises
             :class:`~repro.errors.SimulationError`.  The functional
             output is untouched either way.
-        fault_seed: Seed for the injector (kept for symmetry with the
-            serving layer; the deterministic timeline never draws).
     """
     network = plan.network
     rng = np.random.default_rng(seed)
@@ -149,7 +146,6 @@ def simulate_partition(
         if not spec.empty:
             injector = FaultInjector(
                 spec,
-                seed=fault_seed,
                 replicas=1,
                 links=len(plan.transfers),
                 stages=len(plan.placements),

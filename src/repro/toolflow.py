@@ -212,7 +212,6 @@ def compile_model(
     transfer_constraint_bytes: Optional[int] = None,
     output_dir: Optional[Path] = None,
     weights: Optional[dict] = None,
-    workers: Optional[int] = None,
     context: Optional[CostModel] = None,
     verify: bool = True,
 ) -> CompileResult:
@@ -230,9 +229,6 @@ def compile_model(
         weights: Optional trained parameters; when given the project
             includes quantized weight headers (Winograd kernels
             pre-transformed).
-        workers: Precompute the independent ``fusion[i][j]`` searches
-            with a thread pool of this size (strategy-preserving;
-            CLI ``--workers``).
         context: Shared :class:`~repro.perf.cost.EvalContext` to reuse
             cost evaluations across compiles (e.g. device sweeps).  One
             built with a persistent ``store`` (CLI ``--cache``) warms
@@ -269,8 +265,7 @@ def compile_model(
     if transfer_constraint_bytes is None:
         transfer_constraint_bytes = network.feature_map_bytes(target.element_bytes)
     strategy = (optimize_graph if is_graph else optimize)(
-        network, target, transfer_constraint_bytes,
-        workers=workers, context=context,
+        network, target, transfer_constraint_bytes, context=context
     )
     if verify:
         from repro.check.invariants import verify_strategy
@@ -294,7 +289,6 @@ def partition_model(
     devices: Union[str, Sequence, DeviceFleet] = "zc706,zc706",
     link: Optional[Link] = None,
     transfer_constraint_bytes: Optional[int] = None,
-    workers: Optional[int] = None,
     context: Optional[CostModel] = None,
     verify: bool = True,
 ) -> PartitionPlan:
@@ -321,8 +315,7 @@ def partition_model(
             board-to-board link).
         transfer_constraint_bytes: Optional per-stage DRAM feature-map
             budget (each board gets the paper's T separately).
-        workers / context / verify: As in
-            :func:`compile_model`
+        context / verify: As in :func:`compile_model`
             (``verify`` runs :func:`repro.check.verify_plan` on the
             finished plan).
 
@@ -343,7 +336,6 @@ def partition_model(
         fleet,
         transfer_constraint_bytes=transfer_constraint_bytes,
         context=context,
-        workers=workers,
     )
     _flush_context(context)
     if verify:

@@ -98,18 +98,6 @@ class TestCompile:
         assert "B&B nodes visited" in out
         assert "B&B nodes pruned" in out
 
-    def test_compile_workers_matches_serial(self, capsys):
-        assert main(["compile", "tiny_cnn", "--device", "testchip"]) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(
-                ["compile", "tiny_cnn", "--device", "testchip", "--workers", "2"]
-            )
-            == 0
-        )
-        threaded = capsys.readouterr().out
-        assert threaded == serial
-
     def test_unknown_model_errors(self, capsys):
         assert main(["compile", "nonexistent_model"]) == 1
         err = capsys.readouterr().err

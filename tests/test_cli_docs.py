@@ -25,8 +25,6 @@ COMMAND = re.compile(
     r"^\s*(?:-\s*)?(?:run:\s*)?(?:\$\s+)?(?:[A-Z_]+=\S*\s+)*"
     r"(?:python3?\s+-m\s+)?repro\s"
 )
-# Shell variables a CI loop sets, and a value each one takes there.
-SHELL_VARIABLES = {"workers": "2"}
 # Tokens that end the command: pipes, redirections, command lists.
 STOP = {"|", "||", "&&", ";", ">", ">>", "2>", "<"}
 
@@ -55,14 +53,7 @@ def _fenced(text: str):
 
 
 def _argv(command: str) -> list:
-    tokens = shlex.split(
-        re.sub(
-            r"\$\{?(\w+)\}?",
-            lambda match: SHELL_VARIABLES[match.group(1)],
-            command,
-        ),
-        comments=True,
-    )
+    tokens = shlex.split(command, comments=True)
     argv = tokens[tokens.index("repro") + 1:]
     for index, token in enumerate(argv):
         if token in STOP or token.startswith(">"):

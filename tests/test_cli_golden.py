@@ -191,7 +191,6 @@ PARSER_SURFACE = {
         'simulate': {'flags': '--simulate', 'default': False, 'const': True, 'nargs': 0},
         'stats': {'flags': '--stats', 'default': False, 'const': True, 'nargs': 0},
         'transfer': {'flags': '--transfer', 'type': '_parse_size'},
-        'workers': {'flags': '--workers', 'type': 'int'},
     },
     'devices': {
     },
@@ -218,7 +217,6 @@ PARSER_SURFACE = {
         'simulate': {'flags': '--simulate', 'default': False, 'const': True, 'nargs': 0},
         'stats': {'flags': '--stats', 'default': False, 'const': True, 'nargs': 0},
         'transfer': {'flags': '--transfer', 'type': '_parse_size'},
-        'workers': {'flags': '--workers', 'type': 'int'},
     },
     'plan-capacity': {
         'baseline': {'flags': '--baseline', 'default': False, 'const': True, 'nargs': 0},
@@ -247,7 +245,6 @@ PARSER_SURFACE = {
         'no_verify': {'flags': '--no-verify', 'default': False, 'const': True, 'nargs': 0},
         'save': {'flags': '--save'},
         'transfer': {'flags': '--transfer', 'type': '_parse_size'},
-        'workers': {'flags': '--workers', 'type': 'int'},
     },
     'serve-sim': {
         'arrival': {'flags': '--arrival'},
@@ -282,7 +279,6 @@ PARSER_SURFACE = {
         'json': {'flags': '--json', 'default': False, 'const': True, 'nargs': 0},
         'model': {'flags': '', 'required': True},
         'stats': {'flags': '--stats', 'default': False, 'const': True, 'nargs': 0},
-        'workers': {'flags': '--workers', 'type': 'int'},
     },
     'sweep-grid': {
         'bw_factors': {'flags': '--bw-factors', 'default': '1.0'},

@@ -198,24 +198,25 @@ class TestBudgetedFrontier:
             ),
         ],
     )
-    def test_thread_prewarm_searches_what_serial_does(self, name, build, budget):
+    def test_phase_split_matches_lazy_optimize(self, name, build, budget):
+        # perfbench times the compile as separate phases: every range
+        # searched up front, then the unbudgeted frontier, the pick
+        # under T and materialize.  That order must reach the lazy
+        # compile's strategy.
         zc706 = get_device("zc706")
         network = build()
-        serial_ctx, threaded_ctx = EvalContext(), EvalContext()
-        serial = optimize(network, zc706, budget, context=serial_ctx)
-        threaded = optimize(
-            network, zc706, budget, workers=2, context=threaded_ctx
-        )
-        assert threaded.boundaries == serial.boundaries
-        assert threaded.latency_cycles == serial.latency_cycles
-        for field in ("groups_searched", "nodes_visited", "nodes_pruned"):
-            assert getattr(threaded_ctx.stats, field) == getattr(
-                serial_ctx.stats, field
-            ), field
+        lazy_ctx = EvalContext()
+        lazy = optimize(network, zc706, budget, context=lazy_ctx)
+        optimizer = FrontierOptimizer(network, zc706, context=EvalContext())
+        optimizer.search.precompute()
+        optimizer.frontier(0, len(network))
+        phased = optimizer.materialize(optimizer.best_plan(budget))
+        assert phased.boundaries == lazy.boundaries
+        assert phased.latency_cycles == lazy.latency_cycles
         if name == "vgg_e":
             # Table 1's 2 MB admits one range, [0:7].
-            assert serial_ctx.stats.groups_searched == 1
-            assert serial.latency_cycles == 2_600_192
+            assert lazy_ctx.stats.groups_searched == 1
+            assert lazy.latency_cycles == 2_600_192
 
 
 # -- the paper's literal Algorithm 1 ------------------------------------------

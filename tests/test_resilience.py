@@ -7,8 +7,7 @@ The load-bearing contracts, in order of importance:
    ``metrics.recovery is None``.  The control plane observes; it only
    acts on evidence.
 2. **Determinism** — same seed + fault spec + policy produce a
-   bit-identical decision log (and ``recovery_log`` payload), including
-   across re-planner ``workers`` settings.
+   bit-identical decision log (and ``recovery_log`` payload).
 3. **The ladder is monotone** — no rung ever demands more resources
    than its predecessor (property-tested over the policy space).
 4. **Online re-partitioning works** — a confirmed stage death on a
@@ -353,22 +352,14 @@ class TestSurvivingFleet:
             assert stop == start  # contiguous, no gaps
         assert handover_cycles(survivor) > 0
 
-    def test_replan_is_worker_invariant(self, two_chip_plan):
-        one = replan_survivors(two_chip_plan, dead_stage=1, workers=1)
-        two = replan_survivors(two_chip_plan, dead_stage=1, workers=2)
-        assert one.to_dict() == two.to_dict()
-
 
 class TestOnlineRepartitioning:
     POLICY = ResiliencePolicy(confirm_down_cycles=1e4)
     FAULTS = "crash:replica=0,stage=1,at=20000"
 
-    def run_crash(self, plan, workers=None):
+    def run_crash(self, plan):
         fleet = plan.serve(
-            pipelines=1,
-            faults=self.FAULTS,
-            resilience=self.POLICY,
-            replan_workers=workers,
+            pipelines=1, faults=self.FAULTS, resilience=self.POLICY
         )
         return fleet.run_open_loop(
             num_requests=48, load=1.5, rng=np.random.default_rng(0)
@@ -409,12 +400,6 @@ class TestOnlineRepartitioning:
             for r in (first, again)
         ]
         assert payloads[0] == payloads[1]
-
-    def test_recovery_log_worker_invariant(self, two_chip_plan):
-        serial = self.run_crash(two_chip_plan, workers=1)
-        threaded = self.run_crash(two_chip_plan, workers=2)
-        assert serial.records == threaded.records
-        assert serial.metrics.recovery == threaded.metrics.recovery
 
     def test_saved_artifact_round_trips(self, two_chip_plan, tmp_path):
         from repro.check.artifacts import load_envelope
