@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, NamedTuple, Optional
 
 from repro.errors import ReproError
 
@@ -33,9 +32,11 @@ class ServingError(ReproError):
     """The serving runtime was misconfigured or misused."""
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
+class InferenceRequest(NamedTuple):
     """One inference request against the compiled model.
+
+    An immutable named tuple: cheap to build once per arrival, equal by
+    value (to a plain tuple of the same fields too).
 
     Attributes:
         request_id: Dense id, assigned in arrival order.
@@ -67,8 +68,7 @@ class InferenceRequest:
         batcher's in-order contract holds), the attempt counter bumped,
         and the original arrival preserved for latency/deadline math.
         """
-        return InferenceRequest(
-            request_id=self.request_id,
+        return self._replace(
             arrival_cycle=float(cycle),
             attempts=self.attempts + 1,
             first_arrival_cycle=self.origin_cycle,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isnan
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.serve.batcher import ServingError
 from repro.serve.runtime import ReplicaStats
@@ -53,8 +53,7 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else float("nan")
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Lifecycle of one request, all times in virtual cycles.
 
     For retried requests ``arrival_cycle`` is the *original* arrival —
@@ -63,7 +62,9 @@ class RequestRecord:
     (kept separately in ``ServingResult.failures``) carry ``failed``
     (retries/deadline exhausted, or no replica left) or ``shed``
     (rejected by admission control), with ``completion_cycle`` the
-    instant the request was abandoned.
+    instant the request was abandoned.  An immutable named tuple, like
+    :class:`~repro.serve.batcher.InferenceRequest`: one is built per
+    request, so it must be cheap.
     """
 
     request_id: int

@@ -10,7 +10,7 @@ single-image simulator replays — service time comes from
 :class:`repro.sim.simulator.ServiceModel`, i.e. the row-level pipeline
 recurrence with the per-group resident-weight preload paid once per
 batch — but tracks only *time*, not feature maps, so a replica can
-serve thousands of requests in microseconds of host time.
+serve thousands of requests in milliseconds of host time.
 
 Replicas live entirely on the scheduler's virtual clock:
 ``execute_attempt`` takes the dispatch cycle and returns the span the
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.serve.batcher import InferenceRequest, ServingError
 from repro.sim.simulator import ServiceModel
@@ -43,9 +43,8 @@ class ReplicaStats:
         return self.busy_cycles / makespan_cycles if makespan_cycles > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class BatchAttempt:
-    """Outcome of dispatching one batch to one replica.
+class BatchAttempt(NamedTuple):
+    """Outcome of dispatching one batch to one replica (a named tuple).
 
     ``end_cycle`` is the completion cycle on success, or the cycle the
     failure was detected (crash instant, or end of the wasted service
@@ -96,6 +95,17 @@ class PipelineServiceModel:
             )
         self.stages = list(stages)
         self.transfer_cycles = list(transfer_cycles)
+        self._head: Dict[int, float] = {}
+
+    def head_cycles(self, batch_size: int) -> float:
+        """The head stage's ``batch_cycles(batch_size)``, computed once
+        per batch size: a replica charges it on every batch."""
+        cycles = self._head.get(batch_size)
+        if cycles is None:
+            cycles = self._head[batch_size] = self.stages[0].batch_cycles(
+                batch_size
+            )
+        return cycles
 
     @classmethod
     def of(cls, model) -> "PipelineServiceModel":
@@ -213,7 +223,7 @@ class Replica:
         if injector is not None:
             start = injector.available_from(self.replica_id, start)
             scale = injector.service_scale(self.replica_id, start)
-        service = (swap + model.stages[0].batch_cycles(size)) * scale
+        service = (swap + model.head_cycles(size)) * scale
         head_end = end = start + service
         if swap > 0:
             self.swaps += 1

@@ -492,9 +492,7 @@ class FleetScheduler:
             base_max_batch=self.max_batch,
             base_max_queue=self.max_queue,
             fallback_available=self.fallback_model is not None,
-            baseline_fn=(
-                self.tenants[0].service_model.batch_cycles if pure else None
-            ),
+            baseline_fn=self._pipelines[0].head_cycles if pure else None,
         )
 
     def _apply_control(
@@ -532,7 +530,7 @@ class FleetScheduler:
             replica.busy_until = (
                 max(replica.busy_until, cycle) + self.fallback_swap_cycles
             )
-        control.set_default_baseline(self.fallback_model.batch_cycles)
+        control.set_default_baseline(model.head_cycles)
 
     def _rebuild_replica(
         self, control: RecoveryController, fleet, replica_id: int,
@@ -691,10 +689,7 @@ class FleetScheduler:
             if arrivals[0] < 0:
                 raise ServingError("arrival cycles must be non-negative")
             requests.append(
-                [
-                    InferenceRequest(request_id=i, arrival_cycle=t)
-                    for i, t in enumerate(arrivals)
-                ]
+                [InferenceRequest(i, t) for i, t in enumerate(arrivals)]
             )
             arrivals.append(math.inf)
             arrival_at.append(arrivals)
@@ -930,19 +925,14 @@ class FleetScheduler:
             last_finish[chosen] = attempt.end_cycle
             vtime[chosen] += occupancy / tenants[chosen].weight
             if attempt.ok:
+                start, end = attempt.start_cycle, attempt.end_cycle
+                replica_id, size = target.replica_id, len(batch)
                 done = records[chosen]
                 for request in batch:
-                    done.append(
-                        RequestRecord(
-                            request_id=request.request_id,
-                            arrival_cycle=request.origin_cycle,
-                            dispatch_cycle=attempt.start_cycle,
-                            completion_cycle=attempt.end_cycle,
-                            replica_id=target.replica_id,
-                            batch_size=len(batch),
-                            attempts=request.attempts,
-                        )
-                    )
+                    done.append(RequestRecord(
+                        request.request_id, request.origin_cycle, start, end,
+                        replica_id, size, request.attempts,
+                    ))
                 continue
             # The batch failed (crash or transient): retry each request
             # with exponential backoff until its attempts or deadline

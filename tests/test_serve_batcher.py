@@ -34,11 +34,35 @@ class TestValidation:
         assert "retry_at" in message  # points at the re-arrival path
 
 
+class TestRequestContract:
+    """An immutable named tuple: equal (and hashed) by value."""
+
+    def test_fields_cannot_be_set(self):
+        request = req(0, 100)
+        with pytest.raises(AttributeError):
+            request.arrival_cycle = 5.0
+        with pytest.raises(AttributeError):
+            request.deadline = 5.0
+
+    def test_equal_values_hash_and_compare_equal(self):
+        assert req(3, 7) == req(3, 7)
+        assert hash(req(3, 7)) == hash(req(3, 7))
+        assert req(3, 7) != req(3, 8)
+        assert req(3, 7) == (3, 7.0, 1, None)
+
+    def test_repr(self):
+        assert repr(req(3, 7).retry_at(9)) == (
+            "InferenceRequest(request_id=3, arrival_cycle=9.0, attempts=2, "
+            "first_arrival_cycle=7.0)"
+        )
+
+
 class TestRetryPath:
     def test_retry_at_stamps_fresh_arrival_and_keeps_origin(self):
         fresh = req(0, 100)
         assert fresh.origin_cycle == 100
         retried = fresh.retry_at(500)
+        assert type(retried) is InferenceRequest
         assert retried.request_id == 0
         assert retried.arrival_cycle == 500
         assert retried.attempts == 2

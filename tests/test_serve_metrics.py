@@ -10,7 +10,7 @@ from repro.serve.metrics import (
     aggregate_metrics,
     percentile,
 )
-from repro.serve.runtime import ReplicaStats
+from repro.serve.runtime import BatchAttempt, ReplicaStats
 
 
 class TestPercentile:
@@ -56,6 +56,47 @@ class TestRequestRecord:
         assert r.queue_cycles == 15
         assert r.service_cycles == 100
         assert r.latency_cycles == 115
+
+    def test_fields_cannot_be_set(self):
+        r = record(0, arrival=10, dispatch=25, completion=125)
+        with pytest.raises(AttributeError):
+            r.outcome = "failed"
+        with pytest.raises(AttributeError):
+            r.note = "late"
+
+    def test_equal_values_hash_and_compare_equal(self):
+        a = record(4, arrival=10, dispatch=25, completion=125, batch=2)
+        b = record(4, arrival=10, dispatch=25, completion=125, batch=2)
+        assert a == b and hash(a) == hash(b)
+        assert a != record(4, arrival=10, dispatch=25, completion=126, batch=2)
+        assert a == (4, 10.0, 25.0, 125.0, 0, 2, 1, "completed")
+
+    def test_repr(self):
+        # The serving goldens hash this text: it must not drift.
+        assert repr(record(4, 10, 25, 125, replica=1, batch=2)) == (
+            "RequestRecord(request_id=4, arrival_cycle=10.0, "
+            "dispatch_cycle=25.0, completion_cycle=125.0, replica_id=1, "
+            "batch_size=2, attempts=1, outcome='completed')"
+        )
+
+
+class TestBatchAttempt:
+    def test_fields_cannot_be_set(self):
+        attempt = BatchAttempt(0.0, 100.0, ok=True)
+        with pytest.raises(AttributeError):
+            attempt.ok = False
+
+    def test_equal_values_hash_and_compare_equal(self):
+        a = BatchAttempt(0.0, 100.0, ok=False, failure="crash")
+        b = BatchAttempt(0.0, 100.0, ok=False, failure="crash")
+        assert a == b and hash(a) == hash(b)
+        assert a != BatchAttempt(0.0, 100.0, ok=False, failure="transient")
+
+    def test_repr(self):
+        assert repr(BatchAttempt(0.0, 100.0, ok=True)) == (
+            "BatchAttempt(start_cycle=0.0, end_cycle=100.0, ok=True, "
+            "failure=None)"
+        )
 
 
 class TestAggregation:

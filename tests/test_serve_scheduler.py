@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.faults import RetryPolicy
+from repro.resilience import ResiliencePolicy
 from repro.serve.batcher import ServingError
 from repro.serve.scheduler import FleetScheduler, Policy, synthetic_arrivals
 from repro.sim.simulator import GroupServiceModel, ServiceModel
@@ -182,6 +184,46 @@ class TestEdgeCases:
         assert [r.replica_id for r in a.records] == [
             r.replica_id for r in b.records
         ]
+
+
+class TestFallbackSwap:
+    def test_later_batches_are_charged_the_fallback_model(self):
+        """After the warm swap every batch costs the fallback's
+        ``batch_cycles(size)``, including batch sizes the replica had
+        already served on the main model."""
+        main = flat_model(first=100.0, steady=40.0)
+        fallback = flat_model(preload=50.0, first=130.0, steady=70.0)
+        fleet = FleetScheduler(
+            main,
+            replicas=2,
+            max_batch=8,
+            max_wait_cycles=50.0,
+            faults="transient:p=0.4",
+            fault_seed=1,
+            retry=RetryPolicy(max_attempts=8, backoff_cycles=20),
+            resilience=ResiliencePolicy(max_ladder_steps=2),
+            fallback_model=fallback,
+            fallback_swap_cycles=500.0,
+        )
+        result = fleet.run(
+            synthetic_arrivals(300, 30.0, np.random.default_rng(2))
+        )
+        swap = next(
+            e["cycle"] for e in result.metrics.recovery["events"]
+            if e["kind"] == "ladder" and "fallback" in e["detail"]
+        )
+        # Transient faults leave completed batches at their exact
+        # service time; each batch starts at its record's dispatch.
+        before = [r for r in result.records if r.dispatch_cycle < swap]
+        after = [r for r in result.records if r.dispatch_cycle >= swap]
+        for records, model in ((before, main), (after, fallback)):
+            assert records
+            for r in records:
+                assert r.completion_cycle == (
+                    r.dispatch_cycle + model.batch_cycles(r.batch_size)
+                )
+        served = {(r.replica_id, r.batch_size) for r in before}
+        assert served & {(r.replica_id, r.batch_size) for r in after}
 
 
 class TestSyntheticArrivals:
