@@ -29,10 +29,9 @@ completion that fits the DSPs left free.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -168,6 +167,66 @@ class _BudgetExhausted(Exception):
     """Raised inside a search once it visits more than its node budget."""
 
 
+class _Ladder:
+    """One menu option's candidates, resolved in descending parallelism.
+
+    The search-local fast path in front of the context: the inner loop
+    re-queries the same few hundred design points many times, so each is
+    resolved once into a flat row of plain ints, ``rows[k]`` for the
+    k-th parallelism.  Per network, per device — exactly this search's
+    scope; cross-layer and cross-search sharing still happens in the
+    context, which each unique point hits once.  Beside the rows
+    are the columns the search bisects: fill and compute + fill, which
+    never decrease as the parallelism descends, and every resource
+    negated (resources never grow as it descends).  ``weight`` is the
+    option's DRAM weight traffic, the same at every parallelism.
+    ``tests/test_branch_and_bound.py`` checks these ladder invariants.
+    """
+
+    __slots__ = (
+        "query", "parallelisms", "weight", "rows",
+        "fills", "totals", "brams", "dsps", "ffs", "luts",
+    )
+
+    def __init__(
+        self,
+        query: Tuple[Algorithm, WeightMode, int],
+        parallelisms: List[int],
+        weight: int,
+    ):
+        self.query = query
+        self.parallelisms = parallelisms
+        self.weight = weight
+        self.rows: List[_Row] = []
+        self.fills: List[int] = []
+        self.totals: List[int] = []
+        self.brams: List[int] = []
+        self.dsps: List[int] = []
+        self.ffs: List[int] = []
+        self.luts: List[int] = []
+
+    def extend(self, context: CostModel, info: LayerInfo, device: FPGADevice) -> None:
+        """Resolve the next parallelism through ``context.implement``."""
+        algo, mode, m = self.query
+        parallelism = self.parallelisms[len(self.rows)]
+        impl = context.implement(
+            info, algo, parallelism, device, weight_mode=mode, winograd_m=m
+        )
+        res = impl.resources
+        compute, fill = impl.compute_cycles, impl.fill_cycles
+        self.rows.append((
+            compute, fill, impl.weight_dram_bytes,
+            res.bram18k, res.dsp, res.ff, res.lut,
+            (algo, mode, m, parallelism), impl,
+        ))
+        self.fills.append(fill)
+        self.totals.append(compute + fill)
+        self.brams.append(-res.bram18k)
+        self.dsps.append(-res.dsp)
+        self.ffs.append(-res.ff)
+        self.luts.append(-res.lut)
+
+
 @dataclass
 class _LayerMenu:
     """All candidate implementations of one layer, precomputed.
@@ -178,8 +237,8 @@ class _LayerMenu:
     """
 
     info: LayerInfo
-    #: (algorithm, weight mode, winograd tile m, descending parallelisms)
-    options: List[Tuple[Algorithm, WeightMode, int, List[int]]]
+    #: one ladder per (algorithm, weight mode, winograd tile m) option
+    ladders: List[_Ladder]
     #: fastest achievable compute cycles across all options
     best_compute: int
     #: cheapest resource vector across all options
@@ -244,27 +303,13 @@ class GroupSearch:
             self._build_menu(network[i]) for i in range(len(network))
         ]
         self._fusion_cache: Dict[Tuple[int, int], Optional[GroupDesign]] = {}
-        # Search-local fast path in front of the context: the inner loop
-        # re-queries the same few hundred design points millions of times,
-        # so each is resolved once into a flat row of plain ints (see
-        # _Row) and kept here as ``_rows[layer][option][k]`` for the k-th
-        # parallelism of that menu option.  Per network, per device —
-        # exactly this search's scope; cross-layer/cross-search sharing
-        # still happens in the context, which each unique point hits once.
-        self._rows: List[List[List[_Row]]] = [
-            [[] for _ in menu.options] for menu in self._menus
-        ]
-        self._rows_lock = threading.Lock()
         # Knapsack floors of every layer suffix ``[i, stop)`` a search has
-        # needed, shared by all searches ending at ``stop``; guarded like
-        # ``_rows``, so each suffix is built once even when ``fusion``
-        # queries on one search run concurrently.
+        # needed, shared by all searches ending at ``stop``.
         self._floors: Dict[Tuple[int, int], Floors] = {}
-        self._floors_lock = threading.Lock()
         self.nodes_visited = 0
 
     def _build_menu(self, info: LayerInfo) -> _LayerMenu:
-        options: List[Tuple[Algorithm, WeightMode, int, List[int]]] = []
+        ladders: List[_Ladder] = []
         best_compute = None
         min_weight = None
         min_dsp_work = None
@@ -281,7 +326,6 @@ class GroupSearch:
                 tiles = [WINOGRAD_M]
             for m in tiles:
               for mode in candidate_weight_modes(info, algo, self.device, m):
-                options.append((algo, mode, m, parallelisms))
                 fastest = self.context.implement(
                     info, algo, parallelisms[0], self.device,
                     weight_mode=mode, winograd_m=m,
@@ -289,6 +333,9 @@ class GroupSearch:
                 cheapest = self.context.implement(
                     info, algo, parallelisms[-1], self.device,
                     weight_mode=mode, winograd_m=m,
+                )
+                ladders.append(
+                    _Ladder((algo, mode, m), parallelisms, fastest.weight_dram_bytes)
                 )
                 if best_compute is None or fastest.compute_cycles < best_compute:
                     best_compute = fastest.compute_cycles
@@ -316,7 +363,7 @@ class GroupSearch:
         assert min_dsp_work is not None
         return _LayerMenu(
             info=info,
-            options=options,
+            ladders=ladders,
             best_compute=best_compute,
             min_resources=min_res,
             min_weight_dram=min_weight,
@@ -324,44 +371,16 @@ class GroupSearch:
             pinned=len(algorithms) < len(candidates),
         )
 
-    def _row(self, index: int, option: int, k: int) -> _Row:
-        """Resolve candidate ``k`` of one menu option into its flat row.
-
-        Rows fill in the DFS's own option/parallelism order, so
-        ``implement()`` sees exactly the points the search reaches.  The
-        lock only guards misses: concurrent ``fusion`` queries on one
-        search share the rows, and a lost race must not append a point
-        twice.
-        """
-        with self._rows_lock:
-            rows = self._rows[index][option]
-            menu = self._menus[index]
-            algo, mode, m, parallelisms = menu.options[option]
-            while len(rows) <= k:
-                parallelism = parallelisms[len(rows)]
-                impl = self.context.implement(
-                    menu.info, algo, parallelism, self.device,
-                    weight_mode=mode, winograd_m=m,
-                )
-                res = impl.resources
-                rows.append((
-                    impl.compute_cycles, impl.fill_cycles,
-                    impl.weight_dram_bytes,
-                    res.bram18k, res.dsp, res.ff, res.lut,
-                    (algo, mode, m, parallelism), impl,
-                ))
-            return rows[k]
-
     def _layer_costs(self, index: int) -> List[Tuple[int, int, int]]:
         """Every candidate of one layer as ``(dsp, fill, fill + weight
         transfer cycles)``, resolving the whole menu."""
+        menu = self._menus[index]
         bytes_per_cycle = self.device.bytes_per_cycle
         costs = []
-        for option, (_, _, _, parallelisms) in enumerate(
-            self._menus[index].options
-        ):
-            self._row(index, option, len(parallelisms) - 1)
-            for _, fill, weight, _, dsp, _, _, _, _ in self._rows[index][option]:
+        for ladder in menu.ladders:
+            while len(ladder.rows) < len(ladder.parallelisms):
+                ladder.extend(self.context, menu.info, self.device)
+            for _, fill, weight, _, dsp, _, _, _, _ in ladder.rows:
                 # Whole cycles rounded down per layer: the terms then sum
                 # to at most the group's exact transfer time at any rate.
                 costs.append((dsp, fill, fill + int(weight / bytes_per_cycle)))
@@ -378,17 +397,16 @@ class GroupSearch:
         floors = self._floors.get((index, stop))
         if floors is not None:
             return floors
-        with self._floors_lock:
-            built = index
-            while built < stop and (built, stop) not in self._floors:
-                built += 1
-            floors = self._floors.get((built, stop), NO_LAYERS)
-            for i in range(built - 1, index - 1, -1):
-                floors = extend_floors(
-                    floors, self._layer_costs(i), self.device.resources.dsp
-                )
-                self._floors[(i, stop)] = floors
-            return floors
+        built = index
+        while built < stop and (built, stop) not in self._floors:
+            built += 1
+        floors = self._floors.get((built, stop), NO_LAYERS)
+        for i in range(built - 1, index - 1, -1):
+            floors = extend_floors(
+                floors, self._layer_costs(i), self.device.resources.dsp
+            )
+            self._floors[(i, stop)] = floors
+        return floors
 
     # -- the search -----------------------------------------------------------
 
@@ -467,8 +485,9 @@ class GroupSearch:
         menus = self._menus[start:stop]
         for menu, (algo, mode, m, parallelism) in zip(menus, choices):
             if not any(
-                option[:3] == (algo, mode, m) and parallelism in option[3]
-                for option in menu.options
+                ladder.query == (algo, mode, m)
+                and parallelism in ladder.parallelisms
+                for ladder in menu.ladders
             ):
                 return _MISS
         return rebuild(
@@ -495,7 +514,6 @@ class GroupSearch:
         boundary — the menus going in and the winning design coming out.
         """
         menus = self._menus[start:stop]
-        layer_rows = self._rows[start:stop]
         depth_count = len(menus)
         resources = self.device.resources
         fifo = fifo_overhead(depth_count)
@@ -532,7 +550,8 @@ class GroupSearch:
             suffix_dsp_work[idx] = suffix_dsp_work[idx + 1] + menu.min_dsp_work
 
         # Resource-aware floors of what follows each depth: after[d] for
-        # the layers past depth d.
+        # the layers past depth d.  Building them resolves every layer's
+        # ladders but the first.
         after = [
             self._suffix_floors(start + depth, stop)
             for depth in range(1, depth_count + 1)
@@ -548,13 +567,52 @@ class GroupSearch:
         bytes_per_cycle = self.device.bytes_per_cycle
         ceil = math.ceil
         node_budget = self.node_budget
-        row = self._row
+        context = self.context
+        device = self.device
 
         nodes = 0
         pruned = 0
         best_latency: Optional[int] = None
         best_rows: Optional[List[_Row]] = None
         chosen: List[_Row] = []
+
+        def first_fit(ladder: _Ladder, bram: int, dsp: int, ff: int, lut: int) -> int:
+            """First resolved candidate that fits all four resources left
+            (every later one fits too), or the resolved count."""
+            resolved = len(ladder.rows)
+            return max(
+                bisect_left(ladder.brams, bram - cap_bram, 0, resolved),
+                bisect_left(ladder.dsps, dsp - cap_dsp, 0, resolved),
+                bisect_left(ladder.ffs, ff - cap_ff, 0, resolved),
+                bisect_left(ladder.luts, lut - cap_lut, 0, resolved),
+            )
+
+        def first_cut(
+            ladder: _Ladder, floor: int, transfer: int,
+            next_fill: int, next_transfer: int,
+        ) -> int:
+            """First resolved candidate the incumbent cut rejects (every
+            later one is rejected too), or the ladder's length.
+
+            The cut is ``max(floor, compute) + next_fill + fill >=
+            incumbent`` or ``transfer + next_transfer + fill >=
+            incumbent``, where ``floor`` and ``transfer`` hold the
+            option's constant weight traffic: a threshold on the fill
+            column and one on the compute + fill column.
+            """
+            if best_latency is None:
+                return len(ladder.parallelisms)
+            resolved = len(ladder.rows)
+            slack = best_latency - next_fill
+            k = min(
+                bisect_left(
+                    ladder.fills,
+                    min(slack - floor, best_latency - transfer - next_transfer),
+                    0, resolved,
+                ),
+                bisect_left(ladder.totals, slack, 0, resolved),
+            )
+            return k if k < resolved else len(ladder.parallelisms)
 
         def visit(
             depth: int,
@@ -599,64 +657,63 @@ class GroupSearch:
             next_dsp_work = suffix_dsp_work[depth + 1]
             floor_dsps, floor_fills, floor_transfers = after[depth]
             # The floors at every DSP still free bound each candidate's,
-            # and stay put as p descends, so they can join the `break`.
+            # and stay put as p descends, so they can join the cut.
             # The resource floor above leaves room for the cheapest
             # suffix, so ``most`` is a real step.
             most = bisect_right(floor_dsps, cap_dsp - dsp) - 1
             next_fill = fill_sum + floor_fills[most]
             next_transfer = fill_sum + floor_transfers[most]
             prefix_weight = feature_bytes + weight_sum
-            index = start + depth
-            for option, (rows, menu_option) in enumerate(
-                zip(layer_rows[depth], menus[depth].options)
-            ):
-                for k in range(len(menu_option[3])):
-                    try:
-                        candidate = rows[k]
-                    except IndexError:
-                        candidate = row(index, option, k)
-                    (
-                        compute, fill, weight, row_bram, row_dsp, row_ff,
-                        row_lut, _, _,
-                    ) = candidate
-                    if best_latency is not None:
-                        bottleneck = max(next_floor, compute)
-                        # Whole cycles rounded down, like the floors' terms.
-                        transfer = int((prefix_weight + weight) / bytes_per_cycle)
-                        if (
-                            max(
-                                bottleneck,
-                                ceil((next_weight + weight) / bytes_per_cycle),
-                            ) + next_fill + fill >= best_latency
-                            or transfer + next_transfer + fill >= best_latency
-                        ):
-                            # Parallelisms descend: compute and fill only
-                            # grow from here, weight traffic is constant
-                            # per algorithm — cut the branch (the paper's
-                            # lines 16-17 bound, strengthened).
-                            pruned += 1
-                            break
-                    new_bram = bram + row_bram
-                    new_dsp = dsp + row_dsp
-                    new_ff = ff + row_ff
-                    new_lut = lut + row_lut
-                    if (
-                        new_bram > cap_bram
-                        or new_dsp > cap_dsp
-                        or new_ff > cap_ff
-                        or new_lut > cap_lut
-                    ):
+            menu = menus[depth]
+            for ladder in menu.ladders:
+                weight = ladder.weight
+                floor = max(
+                    next_floor, ceil((next_weight + weight) / bytes_per_cycle)
+                )
+                # Whole cycles rounded down, like the floors' terms.
+                transfer = int((prefix_weight + weight) / bytes_per_cycle)
+                rows = ladder.rows
+                size = len(ladder.parallelisms)
+                # Candidates before ``fit`` overrun a resource; from
+                # ``cut`` on, the incumbent cut rejects them (the paper's
+                # lines 16-17, strengthened).  Only those in between are
+                # tried one by one.
+                fit = first_fit(ladder, bram, dsp, ff, lut)
+                cut = first_cut(ladder, floor, transfer, next_fill, next_transfer)
+                k = min(fit, cut)
+                while k < size:
+                    if k == len(rows):
+                        # A range's first layer resolves its ladder only as
+                        # far as the search reaches, the rejected row
+                        # included.
+                        ladder.extend(context, menu.info, device)
+                        fit = first_fit(ladder, bram, dsp, ff, lut)
+                        cut = first_cut(
+                            ladder, floor, transfer, next_fill, next_transfer
+                        )
                         continue
+                    if k >= cut:
+                        pruned += 1  # one cut for the rest of the ladder
+                        break
+                    if k < fit:
+                        k = fit
+                        continue
+                    candidate = rows[k]
+                    k += 1
+                    compute, fill, _, row_bram, row_dsp, row_ff, row_lut, _, _ = (
+                        candidate
+                    )
+                    new_dsp = dsp + row_dsp
                     if best_latency is not None and next_dsp_work:
                         # Work-conservation floor over the DSPs this
                         # candidate leaves behind (not monotone in p, so
-                        # `continue` rather than `break`).
-                        floor = (
+                        # checked per candidate).
+                        if (
                             -(-next_dsp_work // max(1, cap_dsp - new_dsp))
                             + next_fill
                             + fill
-                        )
-                        if floor >= best_latency:
+                            >= best_latency
+                        ):
                             pruned += 1
                             continue
                     # Knapsack floors over the DSPs this candidate leaves
@@ -672,25 +729,30 @@ class GroupSearch:
                         # time + fills.
                         new_fill = fill_sum + fill
                         if (
-                            bottleneck + new_fill + floor_fills[j - 1]
-                            >= best_latency
+                            max(next_floor, compute) + new_fill
+                            + floor_fills[j - 1] >= best_latency
                             or transfer + new_fill + floor_transfers[j - 1]
                             >= best_latency
                         ):
                             pruned += 1
                             continue
+                    incumbent = best_latency
                     chosen.append(candidate)
                     visit(
                         depth + 1,
-                        new_bram,
+                        bram + row_bram,
                         new_dsp,
-                        new_ff,
-                        new_lut,
+                        ff + row_ff,
+                        lut + row_lut,
                         compute if compute > path_max else path_max,
                         fill_sum + fill,
                         weight_sum + weight,
                     )
                     chosen.pop()
+                    if best_latency != incumbent:
+                        cut = first_cut(
+                            ladder, floor, transfer, next_fill, next_transfer
+                        )
 
         truncated = False
         try:

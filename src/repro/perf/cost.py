@@ -21,10 +21,11 @@ This module replaces those ad-hoc caches with one first-class layer:
 * :class:`EvalContext` — the default implementation: memoizes
   :class:`~repro.perf.implement.Implementation` results keyed by
   ``(signature, algorithm, weight mode, winograd m, parallelism,
-  device)`` and is safely shareable across fusion groups, constraint
-  sweeps (``optimize_many``) and device-variant DSE sweeps (its caches
-  are guarded by a lock; results are deterministic regardless of
-  evaluation order).
+  device)``, and each option's parallelism-free
+  :class:`~repro.perf.implement.EngineTerms` under the same key less
+  the parallelism; it is shareable across fusion groups, constraint
+  sweeps (``optimize_many``) and device-variant DSE sweeps (results are
+  deterministic regardless of evaluation order).
 * :class:`GroupKey` — the identity of one exact ``fusion[i][j]``
   search: the range's layer signatures, the device subset the search
   reads, the tile-size switch and the algorithm set its menus are cut
@@ -42,7 +43,6 @@ This module replaces those ad-hoc caches with one first-class layer:
 from __future__ import annotations
 
 import functools
-import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, Optional, Sequence, Tuple
@@ -53,9 +53,10 @@ from repro.nn.network import LayerInfo
 from repro.perf.implement import (
     WINOGRAD_M,
     Algorithm,
+    EngineTerms,
     Implementation,
     WeightMode,
-    implement,
+    engine_terms,
 )
 
 try:  # pragma: no cover - Protocol exists on every supported Python
@@ -334,9 +335,12 @@ class EvalContext:
             bit-identical results to a cold one — only faster.
 
     The context is the *only* state shared between ``fusion[i][j]``
-    searches; its cache and telemetry mutations are lock-guarded, and
-    since ``implement()`` is a pure function of the key, results do not
-    depend on the order in which searches query it.
+    searches, and since ``implement()`` is a pure function of the key,
+    results do not depend on the order in which searches query it.  A
+    miss evaluates only the parallelism-dependent half of
+    ``implement()``: the option's :class:`EngineTerms` are built once
+    per context and kept beside the point cache (they are not counted,
+    and not stored; ``evaluations`` counts points).
 
     It also remembers the choices of every completed group search by
     :class:`GroupKey` (:meth:`recall_group` / :meth:`remember_group`),
@@ -352,10 +356,12 @@ class EvalContext:
         self.store = store
         self.stats = SearchTelemetry()
         self._cache: Dict[Hashable, Implementation] = {}
+        # Each option's parallelism-free terms: the ``_cache`` key less
+        # the parallelism.
+        self._terms: Dict[Hashable, EngineTerms] = {}
         self._groups: Dict[GroupKey, GroupChoices] = {}
         # Fresh evaluations and fresh group choices, until the next flush.
         self._dirty: Dict[Hashable, object] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         """Number of distinct design points evaluated so far."""
@@ -393,16 +399,15 @@ class EvalContext:
         key = self.key_for(
             info, algorithm, parallelism, device, weight_mode, winograd_m
         )
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                # The cached engine was evaluated for a same-signature
-                # layer that may carry a different name; re-label so
-                # group composition and reports stay per-layer correct.
-                if cached.layer_name != info.name:
-                    cached = replace(cached, layer_name=info.name)
-                return cached
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.stats.cache_hits += 1
+            # The cached engine was evaluated for a same-signature
+            # layer that may carry a different name; re-label so
+            # group composition and reports stay per-layer correct.
+            if cached.layer_name != info.name:
+                cached = replace(cached, layer_name=info.name)
+            return cached
         if self.store is not None:
             try:
                 stored = self.store.get(key)
@@ -410,25 +415,22 @@ class EvalContext:
                 self._degrade_store(exc)
                 stored = None
             if stored is not None:
-                with self._lock:
-                    self.stats.store_hits += 1
-                    self._cache[key] = stored
+                self.stats.store_hits += 1
+                self._cache[key] = stored
                 if stored.layer_name != info.name:
                     stored = replace(stored, layer_name=info.name)
                 return stored
-        impl = implement(
-            info,
-            algorithm,
-            parallelism,
-            device,
-            weight_mode=weight_mode,
-            winograd_m=winograd_m,
-        )
-        with self._lock:
-            self.stats.evaluations += 1
-            self._cache[key] = impl
-            if self.store is not None:
-                self._dirty[key] = impl
+        option = key[:4] + key[5:]  # less the parallelism, key_for's 5th
+        terms = self._terms.get(option)
+        if terms is None:
+            terms = self._terms[option] = engine_terms(
+                info, algorithm, device, weight_mode, winograd_m
+            )
+        impl = terms.at(info.name, parallelism)
+        self.stats.evaluations += 1
+        self._cache[key] = impl
+        if self.store is not None:
+            self._dirty[key] = impl
         return impl
 
     # -- the group memo -----------------------------------------------------
@@ -458,8 +460,7 @@ class EvalContext:
         An empty tuple is a remembered infeasible range.  Memory first,
         then the store; a store hit is promoted into memory.
         """
-        with self._lock:
-            choices = self._groups.get(key)
+        choices = self._groups.get(key)
         if choices is not None or self.store is None:
             return choices
         try:
@@ -468,16 +469,14 @@ class EvalContext:
             self._degrade_store(exc)
             return None
         if choices is not None:
-            with self._lock:
-                self._groups[key] = choices
+            self._groups[key] = choices
         return choices
 
     def remember_group(self, key: GroupKey, choices: GroupChoices) -> None:
         """Record what a completed search chose (write-back to the store)."""
-        with self._lock:
-            self._groups[key] = choices
-            if self.store is not None:
-                self._dirty[key] = choices
+        self._groups[key] = choices
+        if self.store is not None:
+            self._dirty[key] = choices
 
     def flush_store(self) -> int:
         """Write back fresh evaluations and group choices to the store.
@@ -489,8 +488,7 @@ class EvalContext:
         """
         if self.store is None:
             return 0
-        with self._lock:
-            dirty, self._dirty = self._dirty, {}
+        dirty, self._dirty = self._dirty, {}
         if not dirty:
             return 0
         try:
@@ -507,12 +505,11 @@ class EvalContext:
         is counted in :attr:`SearchTelemetry.store_degraded` so sweeps
         surface it in their telemetry.
         """
-        with self._lock:
-            if self.store is None:
-                return
-            self.store = None
-            self._dirty = {}
-            self.stats.store_degraded = 1
+        if self.store is None:
+            return
+        self.store = None
+        self._dirty = {}
+        self.stats.store_degraded = 1
         warnings.warn(
             f"cost store unavailable ({exc}); continuing without the "
             "persistent cache",
@@ -533,11 +530,9 @@ class EvalContext:
         nodes_pruned: int,
     ) -> None:
         """Fold one ``fusion[i][j]`` search's counters into the telemetry."""
-        with self._lock:
-            self.stats.groups_searched += 1
-            self.stats.nodes_visited += nodes_visited
-            self.stats.nodes_pruned += nodes_pruned
-            self.stats.wall_time_s += seconds
-            self.stats.group_wall_times[
-                (network_name, device_name, start, stop)
-            ] = seconds
+        stats = self.stats
+        stats.groups_searched += 1
+        stats.nodes_visited += nodes_visited
+        stats.nodes_pruned += nodes_pruned
+        stats.wall_time_s += seconds
+        stats.group_wall_times[(network_name, device_name, start, stop)] = seconds

@@ -30,7 +30,6 @@ Model summary (full rationale in DESIGN.md):
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -317,6 +316,274 @@ def candidate_weight_modes(
     return modes
 
 
+@dataclass(frozen=True)
+class EngineTerms:
+    """The parallelism-free half of ``implement()`` for one menu option.
+
+    Everything an engine's evaluation reads that does not depend on its
+    parallelism: the resolved weight mode, the work the multipliers
+    share, the line buffers, the stored-weight BRAM floor, the DRAM
+    weight traffic and the LUT/FF coefficients.  :meth:`at` adds the
+    per-parallelism half.  A search asks one option for up to 19
+    parallelisms, so :class:`~repro.perf.cost.EvalContext` builds these
+    terms once per option.
+
+    Attributes:
+        work: Multiplications (or comparator/LRN steps) per image; the
+            engine's compute is ``ceil(work / p)``.
+        out_rows: Output rows (at least 1) the compute is spread over.
+        fill_lines: Rows of per-row compute the stage adds to the
+            group's fill; 0 for the full-map barrier, whose fill is its
+            whole compute.
+        weight_brams: Stored-weight BRAM floor; a ``banked`` engine
+            needs ``ceil(p / 2)`` dual-ported tiles at least.
+    """
+
+    algorithm: Algorithm
+    weight_mode: Optional[WeightMode]
+    winograd_m: int
+    work: int
+    out_rows: int
+    fill_lines: int
+    line_brams: int
+    weight_brams: int
+    banked: bool
+    weight_dram_bytes: int
+    dsp_per_p: int
+    base_ff: int
+    ff_per_p: int
+    base_lut: int
+    lut_per_p: int
+    input_bytes: int
+    output_bytes: int
+    ops: int
+    weights_resident: bool
+
+    def at(self, layer_name: str, parallelism: int) -> Implementation:
+        """The engine at ``parallelism``: compute, fill and resources."""
+        if parallelism < 1:
+            raise AlgorithmError(f"parallelism must be positive, got {parallelism}")
+        compute = -(-self.work // parallelism)
+        if self.fill_lines:
+            fill = -(-compute // self.out_rows) * self.fill_lines
+        else:
+            fill = compute
+        weight_brams = (
+            max(self.weight_brams, -(-parallelism // 2)) if self.banked else 0
+        )
+        return Implementation(
+            layer_name=layer_name,
+            algorithm=self.algorithm,
+            parallelism=parallelism,
+            resources=ResourceVector(
+                bram18k=self.line_brams + weight_brams,
+                dsp=parallelism * self.dsp_per_p,
+                ff=self.base_ff + self.ff_per_p * parallelism,
+                lut=self.base_lut + self.lut_per_p * parallelism,
+            ),
+            compute_cycles=compute,
+            fill_cycles=fill,
+            input_bytes=self.input_bytes,
+            output_bytes=self.output_bytes,
+            weight_dram_bytes=self.weight_dram_bytes,
+            weights_resident=self.weights_resident,
+            ops=self.ops,
+            line_brams=self.line_brams,
+            weight_brams=weight_brams,
+            weight_mode=self.weight_mode,
+            winograd_m=self.winograd_m,
+        )
+
+
+def _resolve_mode(
+    info: LayerInfo,
+    algorithm: Algorithm,
+    device: FPGADevice,
+    weight_mode: Optional[WeightMode],
+    m: int,
+    what: str,
+) -> WeightMode:
+    modes = candidate_weight_modes(info, algorithm, device, m)
+    if weight_mode is None:
+        return modes[0]
+    if weight_mode not in modes:
+        raise AlgorithmError(
+            f"weight mode {weight_mode.value} not available for {what}"
+        )
+    return weight_mode
+
+
+def engine_terms(
+    info: LayerInfo,
+    algorithm: Algorithm,
+    device: FPGADevice,
+    weight_mode: Optional[WeightMode] = None,
+    winograd_m: int = WINOGRAD_M,
+) -> EngineTerms:
+    """The parallelism-free half of :func:`implement` (same arguments
+    less the parallelism, same errors)."""
+    if winograd_m < 2 and algorithm == Algorithm.WINOGRAD:
+        raise AlgorithmError(f"Winograd tile size must be >= 2, got {winograd_m}")
+    layer = info.layer
+    element_bytes = device.element_bytes
+    word_bits = element_bytes * 8
+    common = dict(
+        algorithm=algorithm,
+        input_bytes=info.input_size * element_bytes,
+        output_bytes=info.output_size * element_bytes,
+        ops=info.ops,
+        out_rows=max(info.output_shape[1], 1),
+    )
+    in_c, _, in_w = info.input_shape
+
+    if isinstance(layer, (ConvLayer, InceptionModule)):
+        if isinstance(layer, ConvLayer):
+            if algorithm not in (Algorithm.CONVENTIONAL, Algorithm.WINOGRAD):
+                raise AlgorithmError(
+                    f"conv layer {info.name!r} cannot use algorithm {algorithm}"
+                )
+            if algorithm == Algorithm.WINOGRAD and layer.stride != 1:
+                raise AlgorithmError(
+                    f"Winograd requires stride 1, layer {info.name!r} has "
+                    f"stride {layer.stride}"
+                )
+            if algorithm == Algorithm.WINOGRAD and layer.kernel < 2:
+                raise AlgorithmError("Winograd on 1x1 kernels saves nothing")
+            mode = _resolve_mode(
+                info, algorithm, device, weight_mode, winograd_m,
+                f"layer {info.name!r} with {algorithm.value}",
+            )
+            work = _conv_work_mults(info, algorithm, winograd_m)
+            if algorithm == Algorithm.CONVENTIONAL:
+                lines = layer.kernel + layer.stride
+                base_lut, lut_p = _CONV_BASE_LUT, _CONV_LUT_PER_P
+                base_ff, ff_p = _CONV_BASE_FF, _CONV_FF_PER_P
+            else:
+                alpha = winograd_m + layer.kernel - 1
+                lines = alpha + winograd_m
+                base_lut, lut_p = _WINO_BASE_LUT, _WINO_LUT_PER_P
+                base_ff, ff_p = _WINO_BASE_FF, _WINO_FF_PER_P
+                # transform area grows with the tile footprint
+                lut_p = int(lut_p * (alpha * alpha) / 36)
+                ff_p = int(ff_p * (alpha * alpha) / 36)
+            weight_bytes = _stored_weight_bytes(
+                info, algorithm, element_bytes, winograd_m
+            )
+            streamed = weight_bytes * _row_strips(info, algorithm, winograd_m)
+            rows_brams = line_buffer_brams(lines, in_w, in_c, word_bits)
+            inner = 0
+            m_field = winograd_m if algorithm == Algorithm.WINOGRAD else 0
+        else:
+            if algorithm != Algorithm.CONVENTIONAL:
+                raise AlgorithmError(
+                    f"inception module {info.name!r} uses the conventional "
+                    "macro engine"
+                )
+            mode = _resolve_mode(
+                info, algorithm, device, weight_mode, WINOGRAD_M,
+                f"module {info.name!r}",
+            )
+            work = layer.macs(info.input_shape)
+            spec = layer.spec
+            lines = layer.max_kernel + 1
+            # Shared input buffer for the four branch heads plus internal
+            # line buffers for the 3x3 / 5x5 second-stage convolutions.
+            rows_brams = line_buffer_brams(lines, in_w, in_c, word_bits)
+            inner = line_buffer_brams(
+                4, in_w, spec.b3_reduce, word_bits
+            ) + line_buffer_brams(6, in_w, spec.b5_reduce, word_bits)
+            weight_bytes = info.weight_count * element_bytes
+            streamed = weight_bytes * info.output_shape[1]
+            base_lut, lut_p = int(1.5 * _CONV_BASE_LUT), _CONV_LUT_PER_P
+            base_ff, ff_p = int(1.5 * _CONV_BASE_FF), _CONV_FF_PER_P
+            m_field = 0
+        if mode == WeightMode.RESIDENT:
+            line_brams = rows_brams + inner
+            weight_brams = buffer_brams(weight_bytes * 8)
+            weight_dram = weight_bytes
+            fill_lines = lines
+        elif mode == WeightMode.STREAM_FULLMAP:
+            # Whole padded input buffered on chip; kernels stream once,
+            # but the stage cannot start before its input is complete —
+            # it contributes its full compute time to the pipeline fill.
+            line_brams = (
+                max(_padded_input_tiles(info, element_bytes), lines) + inner
+            )
+            weight_brams = STREAMED_WEIGHT_BRAMS
+            weight_dram = weight_bytes
+            fill_lines = 0
+        else:  # STREAM_ROWS: kernels re-fetched per output row strip
+            line_brams = rows_brams + inner
+            weight_brams = STREAMED_WEIGHT_BRAMS
+            weight_dram = streamed
+            fill_lines = lines
+        return EngineTerms(
+            weight_mode=mode,
+            winograd_m=m_field,
+            work=work,
+            fill_lines=fill_lines,
+            line_brams=line_brams,
+            weight_brams=weight_brams,
+            banked=True,
+            weight_dram_bytes=weight_dram,
+            dsp_per_p=device.dsp_per_mac,
+            base_ff=base_ff,
+            ff_per_p=ff_p,
+            base_lut=base_lut,
+            lut_per_p=lut_p,
+            weights_resident=mode == WeightMode.RESIDENT,
+            **common,
+        )
+
+    if isinstance(layer, PoolLayer):
+        if algorithm != Algorithm.POOL:
+            raise AlgorithmError(f"pool layer {info.name!r} must use POOL engine")
+        lines = layer.kernel + layer.stride
+        return EngineTerms(
+            weight_mode=None,
+            winograd_m=0,
+            work=info.output_size * layer.kernel * layer.kernel,
+            fill_lines=lines,
+            line_brams=line_buffer_brams(lines, in_w, in_c, word_bits),
+            weight_brams=0,
+            banked=False,
+            weight_dram_bytes=0,
+            dsp_per_p=0,
+            base_ff=_POOL_BASE_FF,
+            ff_per_p=_POOL_FF_PER_P,
+            base_lut=_POOL_BASE_LUT,
+            lut_per_p=_POOL_LUT_PER_P,
+            weights_resident=True,
+            **common,
+        )
+
+    if isinstance(layer, LRNLayer):
+        if algorithm != Algorithm.LRN:
+            raise AlgorithmError(f"LRN layer {info.name!r} must use LRN engine")
+        return EngineTerms(
+            weight_mode=None,
+            winograd_m=0,
+            work=info.input_size * (layer.local_size + 3),
+            fill_lines=1,
+            # One row buffered plus a small power-function lookup table.
+            line_brams=line_buffer_brams(1, in_w, in_c, word_bits) + 1,
+            weight_brams=0,
+            banked=False,
+            weight_dram_bytes=0,
+            dsp_per_p=2,
+            base_ff=_LRN_BASE_FF,
+            ff_per_p=_LRN_FF_PER_P,
+            base_lut=_LRN_BASE_LUT,
+            lut_per_p=_LRN_LUT_PER_P,
+            weights_resident=True,
+            **common,
+        )
+
+    raise UnsupportedLayerError(
+        f"layer {info.name!r} ({type(layer).__name__}) has no accelerator engine"
+    )
+
+
 def implement(
     info: LayerInfo,
     algorithm: Algorithm,
@@ -326,6 +593,9 @@ def implement(
     winograd_m: int = WINOGRAD_M,
 ) -> Implementation:
     """Evaluate one layer engine (paper Algorithm 2's ``implement``).
+
+    The evaluation is :func:`engine_terms` for the option, then
+    :meth:`EngineTerms.at` for the parallelism.
 
     Args:
         weight_mode: Conv weight-storage mode; defaults to the first
@@ -339,229 +609,5 @@ def implement(
             Winograd with stride > 1), the parallelism is invalid, or the
             weight mode is not a candidate for this layer.
     """
-    if winograd_m < 2 and algorithm == Algorithm.WINOGRAD:
-        raise AlgorithmError(f"Winograd tile size must be >= 2, got {winograd_m}")
-    if parallelism < 1:
-        raise AlgorithmError(f"parallelism must be positive, got {parallelism}")
-    layer = info.layer
-    element_bytes = device.element_bytes
-    input_bytes = info.input_size * element_bytes
-    output_bytes = info.output_size * element_bytes
-    ops = info.ops
-
-    if isinstance(layer, ConvLayer):
-        if algorithm not in (Algorithm.CONVENTIONAL, Algorithm.WINOGRAD):
-            raise AlgorithmError(
-                f"conv layer {info.name!r} cannot use algorithm {algorithm}"
-            )
-        if algorithm == Algorithm.WINOGRAD and layer.stride != 1:
-            raise AlgorithmError(
-                f"Winograd requires stride 1, layer {info.name!r} has "
-                f"stride {layer.stride}"
-            )
-        if algorithm == Algorithm.WINOGRAD and layer.kernel < 2:
-            raise AlgorithmError("Winograd on 1x1 kernels saves nothing")
-        modes = candidate_weight_modes(info, algorithm, device, winograd_m)
-        if weight_mode is None:
-            weight_mode = modes[0]
-        elif weight_mode not in modes:
-            raise AlgorithmError(
-                f"weight mode {weight_mode.value} not available for layer "
-                f"{info.name!r} with {algorithm.value}"
-            )
-        mults = _conv_work_mults(info, algorithm, winograd_m)
-        compute = -(-mults // parallelism)
-        in_c, _, in_w = info.input_shape
-        if algorithm == Algorithm.CONVENTIONAL:
-            lines = layer.kernel + layer.stride
-            base_lut, lut_p = _CONV_BASE_LUT, _CONV_LUT_PER_P
-            base_ff, ff_p = _CONV_BASE_FF, _CONV_FF_PER_P
-        else:
-            alpha = winograd_m + layer.kernel - 1
-            lines = alpha + winograd_m
-            base_lut, lut_p = _WINO_BASE_LUT, _WINO_LUT_PER_P
-            base_ff, ff_p = _WINO_BASE_FF, _WINO_FF_PER_P
-            # transform area grows with the tile footprint
-            lut_p = int(lut_p * (alpha * alpha) / 36)
-            ff_p = int(ff_p * (alpha * alpha) / 36)
-        weight_bytes = _stored_weight_bytes(info, algorithm, element_bytes, winograd_m)
-        banks = math.ceil(parallelism / 2)
-        out_rows = info.output_shape[1]
-        row_time = -(-compute // max(out_rows, 1))
-        if weight_mode == WeightMode.RESIDENT:
-            line_brams = line_buffer_brams(lines, in_w, in_c, element_bytes * 8)
-            weight_brams = max(buffer_brams(weight_bytes * 8), banks)
-            weight_dram = weight_bytes
-            fill = row_time * lines
-        elif weight_mode == WeightMode.STREAM_FULLMAP:
-            # Whole padded input buffered on chip; kernels stream once,
-            # but the stage cannot start before its input is complete —
-            # it contributes its full compute time to the pipeline fill.
-            line_brams = max(_padded_input_tiles(info, element_bytes), lines)
-            weight_brams = max(STREAMED_WEIGHT_BRAMS, banks)
-            weight_dram = weight_bytes
-            fill = compute
-        else:  # STREAM_ROWS
-            line_brams = line_buffer_brams(lines, in_w, in_c, element_bytes * 8)
-            weight_brams = max(STREAMED_WEIGHT_BRAMS, banks)
-            weight_dram = weight_bytes * _row_strips(info, algorithm, winograd_m)
-            fill = row_time * lines
-        resources = ResourceVector(
-            bram18k=line_brams + weight_brams,
-            dsp=parallelism * device.dsp_per_mac,
-            ff=base_ff + ff_p * parallelism,
-            lut=base_lut + lut_p * parallelism,
-        )
-        return Implementation(
-            layer_name=info.name,
-            algorithm=algorithm,
-            parallelism=parallelism,
-            resources=resources,
-            compute_cycles=compute,
-            fill_cycles=fill,
-            input_bytes=input_bytes,
-            output_bytes=output_bytes,
-            weight_dram_bytes=weight_dram,
-            weights_resident=weight_mode == WeightMode.RESIDENT,
-            ops=ops,
-            line_brams=line_brams,
-            weight_brams=weight_brams,
-            weight_mode=weight_mode,
-            winograd_m=winograd_m if algorithm == Algorithm.WINOGRAD else 0,
-        )
-
-    if isinstance(layer, InceptionModule):
-        if algorithm != Algorithm.CONVENTIONAL:
-            raise AlgorithmError(
-                f"inception module {info.name!r} uses the conventional macro engine"
-            )
-        modes = candidate_weight_modes(info, algorithm, device)
-        if weight_mode is None:
-            weight_mode = modes[0]
-        elif weight_mode not in modes:
-            raise AlgorithmError(
-                f"weight mode {weight_mode.value} not available for module "
-                f"{info.name!r}"
-            )
-        mults = layer.macs(info.input_shape)
-        compute = -(-mults // parallelism)
-        in_c, _, in_w = info.input_shape
-        spec = layer.spec
-        lines = layer.max_kernel + 1
-        # Shared input buffer for the four branch heads plus internal
-        # line buffers for the 3x3 / 5x5 second-stage convolutions.
-        shared = line_buffer_brams(lines, in_w, in_c, element_bytes * 8)
-        inner = line_buffer_brams(
-            4, in_w, spec.b3_reduce, element_bytes * 8
-        ) + line_buffer_brams(6, in_w, spec.b5_reduce, element_bytes * 8)
-        weight_bytes = info.weight_count * element_bytes
-        banks = math.ceil(parallelism / 2)
-        out_rows = info.output_shape[1]
-        row_time = -(-compute // max(out_rows, 1))
-        if weight_mode == WeightMode.RESIDENT:
-            line_brams = shared + inner
-            weight_brams = max(buffer_brams(weight_bytes * 8), banks)
-            weight_dram = weight_bytes
-            fill = row_time * lines
-        elif weight_mode == WeightMode.STREAM_FULLMAP:
-            line_brams = max(_padded_input_tiles(info, element_bytes), lines) + inner
-            weight_brams = max(STREAMED_WEIGHT_BRAMS, banks)
-            weight_dram = weight_bytes
-            fill = compute
-        else:  # STREAM_ROWS
-            line_brams = shared + inner
-            weight_brams = max(STREAMED_WEIGHT_BRAMS, banks)
-            weight_dram = weight_bytes * info.output_shape[1]
-            fill = row_time * lines
-        resources = ResourceVector(
-            bram18k=line_brams + weight_brams,
-            dsp=parallelism * device.dsp_per_mac,
-            ff=int(1.5 * _CONV_BASE_FF) + _CONV_FF_PER_P * parallelism,
-            lut=int(1.5 * _CONV_BASE_LUT) + _CONV_LUT_PER_P * parallelism,
-        )
-        return Implementation(
-            layer_name=info.name,
-            algorithm=algorithm,
-            parallelism=parallelism,
-            resources=resources,
-            compute_cycles=compute,
-            fill_cycles=fill,
-            input_bytes=input_bytes,
-            output_bytes=output_bytes,
-            weight_dram_bytes=weight_dram,
-            weights_resident=weight_mode == WeightMode.RESIDENT,
-            ops=ops,
-            line_brams=line_brams,
-            weight_brams=weight_brams,
-            weight_mode=weight_mode,
-        )
-
-    if isinstance(layer, PoolLayer):
-        if algorithm != Algorithm.POOL:
-            raise AlgorithmError(f"pool layer {info.name!r} must use POOL engine")
-        out_elems = info.output_size
-        work = out_elems * layer.kernel * layer.kernel
-        compute = -(-work // parallelism)
-        in_c, _, in_w = info.input_shape
-        lines = layer.kernel + layer.stride
-        line_brams = line_buffer_brams(lines, in_w, in_c, element_bytes * 8)
-        resources = ResourceVector(
-            bram18k=line_brams,
-            dsp=0,
-            ff=_POOL_BASE_FF + _POOL_FF_PER_P * parallelism,
-            lut=_POOL_BASE_LUT + _POOL_LUT_PER_P * parallelism,
-        )
-        out_rows = info.output_shape[1]
-        fill = -(-compute // max(out_rows, 1)) * lines
-        return Implementation(
-            layer_name=info.name,
-            algorithm=algorithm,
-            parallelism=parallelism,
-            resources=resources,
-            compute_cycles=compute,
-            fill_cycles=fill,
-            input_bytes=input_bytes,
-            output_bytes=output_bytes,
-            weight_dram_bytes=0,
-            weights_resident=True,
-            ops=ops,
-            line_brams=line_brams,
-            weight_brams=0,
-        )
-
-    if isinstance(layer, LRNLayer):
-        if algorithm != Algorithm.LRN:
-            raise AlgorithmError(f"LRN layer {info.name!r} must use LRN engine")
-        elems = info.input_size
-        work = elems * (layer.local_size + 3)
-        compute = -(-work // parallelism)
-        in_c, _, in_w = info.input_shape
-        # One row buffered plus a small power-function lookup table.
-        line_brams = line_buffer_brams(1, in_w, in_c, element_bytes * 8) + 1
-        resources = ResourceVector(
-            bram18k=line_brams,
-            dsp=2 * parallelism,
-            ff=_LRN_BASE_FF + _LRN_FF_PER_P * parallelism,
-            lut=_LRN_BASE_LUT + _LRN_LUT_PER_P * parallelism,
-        )
-        out_rows = info.output_shape[1]
-        fill = -(-compute // max(out_rows, 1))
-        return Implementation(
-            layer_name=info.name,
-            algorithm=algorithm,
-            parallelism=parallelism,
-            resources=resources,
-            compute_cycles=compute,
-            fill_cycles=fill,
-            input_bytes=input_bytes,
-            output_bytes=output_bytes,
-            weight_dram_bytes=0,
-            weights_resident=True,
-            ops=ops,
-            line_brams=line_brams,
-            weight_brams=0,
-        )
-
-    raise UnsupportedLayerError(
-        f"layer {info.name!r} ({type(layer).__name__}) has no accelerator engine"
-    )
+    terms = engine_terms(info, algorithm, device, weight_mode, winograd_m)
+    return terms.at(info.name, parallelism)

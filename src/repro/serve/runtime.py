@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.serve.batcher import InferenceRequest, ServingError
 from repro.sim.simulator import ServiceModel
@@ -96,6 +96,7 @@ class PipelineServiceModel:
         self.stages = list(stages)
         self.transfer_cycles = list(transfer_cycles)
         self._head: Dict[int, float] = {}
+        self._tail: Dict[int, Tuple[Tuple[float, float], ...]] = {}
 
     def head_cycles(self, batch_size: int) -> float:
         """The head stage's ``batch_cycles(batch_size)``, computed once
@@ -106,6 +107,18 @@ class PipelineServiceModel:
                 batch_size
             )
         return cycles
+
+    def tail_cycles(self, batch_size: int) -> Tuple[Tuple[float, float], ...]:
+        """Per link ``i``: its ``transfer_cycles[i](batch_size)`` and
+        stage ``i + 1``'s ``batch_cycles(batch_size)``, computed once per
+        batch size: a pipelined replica charges them on every batch."""
+        tail = self._tail.get(batch_size)
+        if tail is None:
+            tail = self._tail[batch_size] = tuple(
+                (transfer(batch_size), stage.batch_cycles(batch_size))
+                for transfer, stage in zip(self.transfer_cycles, self.stages[1:])
+            )
+        return tail
 
     @classmethod
     def of(cls, model) -> "PipelineServiceModel":
@@ -263,15 +276,13 @@ class Replica:
         ``(begin, end)`` and ``(start, end, service)`` spans, and the
         traversal's end."""
         tail = []
-        for index, transfer_cycles in enumerate(model.transfer_cycles):
-            transfer = transfer_cycles(size)
+        for index, (transfer, service) in enumerate(model.tail_cycles(size)):
             begin = max(clock, self._link_busy_until[index])
             if injector is not None:
                 transfer *= injector.link_scale(index, clock)
                 begin = injector.link_available_from(index, begin)
             clock = begin + transfer
             start = max(clock, self._stage_busy_until[index])
-            service = model.stages[index + 1].batch_cycles(size)
             if injector is not None:
                 service *= injector.service_scale(self.replica_id, start)
             tail.append(((begin, clock), (start, start + service, service)))

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import OptimizationError
-from repro.hardware.device import FPGADevice, get_device
+from repro.hardware.device import DEVICES, FPGADevice, get_device
 from repro.hardware.resources import ResourceVector
 from repro.nn import models
 from repro.nn.layers import ConvLayer, InputSpec, LRNLayer, PoolLayer
+from repro.nn.modules import InceptionModule, InceptionSpec
 from repro.nn.network import Network
 from repro.optimizer.branch_and_bound import (
     NO_LAYERS,
@@ -20,7 +21,15 @@ from repro.optimizer.branch_and_bound import (
 )
 from repro.optimizer.exhaustive import best_group_design
 from repro.perf.cost import EvalContext
-from repro.perf.implement import Algorithm
+from repro.perf.implement import (
+    WINOGRAD_M,
+    Algorithm,
+    candidate_algorithms,
+    candidate_parallelisms,
+    candidate_weight_modes,
+    candidate_winograd_tiles,
+    implement,
+)
 from repro.toolflow import compile_model
 from tests.test_cost_model import IndexKeyedContext
 
@@ -181,6 +190,72 @@ def small_chains(draw):
         draw(st.integers(1, 1024)), draw(st.integers(2, 32)), draw(st.integers(2, 32))
     )
     return Network("chain", spec, layers)
+
+
+@st.composite
+def engine_layers(draw):
+    """One layer of any engine kind: a conv (grouped, strided or
+    Winograd-eligible), a pool, an LRN or an Inception module."""
+    channels = draw(st.integers(1, 48))
+    size = draw(st.integers(4, 40))
+    kind = draw(st.sampled_from(["conv", "pool", "lrn", "inception"]))
+    if kind == "conv":
+        kernel = draw(st.integers(1, min(7, size)))
+        groups = draw(st.sampled_from([g for g in (1, 2, 3, 4) if channels % g == 0]))
+        layer = ConvLayer(
+            name="c",
+            out_channels=groups * draw(st.integers(1, 24)),
+            kernel=kernel,
+            stride=draw(st.integers(1, 3)),
+            pad=draw(st.integers(0, kernel // 2)),
+            groups=groups,
+        )
+    elif kind == "pool":
+        layer = PoolLayer(
+            name="p", kernel=draw(st.integers(1, 3)), stride=draw(st.integers(1, 2))
+        )
+    elif kind == "lrn":
+        layer = LRNLayer(name="n", local_size=draw(st.sampled_from([1, 3, 5, 7])))
+    else:
+        widths = draw(st.lists(st.integers(1, 32), min_size=6, max_size=6))
+        layer = InceptionModule(name="i", spec=InceptionSpec(*widths))
+    return Network("ladder", InputSpec(channels, size, size), [layer])[0]
+
+
+class TestLadderInvariants:
+    """What the search's per-option scan bisects on: along
+    ``candidate_parallelisms`` (descending) compute and fill never fall,
+    no resource ever grows, and weight traffic is constant — on every
+    catalog device and every menu option."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(info=engine_layers())
+    def test_ladders_are_monotone(self, info):
+        for device in DEVICES.values():
+            for algorithm in candidate_algorithms(info):
+                tiles = (
+                    candidate_winograd_tiles(info, explore=True)
+                    if algorithm == Algorithm.WINOGRAD
+                    else [WINOGRAD_M]
+                )
+                for m in tiles:
+                    for mode in candidate_weight_modes(info, algorithm, device, m):
+                        ladder = [
+                            implement(
+                                info, algorithm, p, device,
+                                weight_mode=mode, winograd_m=m,
+                            )
+                            for p in candidate_parallelisms(info, algorithm, device)
+                        ]
+                        for fast, slow in zip(ladder, ladder[1:]):
+                            assert slow.parallelism < fast.parallelism
+                            assert slow.compute_cycles >= fast.compute_cycles
+                            assert slow.fill_cycles >= fast.fill_cycles
+                            for field in ("bram18k", "dsp", "ff", "lut"):
+                                assert getattr(slow.resources, field) <= getattr(
+                                    fast.resources, field
+                                )
+                            assert slow.weight_dram_bytes == fast.weight_dram_bytes
 
 
 class TestAdmissibleBounds:

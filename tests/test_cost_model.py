@@ -126,6 +126,50 @@ class TestEvalContext:
         via_ctx = ctx.implement(info, Algorithm.CONVENTIONAL, 4, testchip)
         assert via_ctx == direct
 
+    @pytest.mark.parametrize("device_name", ["zc706", "vc707", "testchip"])
+    def test_option_memo_matches_direct_implement(self, device_name):
+        """A context evaluates each option's parallelism-free terms once;
+        every catalog point still equals ``implement()`` field for field:
+        each layer, menu option (every Winograd m, each weight mode and
+        the default) and parallelism, through one shared context."""
+        from repro.perf.implement import (
+            WINOGRAD_M,
+            candidate_algorithms,
+            candidate_parallelisms,
+            candidate_weight_modes,
+            candidate_winograd_tiles,
+            implement,
+        )
+
+        device = get_device(device_name)
+        ctx = EvalContext()
+        points = 0
+        for factory in models.catalog().values():
+            network = factory()
+            for index in range(len(network)):
+                info = network[index]
+                for algorithm in candidate_algorithms(info):
+                    tiles = (
+                        candidate_winograd_tiles(info, explore=True)
+                        if algorithm == Algorithm.WINOGRAD
+                        else [WINOGRAD_M]
+                    )
+                    for m in tiles:
+                        modes = candidate_weight_modes(info, algorithm, device, m)
+                        for mode in [None, *modes]:
+                            for p in candidate_parallelisms(info, algorithm, device):
+                                direct = implement(
+                                    info, algorithm, p, device,
+                                    weight_mode=mode, winograd_m=m,
+                                )
+                                assert ctx.implement(
+                                    info, algorithm, p, device,
+                                    weight_mode=mode, winograd_m=m,
+                                ) == direct
+                                points += 1
+        assert ctx.stats.evaluations + ctx.stats.cache_hits == points
+        assert ctx.stats.cache_hits  # shape-identical layers share points
+
 
 class TestStrategyPreservation:
     def test_matches_exhaustive_oracle_choice_for_choice(self, tiny, testchip):
@@ -168,13 +212,18 @@ class TestStrategyPreservation:
         search.precompute()
         # Ranges share the knapsack floor tables, built once per suffix.
         assert search._floors
-        # Each menu option's rows hold its parallelisms in order.
-        for menu, layer_rows in zip(search._menus, search._rows):
-            for option, rows in zip(menu.options, layer_rows):
-                parallelisms = option[3]
+        # Each menu option's rows hold its parallelisms in order, and the
+        # ladder's bisected columns mirror its rows.
+        for menu in search._menus:
+            for ladder in menu.ladders:
+                rows = ladder.rows
+                parallelisms = ladder.parallelisms
                 assert [row[-1].parallelism for row in rows] == (
                     parallelisms[: len(rows)]
                 )
+                assert ladder.fills == [row[1] for row in rows]
+                assert ladder.totals == [row[0] + row[1] for row in rows]
+                assert ladder.dsps == [-row[4] for row in rows]
 
     @pytest.mark.parametrize("name", ["vgg16_conv3_4", "identical_convs"])
     def test_repeated_shapes_searched_once(self, name):

@@ -219,6 +219,29 @@ class TestLRN:
         np.testing.assert_allclose(out[0], data[0] / scale0**0.75)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 12), st.integers(1, 5), st.integers(1, 5)
+        ),
+        local_size=st.integers(1, 7),
+        data=st.data(),
+    )
+    def test_matches_windowed_sum(self, shape, local_size, data):
+        """Every channel against its own clipped window sum, including
+        tensors with fewer channels than the window."""
+        from hypothesis.extra.numpy import arrays
+
+        x = data.draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+        half = local_size // 2
+        expected = np.empty_like(x)
+        for c in range(shape[0]):
+            window = x[max(0, c - half): c + half + 1]
+            scale = 1.0 + (1e-4 / local_size) * (window**2).sum(axis=0)
+            expected[c] = x[c] / scale**0.75
+        np.testing.assert_allclose(lrn(x, local_size), expected, rtol=1e-12, atol=0)
+
+
 class TestFCAndSoftmax:
     def test_fc(self, rng):
         data = rng.normal(size=(2, 2, 2))

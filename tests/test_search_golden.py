@@ -191,6 +191,30 @@ def test_budget_truncates_the_deepest_alexnet_searches():
     assert truncated == [(0, 8), (1, 8)]
 
 
+def test_googlenet_graph_compile_counts(capsys):
+    """The native GoogLeNet graph runs 106 small chain-run searches, whose
+    first layers resolve their ladders only as far as the search
+    reaches: ``repro compile googlenet_graph --device zc706 --stats
+    --json`` pins its latency and every search count."""
+    from repro.cli import main
+
+    argv = ["compile", "googlenet_graph", "--device", "zc706", "--stats", "--json"]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)
+    counts = {key: result["telemetry"][key] for key in (
+        "groups_searched", "nodes_visited", "nodes_pruned",
+        "evaluations", "cache_hits",
+    )}
+    assert result["latency_cycles"] == 1_837_238
+    assert counts == {
+        "groups_searched": 106,
+        "nodes_visited": 1_222,
+        "nodes_pruned": 4_484,
+        "evaluations": 2_512,
+        "cache_hits": 911,
+    }
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for scenario in GOLDEN:

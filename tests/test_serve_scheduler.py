@@ -225,6 +225,53 @@ class TestFallbackSwap:
         served = {(r.replica_id, r.batch_size) for r in before}
         assert served & {(r.replica_id, r.batch_size) for r in after}
 
+    def test_pipelined_fallback_is_charged_its_tail(self):
+        """A swap to a two-stage fallback also charges the fallback's
+        link and second stage: every later batch spans its full
+        ``batch_cycles(size)``.  Links and second stages are faster than
+        any head, so no batch queues downstream."""
+        from repro.serve.runtime import PipelineServiceModel
+
+        def pipeline(head, link, tail):
+            return PipelineServiceModel([head, tail], [lambda size: link * size])
+
+        main = pipeline(flat_model(first=100.0, steady=40.0), 5.0,
+                        flat_model(first=20.0, steady=10.0))
+        fallback = pipeline(flat_model(preload=50.0, first=130.0, steady=70.0),
+                            10.0, flat_model(first=30.0, steady=10.0))
+        fleet = FleetScheduler(
+            main,
+            replicas=2,
+            max_batch=8,
+            max_wait_cycles=50.0,
+            faults="transient:p=0.4",
+            fault_seed=1,
+            retry=RetryPolicy(max_attempts=8, backoff_cycles=20),
+            resilience=ResiliencePolicy(max_ladder_steps=2),
+            fallback_model=fallback,
+            fallback_swap_cycles=500.0,
+        )
+        result = fleet.run(
+            synthetic_arrivals(300, 30.0, np.random.default_rng(2))
+        )
+        swap = next(
+            e["cycle"] for e in result.metrics.recovery["events"]
+            if e["kind"] == "ladder" and "fallback" in e["detail"]
+        )
+        before = [r for r in result.records if r.dispatch_cycle < swap]
+        after = [r for r in result.records if r.dispatch_cycle >= swap]
+        for records, model in ((before, main), (after, fallback)):
+            assert records
+            for r in records:
+                # The stages and link add up in another order than
+                # batch_cycles, so the sums may differ in the last bit.
+                assert r.completion_cycle == pytest.approx(
+                    r.dispatch_cycle + model.batch_cycles(r.batch_size),
+                    rel=1e-12,
+                )
+        served = {(r.replica_id, r.batch_size) for r in before}
+        assert served & {(r.replica_id, r.batch_size) for r in after}
+
 
 class TestSyntheticArrivals:
     def test_starts_at_zero_and_sorted(self):
