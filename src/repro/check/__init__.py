@@ -4,8 +4,8 @@ Three layers of defense for every artifact the toolflow produces:
 
 * :mod:`repro.check.artifacts` — one versioned, checksummed JSON
   envelope shared by strategy files, partition plans and the codegen
-  strategy blob, with atomic saves, migration hooks for older schema
-  versions and load errors that always name an error code plus the JSON
+  strategy blob, with atomic saves, a pre-envelope reader for bare
+  payloads and load errors that always name an error code plus the JSON
   path of the offending field.
 * :mod:`repro.check.invariants` — structural validators
   (:func:`verify_strategy`, :func:`verify_plan`,
@@ -29,7 +29,6 @@ from repro.check.artifacts import (
     network_digest,
     parse_envelope,
     payload_sha256,
-    register_migration,
     save_artifact,
     wrap_payload,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "network_digest",
     "parse_envelope",
     "payload_sha256",
-    "register_migration",
     "run_chaos_sweep",
     "run_kill_point_matrix",
     "save_artifact",

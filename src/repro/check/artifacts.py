@@ -1,4 +1,4 @@
-"""The unified artifact envelope: versioned, checksummed, migratable.
+"""The unified artifact envelope: versioned and checksummed.
 
 Every artifact the toolflow persists — optimized strategies
 (:mod:`repro.optimizer.serialize`), partition plans
@@ -24,9 +24,9 @@ Loading is hardened end to end: every failure raises a precise
 :class:`~repro.errors.ArtifactError` subclass carrying a stable error
 code and the JSON path of the offending field — never a ``KeyError`` or
 a ``UnicodeDecodeError``.  Files written before the envelope existed
-(PR <= 4 bare payloads) load through a migration hook that wraps them
-in a synthetic envelope; see :func:`register_migration` for upgrading
-older envelope versions in place.
+(PR <= 4 bare payloads) load wrapped in a synthetic envelope; an
+envelope of any other version than :data:`ENVELOPE_VERSION` is
+rejected with ``E_VERSION``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     ArtifactError,
@@ -75,7 +75,7 @@ E_FIELD_MISSING = "E_FIELD_MISSING"  # required field absent
 E_FIELD_TYPE = "E_FIELD_TYPE"  # field present with the wrong type
 E_FIELD_VALUE = "E_FIELD_VALUE"  # field well-typed but invalid
 E_KIND = "E_KIND"  # artifact kind does not match expectation
-E_VERSION = "E_VERSION"  # schema version has no loader/migration
+E_VERSION = "E_VERSION"  # schema version this library does not read
 E_CHECKSUM = "E_CHECKSUM"  # payload bytes do not match the checksum
 E_LOCK = "E_LOCK"  # a file lock could not be acquired
 E_NETWORK = "E_NETWORK"  # artifact belongs to a different network
@@ -318,18 +318,6 @@ class Envelope:
             )
 
 
-#: Migration hooks: (kind, from_version) -> payload-transforming callable.
-_MIGRATIONS: Dict[Tuple[str, int], Callable[[dict], dict]] = {}
-
-
-def register_migration(
-    kind: str, from_version: int, fn: Callable[[dict], dict]
-) -> None:
-    """Register a hook upgrading ``kind`` payloads written at envelope
-    version ``from_version`` to version ``from_version + 1``."""
-    _MIGRATIONS[(kind, from_version)] = fn
-
-
 def wrap_payload(
     kind: str, payload: dict, digests: Optional[Dict[str, str]] = None
 ) -> dict:
@@ -428,8 +416,6 @@ def parse_envelope(
             f"expected a {expected_kind!r} artifact, found {kind!r}",
         )
 
-    # Integrity first: the checksum covers the payload exactly as it was
-    # written, so verify before any migration rewrites it.
     actual_sha = payload_sha256(payload)
     if actual_sha != recorded_sha:
         raise ArtifactIntegrityError(
@@ -439,23 +425,12 @@ def parse_envelope(
             f"computed {actual_sha[:12]}.. — the file is corrupted or was "
             "edited by hand",
         )
-    while version < ENVELOPE_VERSION:
-        hook = _MIGRATIONS.get((kind, version))
-        if hook is None:
-            raise ArtifactVersionError(
-                E_VERSION,
-                "$.schema_version",
-                f"no migration from {kind} envelope version {version}",
-            )
-        payload = hook(payload)
-        actual_sha = payload_sha256(payload)
-        version += 1
-    if version > ENVELOPE_VERSION:
+    if version != ENVELOPE_VERSION:
         raise ArtifactVersionError(
             E_VERSION,
             "$.schema_version",
-            f"envelope version {version} is newer than this library "
-            f"supports ({ENVELOPE_VERSION}); upgrade repro",
+            f"envelope version {version} is not the version this library "
+            f"reads ({ENVELOPE_VERSION})",
         )
     return Envelope(
         kind=kind,

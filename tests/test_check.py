@@ -100,6 +100,14 @@ class TestEnvelope:
             parse_envelope(document)
         assert excinfo.value.code == "E_VERSION"
 
+    def test_older_envelope_version(self):
+        document = wrap_payload("strategy", {"a": 1})
+        document["schema_version"] = 0
+        with pytest.raises(ArtifactVersionError) as excinfo:
+            parse_envelope(document)
+        assert excinfo.value.code == "E_VERSION"
+        assert excinfo.value.json_path == "$.schema_version"
+
     def test_non_object_document(self):
         with pytest.raises(ArtifactSchemaError) as excinfo:
             parse_envelope([1, 2, 3])
