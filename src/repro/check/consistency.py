@@ -277,20 +277,11 @@ def doctor(deep: bool = False, workdir=None) -> DoctorReport:
         baseline = optimize(
             network, device, budget, context=EvalContext(store=CostStore(root))
         )
-        # Corrupt the log's first record, the baseline's one flush, which
-        # holds the group entries: the DP reads every range's entry, so
-        # the search re-runs and the run's flush compacts the log.  (A
-        # record of evaluations alone may leave nothing to recompute,
-        # and so no flush, once every group is recalled.)
-        store = CostStore(root)
-        victim = next(
-            (
-                path for path in store.shard_paths()
-                if any("group" in e for e in store.load_shard(path).values())
-            ),
-            None,
-        )
-        if victim is None:
+        # Corrupt the log's one record, the baseline's flush of its
+        # group entries: the DP reads every range's entry, so the
+        # searches re-run and the run's flush compacts the log.
+        victim = CostStore(root).log_path
+        if not victim.exists():
             raise ReproError("store-backed compile wrote no group entries")
         victim.write_text(
             victim.read_text().replace('"entries"', '"entr!es"', 1)

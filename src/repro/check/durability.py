@@ -162,7 +162,9 @@ def _journal_digest(root: Path) -> str:
 
 
 def _store_entries():
+    """Three one-layer group records, keyed by synthetic group keys."""
     from repro.hardware.resources import ResourceVector
+    from repro.perf.cost import GroupKey
     from repro.perf.implement import Algorithm, Implementation
 
     def impl(name: str, cycles: int) -> Implementation:
@@ -185,9 +187,13 @@ def _store_entries():
         )
 
     return {
-        ("torture", "conv1"): impl("conv1", 1000),
-        ("torture", "conv2"): impl("conv2", 2000),
-        ("torture", "conv3"): impl("conv3", 3000),
+        GroupKey(
+            layers=(("torture", name),),
+            device="torture",
+            explore_tile_sizes=False,
+            algorithms=None,
+        ): (impl(name, cycles),)
+        for name, cycles in (("conv1", 1000), ("conv2", 2000), ("conv3", 3000))
     }
 
 
@@ -215,14 +221,14 @@ def _store_recover(root: Path) -> None:
 
 
 def _store_digest(root: Path) -> str:
-    from repro.dse.store import CostStore, implementation_to_dict
+    from repro.dse.store import CostStore, group_to_dict
 
     store = CostStore(root / "store")
     found = {}
-    for key, _ in sorted(_store_entries().items()):
-        impl = store.get(key)
-        if impl is not None:
-            found[repr(key)] = implementation_to_dict(impl)
+    for key in _store_entries():
+        choices = store.get(key)
+        if choices is not None:
+            found[repr(key)] = group_to_dict(choices)
     return payload_sha256(found)
 
 

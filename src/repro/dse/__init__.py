@@ -3,8 +3,9 @@
 Two services on top of the single-device optimizer and the partitioner:
 
 * :mod:`repro.dse.store` — a content-addressed, envelope-serialized
-  on-disk cache of ``EvalContext.implement()`` results, shared across
-  processes and sweeps (``repro cache {stats,gc,clear}``).
+  on-disk store of finished ``fusion[i][j]`` searches and their
+  engines, shared across processes and sweeps (``repro cache
+  {stats,gc,clear}``).
 * :mod:`repro.dse.grid` / :mod:`repro.dse.sweep` — declarative sweep
   grids expanded into independent jobs, fanned out over a process
   pool, journaled per point for ``--resume`` (``repro sweep-grid``).

@@ -1,43 +1,44 @@
-"""Persistent, content-addressed cost store: ``implement()`` across runs.
+"""Persistent, content-addressed store of finished ``fusion[i][j]`` searches.
 
-PR 2's signature-keyed :class:`~repro.perf.cost.EvalContext` removed
-40.8% of cost-model evaluations *within* a process — but the cache died
-with it, so every compile, CI run and Figure 5 sweep re-paid the full
-evaluation bill.  This module is the on-disk tier below that memory
-cache: a content-addressed store of evaluated
-:class:`~repro.perf.implement.Implementation` records, keyed by exactly
-the same ``(layer signature, algorithm, weight mode, winograd m,
-parallelism, cost-relevant device subset)`` identity the in-memory
-cache uses.  The same log also holds *group entries*: what each
-completed ``fusion[i][j]`` search chose, keyed by
-:class:`~repro.perf.cost.GroupKey`, so a warm run rebuilds its group
-designs instead of re-running branch and bound.
+The paper's Algorithm 1 reads a ``fusion[i][j]`` table that Algorithm 2
+generates offline.  This module keeps that table's cells across
+processes: one *group record* per completed search, keyed by
+:class:`~repro.perf.cost.GroupKey` (the range's layer signatures, the
+device subset the search reads, the tile switch and the algorithm set),
+holding the :class:`~repro.perf.implement.Implementation` of every
+engine the search chose.  A warm run looks a range up, relabels the
+recalled engines with its own layer names and composes the group; it
+neither searches nor calls the cost model.  ``implement()`` results
+themselves stay in the process's :class:`~repro.perf.cost.EvalContext`:
+they are the search's working memo, cheap to recompute and never read
+by a run whose ranges are all recalled.
 
 Layout and discipline:
 
-* **Keys.** An :class:`EvalContext` key is a tuple of frozen dataclasses
-  and enums whose ``repr`` is deterministic across processes (no memory
-  addresses, no hash randomization), so the store addresses entries by
-  the SHA-256 of that canonical text, salted with :data:`KEY_VERSION`.
-  Bumping :data:`KEY_VERSION` (required whenever ``implement()``'s
-  outputs or the key layout change) invalidates every stale entry at
-  once.  Group entries are further salted with :data:`SEARCH_VERSION`.
+* **Keys.** A :class:`GroupKey` is built from frozen dataclasses, enums,
+  tuples and ints whose ``repr`` is deterministic across processes (no
+  memory addresses, no hash randomization), so the store addresses
+  entries by the SHA-256 of that canonical text, salted with
+  :data:`KEY_VERSION` and :data:`SEARCH_VERSION`.  Bumping either
+  invalidates every stale entry at once.
 * **One append-only log.** Entries live in ``<root>/log.jsonl``, one
   record per line.  A record is a standard :mod:`repro.check` artifact
   envelope of kind ``cost_store_shard`` (versioned, checksummed) whose
   payload is ``{"key_version", "entries": {digest: {key, created,
-  impl | group}}}``.  A flush appends one record and ``fsync``s it, so
+  group}}}``.  A flush appends one record and ``fsync``s it, so
   its cost follows the entries it writes, not the size of the store.
   Records apply in file order; a key written twice holds the same
-  value both times, since a value is a pure function of its key.  A
-  record of another ``key_version`` is skipped.  A truncated or
-  bit-flipped record surfaces as a typed
+  engines both times (up to the layer names a recall replaces), since
+  a search's choice is a pure function of its key.  A record of
+  another ``key_version`` is skipped, so a store written before records
+  held engines (``key_version`` 1, with per-point entries) starts cold
+  once instead of reading as damaged.  A truncated or bit-flipped
+  record surfaces as a typed
   :class:`~repro.errors.ArtifactError` from :meth:`CostStore.load_shard`,
   never as a ``KeyError`` deep in a search.
-* **Self-healing.** The lookup paths (:meth:`CostStore.get`,
-  :meth:`CostStore.get_group`) read the log once per store object and
-  treat a damaged record or entry as a *miss*, count it, and let the
-  evaluation layer recompute or the search re-run.  A run that met a
+* **Self-healing.** The lookup path (:meth:`CostStore.get`) reads the
+  log once per store object and treats a damaged record or entry as a
+  *miss*, counts it, and lets the search re-run.  A run that met a
   damaged record compacts the log at its next flush: it re-reads the
   log under the lock, drops damaged and stale records, merges its own
   entries and replaces the file atomically.  Corruption costs time,
@@ -90,7 +91,6 @@ from repro.faults.process import (
 from repro.hardware.resources import ResourceVector
 from repro.perf.cost import GroupChoices, GroupKey
 from repro.perf.implement import Algorithm, Implementation, WeightMode
-from repro.perf.record import query_from_dict, query_to_dict
 
 try:  # pragma: no cover - POSIX; the spin-lock fallback covers the rest
     import fcntl
@@ -111,12 +111,14 @@ LEGACY_DIRS = ("shards", "locks")
 
 #: Version salt of the key derivation *and* the entry payload layout.
 #: Bump whenever ``implement()`` changes behaviour or the
-#: :class:`Implementation` fields change: every older entry is then
-#: unreachable (a different digest), so a stale store can never feed a
-#: drifted cost back into a search.
-KEY_VERSION = 1
+#: :class:`Implementation` fields or the record layout change: every
+#: older entry is then unreachable (a different digest, and its
+#: record is skipped), so a stale store can never feed a drifted
+#: engine back into a design.  Version 2 is the first whose records
+#: hold only finished searches with their engines.
+KEY_VERSION = 2
 
-#: Extra salt of group entries.  Bump whenever the search's menus, its
+#: Second salt of every key.  Bump whenever the search's menus, its
 #: DFS order or :func:`~repro.perf.group.compose_group` change: a
 #: completed search returns the first optimal leaf in DFS order, so
 #: those are what a stored choice depends on beyond ``implement()``.
@@ -151,7 +153,7 @@ def default_store_root() -> Path:
 
 
 def stable_key_text(key: Hashable) -> str:
-    """Deterministic textual form of an :class:`EvalContext` cache key.
+    """Deterministic textual form of a :class:`GroupKey`.
 
     The key is built from frozen dataclasses, enums, strings and ints —
     all of which ``repr`` identically in every process — so this text is
@@ -162,10 +164,7 @@ def stable_key_text(key: Hashable) -> str:
 
 def key_digest(key: Hashable) -> str:
     """Content address of one entry: SHA-256 of the salted key text."""
-    salt = f"v{KEY_VERSION}"
-    if isinstance(key, GroupKey):
-        salt += f":s{SEARCH_VERSION}"
-    text = f"{salt}:{stable_key_text(key)}"
+    text = f"v{KEY_VERSION}:s{SEARCH_VERSION}:{stable_key_text(key)}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -230,19 +229,19 @@ def implementation_from_dict(entry: dict, path: str = "$") -> Implementation:
 
 
 def group_to_dict(choices: GroupChoices) -> dict:
-    """JSON-serializable record of one completed search's choices."""
+    """JSON-serializable record of one completed search's engines."""
     return {
         "feasible": bool(choices),
-        "layers": [query_to_dict(query) for query in choices],
+        "layers": [implementation_to_dict(impl) for impl in choices],
     }
 
 
 def group_from_dict(entry: dict, length: int, path: str = "$") -> GroupChoices:
-    """Rebuild a search's choices for a ``length``-layer range.
+    """Rebuild a search's engines for a ``length``-layer range.
 
-    Strict: a wrong type, an unknown enum, a non-positive parallelism or
-    a layer count other than ``length`` (none at all for an infeasible
-    range) raises a typed :class:`ArtifactSchemaError`.
+    Strict: a wrong type, an unknown enum or a layer count other than
+    ``length`` (none at all for an infeasible range) raises a typed
+    :class:`ArtifactSchemaError`.
     """
     feasible = require(entry, "feasible", bool, path)
     layers = require(entry, "layers", list, path)
@@ -254,7 +253,7 @@ def group_from_dict(entry: dict, length: int, path: str = "$") -> GroupChoices:
             f"({'feasible' if feasible else 'infeasible'})",
         )
     return tuple(
-        query_from_dict(layer, f"{path}.layers[{index}]")
+        implementation_from_dict(layer, f"{path}.layers[{index}]")
         for index, layer in enumerate(layers)
     )
 
@@ -353,15 +352,15 @@ class CostStoreStats:
 
 
 class CostStore:
-    """Content-addressed on-disk cache of cost-model evaluations.
+    """Content-addressed on-disk store of finished group searches.
 
     Thread-safe within a process (one lock guards the in-memory view of
     the log) and safe across processes (one file lock around every
     append, compaction and read).  Pass one to
     :class:`~repro.perf.cost.EvalContext` via its ``store`` argument,
     and that context to ``optimize`` / ``compile_model`` /
-    ``partition_model`` via their ``context`` arguments, and
-    evaluations persist across runs.
+    ``partition_model`` via their ``context`` arguments, and finished
+    searches persist across runs.
     """
 
     def __init__(self, root: Union[str, Path, None] = None):
@@ -574,55 +573,35 @@ class CostStore:
             with handle:
                 yield handle
 
-    def get(self, key: Hashable) -> Optional[Implementation]:
-        """Look up one evaluation; ``None`` on miss *or* damage."""
-        return self._lookup(
-            key,
-            lambda entry: implementation_from_dict(
-                require(entry, "impl", dict, "$"), path="$.impl"
-            ),
-        )
-
-    def get_group(self, key: GroupKey) -> Optional[GroupChoices]:
-        """Look up one completed search's choices; ``None`` on miss *or*
+    def get(self, key: GroupKey) -> Optional[GroupChoices]:
+        """Look up one completed search's engines; ``None`` on miss *or*
         damage (an empty tuple is a remembered infeasible range)."""
-        return self._lookup(
-            key,
-            lambda entry: group_from_dict(
-                require(entry, "group", dict, "$"), len(key.layers),
-                path="$.group",
-            ),
-        )
-
-    def _lookup(self, key: Hashable, decode):
         digest = key_digest(key)
         entry = self._entries().get(digest)
         if entry is None:
             return None
         try:
-            return decode(entry)
+            return group_from_dict(
+                require(entry, "group", dict, "$"), len(key.layers),
+                path="$.group",
+            )
         except ArtifactError:
             # A single damaged entry: heal by forgetting it.  The
-            # recomputed value is appended later in the log, so it wins.
+            # re-searched value is appended later in the log, so it wins.
             self.corrupt_entries += 1
             with self._lock:
                 if self._view is not None:
                     self._view.pop(digest, None)
             return None
 
-    def __contains__(self, key: Hashable) -> bool:
-        return self.get(key) is not None
-
     # -- writing -------------------------------------------------------------
 
-    def put_many(
-        self, entries: Mapping[Hashable, Union[Implementation, GroupChoices]]
-    ) -> int:
+    def put_many(self, entries: Mapping[GroupKey, GroupChoices]) -> int:
         """Write entries to the store (the write-back flush).
 
-        ``entries`` maps evaluation keys to :class:`Implementation`
-        records and :class:`GroupKey` keys to search choices.  Under the
-        log's file lock they are appended as one ``fsync``ed record —
+        ``entries`` maps each :class:`GroupKey` to the engines its
+        search chose.  Under the log's file lock they are appended as
+        one ``fsync``ed record —
         nothing is re-read or rewritten — unless this store has met a
         damaged record, in which case the log is compacted instead.
         Returns the number of entries written.
@@ -631,13 +610,12 @@ class CostStore:
             return 0
         now = time.time()
         fresh: Dict[str, dict] = {}
-        for key, value in entries.items():
-            record = {"key": stable_key_text(key), "created": now}
-            if isinstance(key, GroupKey):
-                record["group"] = group_to_dict(value)
-            else:
-                record["impl"] = implementation_to_dict(value)
-            fresh[key_digest(key)] = record
+        for key, choices in entries.items():
+            fresh[key_digest(key)] = {
+                "key": stable_key_text(key),
+                "created": now,
+                "group": group_to_dict(choices),
+            }
         with self._lock:
             compact = self._compact
         self.root.mkdir(parents=True, exist_ok=True)

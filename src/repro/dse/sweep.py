@@ -5,10 +5,12 @@ A sweep is an embarrassingly parallel bag of compile/partition jobs (the
 :class:`~repro.dse.grid.GridSpec`), run through a ``multiprocessing``
 pool with three pieces of shared state:
 
-* the **persistent cost store** (:mod:`repro.dse.store`) — every worker
-  warms its :class:`~repro.perf.cost.EvalContext` from it and flushes
-  fresh evaluations back, so later points (and later *sweeps*) skip
-  work earlier ones already paid for;
+* the **persistent cost store** (:mod:`repro.dse.store`) of finished
+  ``fusion[i][j]`` searches — every worker's
+  :class:`~repro.perf.cost.EvalContext` recalls the group records it
+  holds, each with its engines, and flushes the searches it ran back,
+  so later points (and later *sweeps*) skip searches earlier ones
+  already paid for;
 * the **journal** — each finished point is appended to
   ``journal.jsonl`` as an independently checksummed envelope line the
   moment it lands, so a killed sweep resumes with ``--resume`` skipping
@@ -272,9 +274,10 @@ class SweepResult:
 
     @property
     def store_hit_rate(self) -> float:
-        """Store hits / (store hits + evaluations) across computed points."""
+        """Group records the store answered / (those + groups searched)
+        across computed points."""
         hits = self.telemetry.get("store_hits", 0)
-        total = hits + self.telemetry.get("evaluations", 0)
+        total = hits + self.telemetry.get("groups_searched", 0)
         return hits / total if total else 0.0
 
     def to_dict(self) -> dict:
@@ -295,7 +298,7 @@ class SweepResult:
             else {
                 "root": self.store_root,
                 "hits": self.telemetry.get("store_hits", 0),
-                "misses": self.telemetry.get("evaluations", 0),
+                "misses": self.telemetry.get("groups_searched", 0),
                 "hit_rate": self.store_hit_rate,
             },
             "records": self.records,
@@ -309,10 +312,11 @@ class SweepResult:
         ]
         if self.store_root is not None:
             hits = self.telemetry.get("store_hits", 0)
-            misses = self.telemetry.get("evaluations", 0)
+            searched = self.telemetry.get("groups_searched", 0)
             lines.append(
-                f"cost store: {hits:,} hits / {misses:,} misses "
-                f"({self.store_hit_rate * 100:.1f}% warm) at {self.store_root}"
+                f"cost store: {hits:,} group hits / {searched:,} groups "
+                f"searched ({self.store_hit_rate * 100:.1f}% warm) at "
+                f"{self.store_root}"
             )
         if self.journal_skipped:
             lines.append(
@@ -523,7 +527,8 @@ class SweepEngine:
 
         records = []
         telemetry: Dict[str, int] = {"evaluations": 0, "store_hits": 0,
-                                     "cache_hits": 0, "store_degraded": 0,
+                                     "cache_hits": 0, "groups_searched": 0,
+                                     "store_degraded": 0,
                                      "store_flush_errors": 0}
         failed = 0
         for point in points:

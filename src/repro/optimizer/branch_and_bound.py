@@ -13,11 +13,12 @@ whole search ("unvisited[cnt][algo][p]") — and, through the shared
 :class:`~repro.perf.cost.EvalContext`, across *searches*: the cache is
 keyed by layer signature, so VGG's shape-identical conv layers share
 entries, and one context can serve a whole ``optimize_many`` sweep or a
-device-variant DSE.  The context also remembers what every completed
-search chose, by :class:`~repro.perf.cost.GroupKey`: a range whose layer
-signatures match one already searched — here, in another search or, via
-the persistent store, in another process — is rebuilt from those
-choices through ``implement()`` and :func:`compose_group`, not searched.
+device-variant DSE.  The context also remembers the engines every
+completed search chose, by :class:`~repro.perf.cost.GroupKey`: a range
+whose layer signatures match one already searched — here, in another
+search or, via the persistent store, in another process — is composed
+from those engines by :func:`compose_group`, not searched, and a layer
+whose every range is recalled never asks the cost model at all.
 Admissible bounds are added on top of the
 paper's: a latency lower bound from the best-possible remaining stages,
 a resource lower bound from the cheapest remaining engines, and two
@@ -32,7 +33,7 @@ import math
 import time
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -54,17 +55,13 @@ from repro.perf.implement import (
     candidate_winograd_tiles,
     WINOGRAD_M,
 )
-from repro.perf.record import rebuild
+from repro.perf.record import query_of
 
 
 #: One resolved candidate: (compute cycles, fill cycles, DRAM weight
-#: bytes, BRAM18K, DSP, FF, LUT, the ``implement()`` query
-#: ``(algorithm, weight mode, winograd m, parallelism)``, and the
-#: Implementation it returned).
-_Row = Tuple[
-    int, int, int, int, int, int, int,
-    Tuple[Algorithm, WeightMode, int, int], Implementation,
-]
+#: bytes, BRAM18K, DSP, FF, LUT, and the Implementation ``implement()``
+#: returned).
+_Row = Tuple[int, int, int, int, int, int, int, Implementation]
 
 #: :meth:`GroupSearch._recall` found nothing it can use.
 _MISS = object()
@@ -179,7 +176,8 @@ class _Ladder:
     are the columns the search bisects: fill and compute + fill, which
     never decrease as the parallelism descends, and every resource
     negated (resources never grow as it descends).  ``weight`` is the
-    option's DRAM weight traffic, the same at every parallelism.
+    option's DRAM weight traffic, the same at every parallelism; None
+    until :meth:`GroupSearch._resolve` reads it off the fastest engine.
     ``tests/test_branch_and_bound.py`` checks these ladder invariants.
     """
 
@@ -189,14 +187,11 @@ class _Ladder:
     )
 
     def __init__(
-        self,
-        query: Tuple[Algorithm, WeightMode, int],
-        parallelisms: List[int],
-        weight: int,
+        self, query: Tuple[Algorithm, WeightMode, int], parallelisms: List[int]
     ):
         self.query = query
         self.parallelisms = parallelisms
-        self.weight = weight
+        self.weight: Optional[int] = None
         self.rows: List[_Row] = []
         self.fills: List[int] = []
         self.totals: List[int] = []
@@ -216,8 +211,7 @@ class _Ladder:
         compute, fill = impl.compute_cycles, impl.fill_cycles
         self.rows.append((
             compute, fill, impl.weight_dram_bytes,
-            res.bram18k, res.dsp, res.ff, res.lut,
-            (algo, mode, m, parallelism), impl,
+            res.bram18k, res.dsp, res.ff, res.lut, impl,
         ))
         self.fills.append(fill)
         self.totals.append(compute + fill)
@@ -229,9 +223,13 @@ class _Ladder:
 
 @dataclass
 class _LayerMenu:
-    """All candidate implementations of one layer, precomputed.
+    """All candidate implementations of one layer.
 
-    The ``implement()`` results themselves live in the shared
+    The options come from the cheap candidate lists; the bounds below
+    (and each ladder's ``weight``) need ``implement()``, so
+    :meth:`GroupSearch._resolve` fills them in when a search first
+    needs them and they are None until then.  The ``implement()``
+    results themselves live in the shared
     :class:`~repro.perf.cost.EvalContext`, keyed by layer signature, so
     shape-identical layers (and repeated searches) share them.
     """
@@ -239,24 +237,24 @@ class _LayerMenu:
     info: LayerInfo
     #: one ladder per (algorithm, weight mode, winograd tile m) option
     ladders: List[_Ladder]
-    #: fastest achievable compute cycles across all options
-    best_compute: int
-    #: cheapest resource vector across all options
-    min_resources: ResourceVector
-    #: smallest DRAM weight traffic across algorithms (p-independent)
-    min_weight_dram: int
-    #: smallest DSP multiplication count across algorithms (0 for engines
-    #: that do not occupy DSPs, e.g. pooling)
-    min_dsp_work: int
     #: whether the search's algorithm set dropped some of this layer's
     #: candidate algorithms
     pinned: bool
+    #: fastest achievable compute cycles across all options
+    best_compute: Optional[int] = None
+    #: cheapest resource vector across all options
+    min_resources: Optional[ResourceVector] = None
+    #: smallest DRAM weight traffic across algorithms (p-independent)
+    min_weight_dram: Optional[int] = None
+    #: smallest DSP multiplication count across algorithms (0 for engines
+    #: that do not occupy DSPs, e.g. pooling)
+    min_dsp_work: Optional[int] = None
 
 
 class GroupSearch:
     """Reusable Algorithm-2 searcher for one network on one device.
 
-    Precomputes every layer's implementation menu once, then answers
+    Lists every layer's menu options once, then answers
     ``fusion[i][j]`` queries with memoization — exactly how Algorithm 1
     consumes Algorithm 2 ("the fusion[i][j] array is generated by
     Algorithm 2 offline").
@@ -309,11 +307,8 @@ class GroupSearch:
         self.nodes_visited = 0
 
     def _build_menu(self, info: LayerInfo) -> _LayerMenu:
+        """The layer's options, from the candidate lists alone."""
         ladders: List[_Ladder] = []
-        best_compute = None
-        min_weight = None
-        min_dsp_work = None
-        min_res: Optional[ResourceVector] = None
         candidates = algorithms = candidate_algorithms(info)
         if self.algorithms is not None:
             pinned = [a for a in algorithms if a in self.algorithms]
@@ -325,51 +320,58 @@ class GroupSearch:
             else:
                 tiles = [WINOGRAD_M]
             for m in tiles:
-              for mode in candidate_weight_modes(info, algo, self.device, m):
-                fastest = self.context.implement(
-                    info, algo, parallelisms[0], self.device,
-                    weight_mode=mode, winograd_m=m,
-                )
-                cheapest = self.context.implement(
-                    info, algo, parallelisms[-1], self.device,
-                    weight_mode=mode, winograd_m=m,
-                )
-                ladders.append(
-                    _Ladder((algo, mode, m), parallelisms, fastest.weight_dram_bytes)
-                )
-                if best_compute is None or fastest.compute_cycles < best_compute:
-                    best_compute = fastest.compute_cycles
-                if min_weight is None or fastest.weight_dram_bytes < min_weight:
-                    min_weight = fastest.weight_dram_bytes
-                # Admissible per-layer DSP work: (ceil(w/p) - 1) * p < w,
-                # so the work-conservation floor can never over-prune.
-                if fastest.resources.dsp == 0:
-                    work = 0
-                else:
-                    work = max(0, fastest.compute_cycles - 1) * parallelisms[0]
-                if min_dsp_work is None or work < min_dsp_work:
-                    min_dsp_work = work
-                if min_res is None:
-                    min_res = cheapest.resources
-                else:
-                    min_res = ResourceVector(
-                        bram18k=min(min_res.bram18k, cheapest.resources.bram18k),
-                        dsp=min(min_res.dsp, cheapest.resources.dsp),
-                        ff=min(min_res.ff, cheapest.resources.ff),
-                        lut=min(min_res.lut, cheapest.resources.lut),
-                    )
-        assert best_compute is not None and min_res is not None
-        assert min_weight is not None
-        assert min_dsp_work is not None
+                for mode in candidate_weight_modes(info, algo, self.device, m):
+                    ladders.append(_Ladder((algo, mode, m), parallelisms))
         return _LayerMenu(
-            info=info,
-            ladders=ladders,
-            best_compute=best_compute,
-            min_resources=min_res,
-            min_weight_dram=min_weight,
-            min_dsp_work=min_dsp_work,
-            pinned=len(algorithms) < len(candidates),
+            info=info, ladders=ladders, pinned=len(algorithms) < len(candidates)
         )
+
+    def _resolve(self, menu: _LayerMenu) -> None:
+        """Fill in a menu's bounds and its ladders' weights, once, from
+        each option's fastest and cheapest engine."""
+        if menu.best_compute is not None:
+            return
+        info = menu.info
+        best_compute = min_weight = min_dsp_work = None
+        min_res: Optional[ResourceVector] = None
+        for ladder in menu.ladders:
+            algo, mode, m = ladder.query
+            parallelisms = ladder.parallelisms
+            fastest = self.context.implement(
+                info, algo, parallelisms[0], self.device,
+                weight_mode=mode, winograd_m=m,
+            )
+            cheapest = self.context.implement(
+                info, algo, parallelisms[-1], self.device,
+                weight_mode=mode, winograd_m=m,
+            )
+            ladder.weight = fastest.weight_dram_bytes
+            if best_compute is None or fastest.compute_cycles < best_compute:
+                best_compute = fastest.compute_cycles
+            if min_weight is None or fastest.weight_dram_bytes < min_weight:
+                min_weight = fastest.weight_dram_bytes
+            # Admissible per-layer DSP work: (ceil(w/p) - 1) * p < w,
+            # so the work-conservation floor can never over-prune.
+            if fastest.resources.dsp == 0:
+                work = 0
+            else:
+                work = max(0, fastest.compute_cycles - 1) * parallelisms[0]
+            if min_dsp_work is None or work < min_dsp_work:
+                min_dsp_work = work
+            if min_res is None:
+                min_res = cheapest.resources
+            else:
+                min_res = ResourceVector(
+                    bram18k=min(min_res.bram18k, cheapest.resources.bram18k),
+                    dsp=min(min_res.dsp, cheapest.resources.dsp),
+                    ff=min(min_res.ff, cheapest.resources.ff),
+                    lut=min(min_res.lut, cheapest.resources.lut),
+                )
+        assert best_compute is not None and min_res is not None
+        menu.min_resources = min_res
+        menu.min_weight_dram = min_weight
+        menu.min_dsp_work = min_dsp_work
+        menu.best_compute = best_compute
 
     def _layer_costs(self, index: int) -> List[Tuple[int, int, int]]:
         """Every candidate of one layer as ``(dsp, fill, fill + weight
@@ -380,7 +382,7 @@ class GroupSearch:
         for ladder in menu.ladders:
             while len(ladder.rows) < len(ladder.parallelisms):
                 ladder.extend(self.context, menu.info, self.device)
-            for _, fill, weight, _, dsp, _, _, _, _ in ladder.rows:
+            for _, fill, weight, _, dsp, _, _, _ in ladder.rows:
                 # Whole cycles rounded down per layer: the terms then sum
                 # to at most the group's exact transfer time at any rate.
                 costs.append((dsp, fill, fill + int(weight / bytes_per_cycle)))
@@ -416,8 +418,9 @@ class GroupSearch:
         Infeasible means the group does not fit the device even at
         minimum parallelism everywhere, or exceeds the fusion-depth cap.
 
-        A range the context remembers (:meth:`_recall`) is rebuilt, not
-        searched, and is not counted as a search.  A search that runs
+        A range the context remembers (:meth:`_recall`) is composed
+        from its remembered engines, not searched, and is not counted
+        as a search.  A search that runs
         to completion is remembered; one cut short by the node budget is
         not, since its incumbent depends on the budget.
         """
@@ -438,7 +441,7 @@ class GroupSearch:
         best, nodes, pruned, truncated = self._search(start, stop)
         design = (
             None if best is None
-            else compose_group([row[8] for row in best], self.device)
+            else compose_group([row[7] for row in best], self.device)
         )
         elapsed = time.perf_counter() - began
         self.nodes_visited += nodes
@@ -448,7 +451,7 @@ class GroupSearch:
         )
         if not truncated:
             self.context.remember_group(
-                group_key, () if best is None else tuple(row[7] for row in best)
+                group_key, () if design is None else design.implementations
             )
         self._fusion_cache[key] = design
         return design
@@ -469,30 +472,32 @@ class GroupSearch:
         )
 
     def _recall(self, start: int, stop: int, group_key: GroupKey):
-        """Rebuild a remembered search's design; ``_MISS`` if there is
-        none, or if a choice is not on this range's menus.
+        """Compose a remembered search's design; ``_MISS`` if there is
+        none, or if an engine is not on this range's menus.
 
-        Nothing recalled is trusted as a finished design:
-        :func:`~repro.perf.record.rebuild` re-evaluates every engine
-        through ``implement()`` (so it carries this range's layer names)
-        and composes the group, exactly as the search builds its winner.
+        Each engine is checked against its layer's options (the
+        candidate lists, never ``implement()``), relabelled with this
+        range's layer name and composed by :func:`compose_group`,
+        exactly as the search composes its winner.
         """
         choices: Optional[GroupChoices] = self.context.recall_group(group_key)
         if choices is None:
             return _MISS
         if not choices:
             return None
-        menus = self._menus[start:stop]
-        for menu, (algo, mode, m, parallelism) in zip(menus, choices):
+        engines = []
+        for menu, impl in zip(self._menus[start:stop], choices):
+            algo, mode, m, parallelism = query_of(impl)
             if not any(
                 ladder.query == (algo, mode, m)
                 and parallelism in ladder.parallelisms
                 for ladder in menu.ladders
             ):
                 return _MISS
-        return rebuild(
-            [menu.info for menu in menus], choices, self.device, self.context
-        )
+            if impl.layer_name != menu.info.name:
+                impl = replace(impl, layer_name=menu.info.name)
+            engines.append(impl)
+        return compose_group(engines, self.device)
 
     def precompute(self) -> None:
         """Fill the ``fusion[i][j]`` table: every
@@ -524,6 +529,8 @@ class GroupSearch:
         if min(cap_bram, cap_dsp, cap_ff, cap_lut) < 0:
             return None, 0, 0, False
 
+        for menu in menus:
+            self._resolve(menu)
         # Suffix minima for the admissible bounds: fastest possible
         # remaining compute, cheapest remaining resources, smallest
         # remaining weight traffic and DSP work.
@@ -700,7 +707,7 @@ class GroupSearch:
                         continue
                     candidate = rows[k]
                     k += 1
-                    compute, fill, _, row_bram, row_dsp, row_ff, row_lut, _, _ = (
+                    compute, fill, _, row_bram, row_dsp, row_ff, row_lut, _ = (
                         candidate
                     )
                     new_dsp = dsp + row_dsp

@@ -250,7 +250,7 @@ class FrontierOptimizer:
 
 
 def _flush_context(context: Optional[CostModel]) -> None:
-    """Persist any store-backed context's fresh evaluations."""
+    """Persist any store-backed context's fresh group searches."""
     flush = getattr(context, "flush_store", None)
     if flush is not None:
         flush()

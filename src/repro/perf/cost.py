@@ -29,10 +29,11 @@ This module replaces those ad-hoc caches with one first-class layer:
 * :class:`GroupKey` — the identity of one exact ``fusion[i][j]``
   search: the range's layer signatures, the device subset the search
   reads, the tile-size switch and the algorithm set its menus are cut
-  to.  :class:`EvalContext` remembers what each *completed* search
-  chose under this key, in memory and in the persistent store, so a
+  to.  :class:`EvalContext` remembers the engines each *completed*
+  search chose under this key, in memory and in the persistent store
+  (:mod:`repro.dse.store`, which holds nothing else), so a
   signature-identical range — in the same search, another search, or
-  another process — is rebuilt instead of searched.
+  another process — is composed from them instead of searched.
 * :class:`SearchTelemetry` — counters the context and the searches
   thread through it accumulate: cost-model evaluations, cache hits,
   branch-and-bound nodes visited/pruned, and per-group wall times.
@@ -97,13 +98,10 @@ def layer_signature(info: LayerInfo) -> Hashable:
 
 
 #: What a completed ``fusion[i][j]`` search chose: per member layer, in
-#: order, the exact ``implement()`` query ``(algorithm, weight mode,
-#: winograd m, parallelism)`` of its engine.  Empty when the range fits
-#: no design.  These are the query arguments, not the
-#: :class:`Implementation`'s own fields: a pooling engine reports
-#: ``weight_mode=None`` and ``winograd_m=0`` although the search asked
-#: for ``resident`` and ``m=4``.
-GroupChoices = Tuple[Tuple[Algorithm, WeightMode, int, int], ...]
+#: order, the :class:`Implementation` of its engine, named after the
+#: layer of the range that was searched.  Empty when the range fits no
+#: design.
+GroupChoices = Tuple[Implementation, ...]
 
 
 @dataclass(frozen=True)
@@ -147,13 +145,13 @@ class SearchTelemetry:
     shared one :class:`EvalContext`.
 
     Attributes:
-        evaluations: Cost-model runs (misses of every cache tier —
-            actual ``implement()`` executions).
-        cache_hits: Queries answered from the in-memory
+        evaluations: Cost-model runs (actual ``implement()``
+            executions).
+        cache_hits: ``implement()`` queries answered from the in-memory
             signature-keyed cache.
-        store_hits: Queries answered from the persistent on-disk cost
-            store (:mod:`repro.dse.store`) — warm-start reuse across
-            processes.
+        store_hits: Group records the persistent cost store
+            (:mod:`repro.dse.store`) answered — finished searches reused
+            across processes.
         nodes_visited: Branch-and-bound nodes expanded (Algorithm 2).
         nodes_pruned: Branch cuts taken by the admissible bounds
             (incumbent cuts, resource floors, work-conservation floors
@@ -174,7 +172,7 @@ class SearchTelemetry:
     evaluations: int = 0
     cache_hits: int = 0
     store_hits: int = 0
-    #: 1 when the persistent store tier was dropped mid-run after an
+    #: 1 when the persistent store was dropped mid-run after an
     #: I/O or lock failure (the context continues memory-only).
     store_degraded: int = 0
     nodes_visited: int = 0
@@ -189,16 +187,16 @@ class SearchTelemetry:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of queries answered from *any* cache tier."""
-        hits = self.cache_hits + self.store_hits
-        total = self.evaluations + hits
-        return hits / total if total else 0.0
+        """Fraction of ``implement()`` queries the memory cache answered."""
+        total = self.evaluations + self.cache_hits
+        return self.cache_hits / total if total else 0.0
 
     @property
     def store_hit_rate(self) -> float:
-        """Of the queries that missed memory, the fraction the
-        persistent store answered — the warm-start figure of merit."""
-        total = self.evaluations + self.store_hits
+        """Of the group lookups that missed memory, the fraction the
+        persistent store answered (the rest were searched) — the
+        warm-start figure of merit."""
+        total = self.store_hits + self.groups_searched
         return self.store_hits / total if total else 0.0
 
     def to_dict(self) -> dict:
@@ -210,11 +208,6 @@ class SearchTelemetry:
             "store_degraded": self.store_degraded,
             "hit_rate": self.hit_rate,
             "store_hit_rate": self.store_hit_rate,
-            "cache_tiers": {
-                "memory_hits": self.cache_hits,
-                "store_hits": self.store_hits,
-                "misses": self.evaluations,
-            },
             "nodes_visited": self.nodes_visited,
             "nodes_pruned": self.nodes_pruned,
             "groups_searched": self.groups_searched,
@@ -228,16 +221,13 @@ class SearchTelemetry:
         lines = [
             "search telemetry:",
             f"  implement() evaluations: {self.evaluations:,}",
-            f"  cache hits:              {self.cache_hits + self.store_hits:,} "
+            f"  cache hits:              {self.cache_hits:,} "
             f"({self.hit_rate * 100:.1f}% hit rate)",
         ]
         if self.store_hits:
             lines.append(
-                f"    memory tier:           {self.cache_hits:,} hits"
-            )
-            lines.append(
-                f"    store tier:            {self.store_hits:,} hits "
-                f"({self.store_hit_rate * 100:.1f}% of memory misses)"
+                f"  store group hits:        {self.store_hits:,} "
+                f"({self.store_hit_rate * 100:.1f}% of groups not in memory)"
             )
         lines += [
             f"  B&B nodes visited:       {self.nodes_visited:,}",
@@ -298,11 +288,11 @@ class CostModel(Protocol):
         ...  # pragma: no cover - protocol stub
 
     def recall_group(self, key: GroupKey) -> Optional[GroupChoices]:
-        """Choices of a completed search under ``key``; None on a miss."""
+        """Engines of a completed search under ``key``; None on a miss."""
         ...  # pragma: no cover - protocol stub
 
     def remember_group(self, key: GroupKey, choices: GroupChoices) -> None:
-        """Record what a completed search chose."""
+        """Record the engines a completed search chose."""
         ...  # pragma: no cover - protocol stub
 
     def record_search(
@@ -326,26 +316,27 @@ class EvalContext:
     layers share entries.
 
     Args:
-        store: Optional persistent tier
-            (:class:`repro.dse.store.CostStore` or a path to one): on a
-            memory miss the store is consulted before ``implement()``
-            runs, and fresh evaluations are buffered write-back style
-            until :meth:`flush_store`.  Because stored values are pure
-            functions of the key, a store-backed context produces
-            bit-identical results to a cold one — only faster.
+        store: Optional persistent tier of finished searches
+            (:class:`repro.dse.store.CostStore` or a path to one): a
+            group lookup that misses memory consults it, and fresh
+            group choices are buffered write-back style until
+            :meth:`flush_store`.  ``implement()`` results stay in
+            memory.  Because stored engines are pure functions of the
+            key, a store-backed context produces bit-identical results
+            to a cold one — only faster.
 
     The context is the *only* state shared between ``fusion[i][j]``
     searches, and since ``implement()`` is a pure function of the key,
     results do not depend on the order in which searches query it.  A
     miss evaluates only the parallelism-dependent half of
     ``implement()``: the option's :class:`EngineTerms` are built once
-    per context and kept beside the point cache (they are not counted,
-    and not stored; ``evaluations`` counts points).
+    per context and kept beside the point cache (they are not counted;
+    ``evaluations`` counts points).
 
-    It also remembers the choices of every completed group search by
+    It also remembers the engines of every completed group search by
     :class:`GroupKey` (:meth:`recall_group` / :meth:`remember_group`),
-    with the same two tiers: memory, then the store, written back by
-    the same :meth:`flush_store`.
+    in two tiers: memory, then the store, written back by
+    :meth:`flush_store`.
     """
 
     def __init__(self, *, store=None):
@@ -360,8 +351,8 @@ class EvalContext:
         # the parallelism.
         self._terms: Dict[Hashable, EngineTerms] = {}
         self._groups: Dict[GroupKey, GroupChoices] = {}
-        # Fresh evaluations and fresh group choices, until the next flush.
-        self._dirty: Dict[Hashable, object] = {}
+        # Fresh group choices, until the next flush.
+        self._dirty: Dict[GroupKey, GroupChoices] = {}
 
     def __len__(self) -> int:
         """Number of distinct design points evaluated so far."""
@@ -408,18 +399,6 @@ class EvalContext:
             if cached.layer_name != info.name:
                 cached = replace(cached, layer_name=info.name)
             return cached
-        if self.store is not None:
-            try:
-                stored = self.store.get(key)
-            except (OSError, ArtifactError) as exc:
-                self._degrade_store(exc)
-                stored = None
-            if stored is not None:
-                self.stats.store_hits += 1
-                self._cache[key] = stored
-                if stored.layer_name != info.name:
-                    stored = replace(stored, layer_name=info.name)
-                return stored
         option = key[:4] + key[5:]  # less the parallelism, key_for's 5th
         terms = self._terms.get(option)
         if terms is None:
@@ -429,8 +408,6 @@ class EvalContext:
         impl = terms.at(info.name, parallelism)
         self.stats.evaluations += 1
         self._cache[key] = impl
-        if self.store is not None:
-            self._dirty[key] = impl
         return impl
 
     # -- the group memo -----------------------------------------------------
@@ -455,31 +432,34 @@ class EvalContext:
         )
 
     def recall_group(self, key: GroupKey) -> Optional[GroupChoices]:
-        """Choices of a completed search under ``key``; None on a miss.
+        """Engines of a completed search under ``key``; None on a miss.
 
         An empty tuple is a remembered infeasible range.  Memory first,
-        then the store; a store hit is promoted into memory.
+        then the store; a store hit is counted in ``store_hits`` and
+        promoted into memory.
         """
         choices = self._groups.get(key)
         if choices is not None or self.store is None:
             return choices
         try:
-            choices = self.store.get_group(key)
+            choices = self.store.get(key)
         except (OSError, ArtifactError) as exc:
             self._degrade_store(exc)
             return None
         if choices is not None:
+            self.stats.store_hits += 1
             self._groups[key] = choices
         return choices
 
     def remember_group(self, key: GroupKey, choices: GroupChoices) -> None:
-        """Record what a completed search chose (write-back to the store)."""
+        """Record the engines a completed search chose (write-back to the
+        store)."""
         self._groups[key] = choices
         if self.store is not None:
             self._dirty[key] = choices
 
     def flush_store(self) -> int:
-        """Write back fresh evaluations and group choices to the store.
+        """Write back fresh group choices to the store.
 
         A no-op without a store.  Called automatically at the end of
         :func:`repro.optimizer.dp.optimize` (and friends); safe to call

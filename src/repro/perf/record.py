@@ -1,18 +1,20 @@
-"""The engine record: what a saved or remembered design keeps of an engine.
+"""The engine record: what a saved design keeps of an engine.
 
 The paper keeps one ``<group, algorithm, parallelism>`` triple per layer
 (Definition 1) and regenerates the group designs from them (Algorithm 1,
 lines 22-24).  Here the record is each engine's exact ``implement()``
 query ``(algorithm, weight mode, winograd m, parallelism)``: strategy
-and plan artifacts, the cost store's group entries and the group memo
-keep that and nothing derived, and :func:`rebuild` turns a range's
-queries back into its :class:`~repro.perf.group.GroupDesign`, the way
-Algorithm 2 builds the winner it found.
+and plan artifacts keep that and nothing derived, and :func:`rebuild`
+turns a range's queries back into its
+:class:`~repro.perf.group.GroupDesign`, the way Algorithm 2 builds the
+winner it found.  The group memo and the cost store's group records
+keep the engines themselves (:class:`~repro.perf.cost.GroupChoices`);
+:func:`query_of` is how a recall checks one against a layer's menu.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.check.artifacts import (
     E_FIELD_TYPE, E_FIELD_VALUE, E_NETWORK, require, require_enum,
@@ -39,11 +41,11 @@ def query_of(impl: Implementation) -> Query:
     )
 
 
-def query_to_dict(query: Query, name: Optional[str] = None) -> dict:
-    """JSON form of a query; artifacts also record the layer ``name``."""
-    algorithm, weight_mode, m, parallelism = query
+def engine_to_dict(impl: Implementation) -> dict:
+    """JSON form of an engine's query, with its layer name."""
+    algorithm, weight_mode, m, parallelism = query_of(impl)
     return {
-        **({} if name is None else {"name": name}),
+        "name": impl.layer_name,
         "algorithm": algorithm.value,
         "parallelism": parallelism,
         "weight_mode": weight_mode.value,
@@ -51,14 +53,10 @@ def query_to_dict(query: Query, name: Optional[str] = None) -> dict:
     }
 
 
-def engine_to_dict(impl: Implementation) -> dict:
-    return query_to_dict(query_of(impl), impl.layer_name)
-
-
-def query_from_dict(entry, path: str, defaults: bool = False) -> Query:
-    """Read one query, raising typed errors on damage.  With
-    ``defaults``, an absent weight mode or m reads as what
-    ``implement()`` used before strategy files recorded them."""
+def query_from_dict(entry, path: str) -> Query:
+    """Read one query, raising typed errors on damage.  An absent weight
+    mode or m reads as what ``implement()`` used before strategy files
+    recorded them."""
     parallelism = require(entry, "parallelism", int, path)
     if parallelism < 1:
         raise ArtifactSchemaError(
@@ -67,9 +65,9 @@ def query_from_dict(entry, path: str, defaults: bool = False) -> Query:
         )
     return (
         require_enum(entry, "algorithm", Algorithm, path),
-        WeightMode.RESIDENT if defaults and "weight_mode" not in entry
+        WeightMode.RESIDENT if "weight_mode" not in entry
         else require_enum(entry, "weight_mode", WeightMode, path),
-        WINOGRAD_M if defaults and "winograd_m" not in entry
+        WINOGRAD_M if "winograd_m" not in entry
         else require(entry, "winograd_m", int, path),
         parallelism,
     )
@@ -92,7 +90,7 @@ def engines_from_dicts(entries, infos: Sequence, path: str) -> List[Query]:
                 f"{name!r} in the artifact",
             )
     return [
-        query_from_dict(entry, f"{path}[{offset}]", defaults=True)
+        query_from_dict(entry, f"{path}[{offset}]")
         for offset, entry in enumerate(entries)
     ]
 

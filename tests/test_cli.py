@@ -684,9 +684,9 @@ class TestCacheCommand:
             ]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        tiers = payload["telemetry"]["cache_tiers"]
-        assert tiers["misses"] == 0
-        assert tiers["store_hits"] > 0
+        telemetry = payload["telemetry"]
+        assert telemetry["evaluations"] == telemetry["groups_searched"] == 0
+        assert telemetry["store_hits"] > 0
 
     def test_stats_json(self, capsys, tmp_path, monkeypatch):
         self._warm(tmp_path, monkeypatch)

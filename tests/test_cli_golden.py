@@ -33,15 +33,15 @@ GOLDEN = {
     'devices:text': '1dafac5980ecbbe76fdeba4c2f0cc92446c59079fe9e72b27381e11a8e7881d0',
     'winograd:text': 'b901d17636f716a71f6e2f9b25b6cd4766b5c4606423905f2e606e87051518d0',
     'compile_chain:text': 'e8646a9408f9085b822d3081efba2ac0d74af82fee845a5bbfc12a3618e35e05',
-    'compile_chain:json': '139577f679b386307afb01fd9decf159cd853778c70f03828d1f4ec5597d9b5e',
-    'compile_graph:text': '40ec6147b32995021ea8147ee5b5cc3f54f5a72582fc30b86726cc1c93af6f14',
-    'compile_graph:json': '67940e2f6a6a7377625421783fee89e10bc971fb3ed823bd4da5c470ab2382db',
+    'compile_chain:json': '7e4096b0863cd960b3aea3bd14615f8e467a426c18ad83698a6e439bb3f3a386',
+    'compile_graph:text': '8006ff72a6b7a18b60e76f9826ef12217e353df7e8789a2e0a0fc1237e510faf',
+    'compile_graph:json': 'ec41a3fffadf1fde18e3bccf267054483080684d932a5d64b2fb5d45fef19cf2',
     'compile_cached:text': 'a9f85d0c7b596891250a168db3616f52495147478a6fa36dd0fa4cd435ea0659',
     'compile_cached:json': 'd07f3505d36597d47a37ff98b98ba55b8f67ae9ee12c90c00191e2ca3a14a23e',
     'sweep_baseline:text': 'fe9e96580c961de9a561782eb4f058587813cf007f89b1422dee60969619361f',
-    'sweep_baseline:json': 'bfad1c5f56f2be02fb8f3cb880b6ebe97d0c3c4d927108aa577485b6ae8f06a2',
+    'sweep_baseline:json': 'f5faf312063c1950985a69868e30ddd48b2a3a596f19e7dbce72e55f645b067e',
     'partition:text': '6063bc665de31d91bf8988451f986143224ceec3ef5312177b6c55b780f9cac5',
-    'partition:json': '06bfb72879911bc4a4f9e8b7d974c55e7d6c7845356d73fd843eb76e3fb97c72',
+    'partition:json': '18b8b96921fdcbbd8e3c3a051fc7686bc736cb328fd74feb7c07e27984d65b73',
     'replan:text': '6d11e36eba763eada08e6df0cbe5e6e6e114f084c10851ebf658ace445935b77',
     'replan:json': '9aa2b4e781b57259b33cb9b902ff1e02eef6305585b6d2ef0e9b38328ebe564a',
     'serve_single:text': 'c75ae66798a1d99450706cc9054c2ea18c8b11ed3f86de952cd03bfd63e7236a',
@@ -53,9 +53,9 @@ GOLDEN = {
     'plan_capacity_faults:text': '77a59fb369af7aa142c2a0dc69a6271222093379fa13e4bd06f7163e2c1f4c5e',
     'plan_capacity_faults:json': 'c492a93f9d8e50c53019bb1ef5d6ee961cc2403659d437599ebc3ce0371b466c',
     'sweep_grid:text': 'afeba2f29c7b27620197871d561a092e99810201271f37ed9fb22e44a8f5d023',
-    'sweep_grid:json': '1fd50797db120a684dbcc7c36942cd718e9ef9ae7bc0153ff2b8c00019d39881',
-    'cache_stats:text': 'a6c5aeaee18048763f607b40e80de21ce6020b3f41bf95b6486fff5d3cdf33ac',
-    'cache_stats:json': 'f53c3631993d2ac790273e842af7eeab2443158f5bba484556b6e8cc5c29c6f8',
+    'sweep_grid:json': 'fcdf0c6e02cde2d87606b0827e4845a9b1db2a4cf2efdd731acbf86c06b7143d',
+    'cache_stats:text': '8e36671c3984e5bfe2204130efd44d848a2ab1ef8f22ae12f96a9c1243500c6a',
+    'cache_stats:json': '15db633e3efe4ff0df80e596728386d1803bd61b0ab14903fb61529165e5364f',
     'check:text': 'ea2ed7aad271911cfd6ef51f020d42f0bbb906342a34ce43a0c7257072acff2d',
     'unknown_model:error': "1 '' error: 'no_such_model' is neither a model-zoo name (alexnet, googlenet, googlenet_prefix2, nin, tiny_cnn, vgg16, vgg19, vgg19_prefix7, vgg_e, zfnet, googlenet_graph, googlenet_graph_prefix2, tiny_branch, tiny_resnet) nor an existing prototxt file",
     'bad_fault_spec:error': "1 '' error: unknown fault kind 'warp' (known kinds: crash, transient, brownout, link)",

@@ -3,8 +3,9 @@
 The contract under test (see ``src/repro/dse/store.py``):
 
 * keys address the same entry in every process (no hash randomization);
+* the store holds only finished searches, each with its engines;
 * a store-backed search returns bit-identical strategies to a
-  store-less one, while skipping recomputation;
+  store-less one, while skipping the searches it recalls;
 * any on-disk damage surfaces as a typed ``ArtifactError`` from the
   strict loader and as a transparent recompute from the lookup path;
 * two processes flushing overlapping keys never lose or tear entries.
@@ -50,6 +51,15 @@ def _first_key_and_impl(tiny_net, testchip):
     optimize(tiny_net, testchip, tiny_net.feature_map_bytes(), context=context)
     key, impl = next(iter(context._cache.items()))
     return key, impl
+
+
+def _first_group(tiny_net, testchip):
+    """One real (group key, engines) pair from a live, feasible search."""
+    context = EvalContext()
+    GroupSearch(tiny_net, testchip, context=context).precompute()
+    return next(
+        (key, choices) for key, choices in context._groups.items() if choices
+    )
 
 
 class TestAddressing:
@@ -210,11 +220,24 @@ class TestStoreTier:
         )
         warm = EvalContext(store=CostStore(tmp_path / "s"))
         optimize(tiny_net, testchip, budget, context=warm)
-        tiers = warm.stats.to_dict()["cache_tiers"]
-        assert tiers["misses"] == 0
-        assert tiers["store_hits"] > 0
-        assert tiers["memory_hits"] >= 0
-        assert "store tier" in warm.stats.summary()
+        counters = warm.stats.to_dict()
+        assert "cache_tiers" not in counters
+        assert counters["evaluations"] == counters["cache_hits"] == 0
+        assert counters["groups_searched"] == 0
+        assert counters["store_hits"] > 0
+        assert counters["store_hit_rate"] == 1.0
+        assert "store group hits" in warm.stats.summary()
+
+    def test_store_holds_only_group_records(self, tiny_net, testchip, tmp_path):
+        context = EvalContext(store=tmp_path / "s")
+        optimize(
+            tiny_net, testchip, tiny_net.feature_map_bytes(), context=context
+        )
+        store = CostStore(tmp_path / "s")
+        entries = store.load_shard(store.log_path)
+        assert len(entries) == context.stats.groups_searched
+        assert all(set(entry) == {"key", "created", "group"}
+                   for entry in entries.values())
 
 
 class TestDamage:
@@ -265,12 +288,12 @@ class TestDamage:
         optimize(
             tiny_net, testchip, tiny_net.feature_map_bytes(), context=context
         )
-        key = next(iter(context._cache))
+        key = next(key for key, choices in context._groups.items() if choices)
         store = CostStore(tmp_path / "s")
         assert store.get(key) is not None
         digest = key_digest(key)
         entry = store.load_shard(store.log_path)[digest]
-        entry["impl"]["algorithm"] = "quantum"
+        entry["group"]["layers"][0]["algorithm"] = "quantum"
         _rewrite_entry(store.log_path, digest, entry)
         fresh = CostStore(tmp_path / "s")
         assert fresh.get(key) is None
@@ -369,14 +392,10 @@ class TestGroupEntries:
     ):
         import repro.dse.store as store_mod
 
-        context = EvalContext()
-        GroupSearch(tiny_net, testchip, context=context).precompute()
-        group_key = next(iter(context._groups))
-        impl_key = next(iter(context._cache))
-        before = key_digest(group_key), key_digest(impl_key)
+        group_key, _ = _first_group(tiny_net, testchip)
+        before = key_digest(group_key)
         monkeypatch.setattr(store_mod, "SEARCH_VERSION", SEARCH_VERSION + 1)
-        assert key_digest(group_key) != before[0]
-        assert key_digest(impl_key) == before[1]
+        assert key_digest(group_key) != before
 
     def test_fresh_process_recalls_every_design(self, zc706, tmp_path):
         # conv2_1 .. conv3_3: conv3_2 and conv3_3 share a signature.
@@ -422,10 +441,10 @@ class TestGroupEntries:
             for stop in range(start + 1, len(network) + 1):
                 key = search._group_key(start, stop)
                 if (start, stop) in truncated:
-                    assert store.get_group(key) is None
+                    assert store.get(key) is None
                     assert context.recall_group(key) is None
                 else:
-                    assert store.get_group(key) is not None
+                    assert store.get(key) is not None
         assert len(_group_entries(tmp_path / "s")) == 36 - len(truncated)
         # Another search on the context re-runs the truncated two only.
         before = context.stats.groups_searched
@@ -443,10 +462,12 @@ class TestGroupEntries:
         baseline = optimize(
             tiny_net, testchip, budget, context=EvalContext(store=root)
         )
+        # A feasible range led by a conv engine, which has a weight mode.
         digest, (path, entry) = next(
             (digest, found)
             for digest, found in sorted(_group_entries(root).items())
             if found[1]["group"]["feasible"]
+            and found[1]["group"]["layers"][0]["weight_mode"] is not None
         )
         _ENTRY_DAMAGE[damage](entry["group"])
         _rewrite_entry(path, digest, entry)
@@ -562,6 +583,31 @@ class TestHygiene:
         )
         assert store.load_shard(path) == {}
 
+    def test_point_entry_log_starts_cold_once(self, tiny_net, testchip, tmp_path):
+        """A log of key_version 1 (per-point entries beside the group
+        entries) is stale, not damage: one cold run, then warm."""
+        from repro.check.artifacts import append_envelope_line
+        from repro.dse.store import SHARD_KIND
+
+        key, impl = _first_key_and_impl(tiny_net, testchip)
+        store = CostStore(tmp_path / "s")
+        store.root.mkdir(parents=True)
+        old = {"key": stable_key_text(key), "created": 0.0,
+               "impl": implementation_to_dict(impl)}
+        append_envelope_line(
+            store.log_path, SHARD_KIND,
+            {"key_version": 1, "entries": {"0" * 64: old}},
+        )
+        budget = tiny_net.feature_map_bytes()
+        cold = EvalContext(store=store)
+        optimize(tiny_net, testchip, budget, context=cold)
+        assert store.corrupt_shards == store.corrupt_entries == 0
+        assert cold.stats.store_hits == 0 and cold.stats.groups_searched > 0
+        warm = EvalContext(store=CostStore(tmp_path / "s"))
+        optimize(tiny_net, testchip, budget, context=warm)
+        assert warm.stats.groups_searched == warm.stats.evaluations == 0
+        assert CostStore(tmp_path / "s").stats().corrupt_shards == 0
+
     def test_resolve_store_coercions(self, tmp_path):
         assert resolve_store(None) is None
         store = CostStore(tmp_path)
@@ -603,7 +649,7 @@ class TestConcurrency:
     def test_refresh_adds_other_writers_records(self, tmp_path):
         from repro.check.durability import _store_entries
 
-        entries = sorted(_store_entries().items())
+        entries = list(_store_entries().items())
         root = tmp_path / "s"
         CostStore(root).put_many(dict(entries[:1]))
         reader = CostStore(root)
@@ -670,13 +716,14 @@ class TestFlushShape:
 
         monkeypatch.setattr(os, "fsync", counting_fsync)
         store = CostStore(tmp_path / "s")
+        context = EvalContext(store=store)
         compile_model(
             models.catalog()["vgg_e"](), device="zc706",
             transfer_constraint_bytes=2 * 1024 * 1024,
-            context=EvalContext(store=store),
+            context=context,
         )
         assert len(fsyncs) == 1
-        assert store.stats().entries > 256
+        assert store.stats().entries == context.stats.groups_searched == 1
 
     def test_flush_keeps_old_bytes_as_prefix(self, tmp_path):
         root = tmp_path / "s"
@@ -761,7 +808,7 @@ class TestOldLayout:
         from repro.check.artifacts import save_artifact
         from repro.dse.store import SHARD_KIND
 
-        key, impl = _first_key_and_impl(tiny_net, testchip)
+        key, choices = _first_group(tiny_net, testchip)
         digest = key_digest(key)
         (root / "shards").mkdir(parents=True)
         (root / "locks").mkdir()
@@ -774,7 +821,7 @@ class TestOldLayout:
                     digest: {
                         "key": stable_key_text(key),
                         "created": 0.0,
-                        "impl": implementation_to_dict(impl),
+                        "group": group_to_dict(choices),
                     }
                 },
             },
@@ -826,11 +873,11 @@ class TestLocking:
 
         monkeypatch.setattr(store_module.fcntl, "flock", no_flock)
         store = CostStore(tmp_path / "s")
-        key, impl = _first_key_and_impl(tiny_net, testchip)
-        store.put_many({key: impl})
+        key, choices = _first_group(tiny_net, testchip)
+        store.put_many({key: choices})
         assert store.lock_fallbacks == 1
         assert store._locks_unsupported  # cached: no re-probing
-        store.put_many({key: impl})
+        store.put_many({key: choices})
         assert store.lock_fallbacks == 2
         assert store.lock_retries == 0  # permanent, so never retried
         # The lockless write still landed a valid entry.
@@ -850,9 +897,9 @@ class TestLocking:
         monkeypatch.setattr(store_module.fcntl, "flock", busy_flock)
         monkeypatch.setattr(store_module, "LOCK_BACKOFF_S", 0.001)
         store = CostStore(tmp_path / "s")
-        key, impl = _first_key_and_impl(tiny_net, testchip)
+        key, choices = _first_group(tiny_net, testchip)
         with pytest.raises(ArtifactError) as excinfo:
-            store.put_many({key: impl})
+            store.put_many({key: choices})
         assert excinfo.value.code == "E_LOCK"
         assert "attempts" in str(excinfo.value)
         assert store.lock_retries == store_module.LOCK_ATTEMPTS - 1
@@ -866,8 +913,8 @@ class TestLocking:
 
         from repro.dse import store as store_module
 
-        key, impl = _first_key_and_impl(tiny_net, testchip)
-        CostStore(tmp_path / "s").put_many({key: impl})
+        key, choices = _first_group(tiny_net, testchip)
+        CostStore(tmp_path / "s").put_many({key: choices})
         real_flock = real_fcntl.flock
 
         def no_shared_flock(fd, op):
@@ -902,8 +949,8 @@ class TestLocking:
         monkeypatch.setattr(store_module.fcntl, "flock", flaky_flock)
         monkeypatch.setattr(store_module, "LOCK_BACKOFF_S", 0.001)
         store = CostStore(tmp_path / "s")
-        key, impl = _first_key_and_impl(tiny_net, testchip)
-        store.put_many({key: impl})
+        key, choices = _first_group(tiny_net, testchip)
+        store.put_many({key: choices})
         assert store.lock_retries == 2
         assert store.lock_fallbacks == 0
         assert CostStore(tmp_path / "s").get(key) is not None

@@ -33,13 +33,13 @@ from repro.resilience import replan_survivors
 from repro.toolflow import partition_model, sweep_grid
 
 GOLDEN = {
-    "chain_tiny_cnn_x1": "0278823b722ed9db8a4e0ff43c72efcdc37270557e49bafb3cc58592bc28d2aa",
-    "chain_tiny_cnn_x2": "8588a4275521ee5257bd0fc0ee7f67fff58240b6b154c82bd2c36d4da7c85c6d",
-    "chain_tiny_cnn_x3": "8f01ee194ec335b8aead167e0d4c94d326c22d4cc795113b26158b0600c77d6d",
-    "chain_tiny_cnn_binding_budget": "2bf54db47c479035dce1913396d1b69b937961548ce7adc18691261c4facac76",
-    "chain_vgg_fused_prefix_2mb": "7b425add46c3d28e73f762a1ca9e8192020bad254fb386b4d355376c53abca36",
-    "chain_slow_link_collapse": "9c3a200df20584deec143003566f7016a9755ce5879d207890365b2ac01a2218",
-    "chain_heterogeneous_fleet": "47a2f94a865bf841b074e501830fc127d9cdf50f54462112539a66deeaab183e",
+    "chain_tiny_cnn_x1": "b0a3eb69278abb734ab47743904f35018c83bd0c65f0abff51c5c0e372d42c0b",
+    "chain_tiny_cnn_x2": "c583d473a156435af61a334c62b1aaf7afab9d7fe0b6e4e7ba82cc58864420ae",
+    "chain_tiny_cnn_x3": "5b078af86e2e965ed70516270d90e078fcdfe0e557cc8e7391301470be7b1434",
+    "chain_tiny_cnn_binding_budget": "ae8592783f651ecd4b147076ee36056d501081a1b2fe57f1990bcea86ac453ae",
+    "chain_vgg_fused_prefix_2mb": "919f6f8368b83ddcd91dd89920523b7250806456f68154603291de0bbe2cdb60",
+    "chain_slow_link_collapse": "2154568b43d0d7a5d9ac89c6ccc73a2165c9812685bbc52e6c227895c67b2b8f",
+    "chain_heterogeneous_fleet": "2751b5e4fc392475a3d0dcadc5d9e108f072049877a5263c32ed194cc291ff5b",
     "replan_vgg_e_survivor": "a4ff204006ba3ab3f1cdfb4738d35e2586cd8054f772aab8d04e799d10beea5c",
     "simulate_tiny_cnn_x2_spans": "4c45168e9e2df32539f9b2c6a1e031403f23f92d6d45fa5d0259ce47bc61ec2a",
     "sweep_fleet_size_2_point": "166125a7d7cbd79d35ba5fc806ed2ac2cbd401292e1b84c2a24ff67e326e3093",

@@ -211,7 +211,7 @@ def test_googlenet_graph_compile_counts(capsys):
         "nodes_visited": 1_222,
         "nodes_pruned": 4_484,
         "evaluations": 2_512,
-        "cache_hits": 911,
+        "cache_hits": 349,
     }
 
 

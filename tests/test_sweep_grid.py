@@ -274,6 +274,32 @@ class TestSweepEngine:
         assert warm.telemetry["evaluations"] == 0
         assert _strategies(cold) == _strategies(warm)
 
+    def test_perfbench_grid_store_keeps_finished_searches(self, tmp_path):
+        """The toolflow benchmark's grid: its cold sweep writes only group
+        records, and its warm sweep neither searches nor evaluates."""
+        from repro.dse.store import CostStore
+
+        spec = GridSpec(
+            models=("vgg_e",),
+            devices=("zc706",),
+            transfer_bytes=(2 * 1024 * 1024,),
+            fleet_sizes=(1, 2),
+        )
+        store = tmp_path / "store"
+        cold = sweep_grid(spec, tmp_path / "cold", store=store, workers=2)
+        assert cold.ok
+        entries = CostStore(store).load_shard(store / "log.jsonl")
+        assert entries
+        assert all(set(entry) == {"key", "created", "group"}
+                   for entry in entries.values())
+        warm = sweep_grid(spec, tmp_path / "warm", store=store, workers=2)
+        assert warm.ok
+        for record in warm.records:
+            telemetry = record["result"]["telemetry"]
+            assert telemetry["evaluations"] == 0
+            assert telemetry["groups_searched"] == 0
+        assert warm.records_digest() == cold.records_digest()
+
     def test_summary_and_to_dict(self, tmp_path):
         result = sweep_grid(TINY, tmp_path / "out", store=tmp_path / "store")
         text = result.summary()
