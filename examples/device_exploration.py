@@ -17,10 +17,12 @@ around a minute.
 import numpy as np
 
 from repro.hardware.device import get_device
-from repro.hardware.dse import bandwidth_sweep, binding_resource, fabric_sweep
+from repro.hardware.dse import scale_bandwidth, scale_fabric
 from repro.nn import models
 from repro.nn.functional import init_weights
 from repro.optimizer.dp import optimize
+from repro.perf.cost import EvalContext
+from repro.perf.implement import Algorithm
 from repro.reporting import format_table
 from repro.sim.gantt import render_gantt
 from repro.sim.simulator import simulate_strategy
@@ -28,21 +30,36 @@ from repro.sim.simulator import simulate_strategy
 MB = 2**20
 
 
+def binding_resource(strategy, device) -> str:
+    """The resource dimension the strategy's peak usage fills most."""
+    utilization = strategy.peak_resources.utilization(device.resources)
+    return max(utilization, key=utilization.get)
+
+
 def main() -> None:
     device = get_device("zc706")
     network = models.alexnet().prefix(6, name="alexnet_prefix6")
     budget = network.feature_map_bytes()
+    # One context serves every variant: it shares implement() results
+    # and finished fusion[i][j] searches between them.
+    context = EvalContext()
 
     print("== bandwidth sensitivity ==")
     rows = []
-    for point in bandwidth_sweep(network, device, budget, factors=(0.5, 1.0, 2.0, 4.0)):
+    for factor in (0.5, 1.0, 2.0, 4.0):
+        variant = scale_bandwidth(device, factor)
+        strategy = optimize(network, variant, budget, context=context)
+        winograd = sum(
+            choice.algorithm == Algorithm.WINOGRAD
+            for choice in strategy.choices()
+        )
         rows.append(
             [
-                point.label,
-                f"{point.latency_cycles / 1e6:.2f}",
-                f"{point.effective_gops:.0f}",
-                point.winograd_layers,
-                binding_resource(point),
+                f"{factor:g}x BW",
+                f"{strategy.latency_cycles / 1e6:.2f}",
+                f"{strategy.effective_gops():.0f}",
+                winograd,
+                binding_resource(strategy, variant),
             ]
         )
     print(
@@ -55,13 +72,15 @@ def main() -> None:
 
     print("== fabric sensitivity ==")
     rows = []
-    for point in fabric_sweep(network, device, budget, factors=(0.5, 1.0, 2.0)):
+    for factor in (0.5, 1.0, 2.0):
+        variant = scale_fabric(device, factor)
+        strategy = optimize(network, variant, budget, context=context)
         rows.append(
             [
-                point.label,
-                f"{point.latency_cycles / 1e6:.2f}",
-                f"{point.effective_gops:.0f}",
-                binding_resource(point),
+                f"{factor:g}x fabric",
+                f"{strategy.latency_cycles / 1e6:.2f}",
+                f"{strategy.effective_gops():.0f}",
+                binding_resource(strategy, variant),
             ]
         )
     print(

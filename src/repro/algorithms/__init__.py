@@ -6,7 +6,10 @@ algorithm (:mod:`repro.algorithms.winograd`) whose transform matrices are
 generated for arbitrary F(m, r) by exact-rational Cook-Toom construction
 (:mod:`repro.algorithms.poly`).  im2col/GEMM and FFT variants — the other
 "computation structure transformations" the paper mentions — are provided
-as additional functional baselines.  :mod:`repro.algorithms.fixed_point`
+as additional functional baselines: nothing in the toolflow calls them;
+they stay as the references ``tests/test_algorithms.py`` and
+``benchmarks/test_winograd_kernels.py`` compare the other kernels
+against.  :mod:`repro.algorithms.fixed_point`
 models the 16-bit fixed-point datapath of the ZC706 implementation.
 """
 

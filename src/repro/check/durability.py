@@ -50,11 +50,14 @@ from repro.faults.process import (
     run_to_kill,
 )
 
-#: Grid every sweep-backed workload uses: two fast points on the
-#: synthetic test device, so each matrix cell stays in seconds.
+#: Grid every sweep-backed workload uses: four fast points on the
+#: synthetic test device, so each matrix cell stays in seconds.  The two
+#: bandwidth factors make two sweep jobs, so the chaos sweep keeps two
+#: workers busy at once.
 _SWEEP_GRID = {
     "models": ["tiny_cnn"],
     "devices": ["testchip"],
+    "bandwidth_factors": [1.0, 2.0],
     "transfer_bytes": [None, 1 << 20],
 }
 

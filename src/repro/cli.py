@@ -40,8 +40,6 @@ from repro import __version__
 from repro.errors import ReproError
 from repro.hardware.device import DEVICES, get_device
 from repro.nn import models
-from repro.nn.caffe import model_from_prototxt
-from repro.nn.graph import Graph
 from repro.optimizer.dp import optimize_many
 from repro.reporting import format_energy, format_ratio, format_table
 from repro.serve.scheduler import Policy
@@ -130,25 +128,6 @@ def _parse_faults_early(args: argparse.Namespace) -> None:
         FaultSpec.parse(args.faults)
 
 
-def _load_model(name_or_path: str):
-    """Resolve a zoo name or prototxt path to a Network or (DAG) Graph."""
-    zoo = models.catalog()
-    if name_or_path in zoo:
-        return zoo[name_or_path]()
-    graph_zoo = models.graph_catalog()
-    if name_or_path in graph_zoo:
-        return graph_zoo[name_or_path]()
-    path = Path(name_or_path)
-    if path.exists():
-        # A branching prototxt resolves to a Graph; chains stay Networks.
-        return model_from_prototxt(path.read_text())
-    names = sorted(zoo) + sorted(graph_zoo)
-    raise ReproError(
-        f"{name_or_path!r} is neither a model-zoo name ({', '.join(names)}) "
-        "nor an existing prototxt file"
-    )
-
-
 def _zoo_table(catalog: dict, count: str, title: str) -> str:
     rows = []
     for name, ctor in sorted(catalog.items()):
@@ -188,7 +167,7 @@ def _cmd_compile(args, _log) -> Outcome:
     from repro.optimizer.serialize import strategy_to_dict
 
     result = compile_model(
-        _load_model(args.model),
+        models.load_model(args.model),
         device=args.device,
         transfer_constraint_bytes=args.transfer,
         output_dir=Path(args.out) if args.out else None,
@@ -226,13 +205,7 @@ def _cmd_compile(args, _log) -> Outcome:
 
 
 def _cmd_sweep(args, _log) -> Outcome:
-    model = _load_model(args.model)
-    if isinstance(model, Graph):
-        raise ReproError(
-            "repro sweep is chain-only; compile a branching graph with "
-            "'repro compile' (vary --transfer per run)"
-        )
-    network = model.accelerated_prefix()
+    network = models.load_chain(args.model)
     device = get_device(args.device)
     constraints = [_parse_size(c) for c in args.constraints.split(",")]
     strategies = optimize_many(
@@ -391,7 +364,7 @@ def _partition_from_args(args: argparse.Namespace, context):
         latency_s=args.link_latency_us * 1e-6,
     )
     return partition_model(
-        _load_model(args.model),
+        models.load_model(args.model),
         devices=DeviceFleet.from_spec(args.devices, link=link),
         transfer_constraint_bytes=args.transfer,
         context=context,
@@ -544,7 +517,7 @@ def _serve_sim_multi(args, model_specs: List[str], resilience) -> Outcome:
     from repro.traffic import REFERENCE_FREQUENCY_HZ, TrafficTrace, load_trace
 
     device = get_device(args.device)
-    networks = [_load_model(spec) for spec in model_specs]
+    networks = [models.load_model(spec) for spec in model_specs]
     names = _unique_tenant_names([network.name for network in networks])
     if args.trace:
         trace = load_trace(args.trace)
@@ -640,7 +613,7 @@ def _cmd_serve_sim(args, _log) -> Outcome:
                 "warm-swap rung)"
             )
         return _serve_sim_multi(args, model_specs, resilience)
-    network = _load_model(args.model)
+    network = models.load_model(args.model)
     result = _serving_compile(args, network)
     fleet = result.serve(
         replicas=args.replicas,
@@ -728,7 +701,7 @@ def _parse_tenant_demand(text: str):
         )
     return TenantDemand(
         name=fields["name"],
-        model=_load_model(fields["model"]),
+        model=models.load_model(fields["model"]),
         arrival=fields["arrival"],
         num_requests=int(fields.get("requests", 200)),
         slo_latency_s=(
@@ -845,7 +818,7 @@ def _check_one(path: Path, model: Optional[str], lines: List[str]) -> List[str]:
         return [f"{path}: cannot determine the network (pass --model)"]
     from repro.toolflow import _accelerated_model
 
-    full = _load_model(name)
+    full = models.load_model(name)
     # Toolflow artifacts cover the accelerated model; fall back to the
     # full model for strategies saved outside the toolflow.
     candidates = [_accelerated_model(full)]
@@ -1137,13 +1110,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--point-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-point hang budget: a worker silent this long is "
-        "terminated and its point requeued (default: no hang detection)",
+        help="hang budget per job (the points that share a model, device, "
+        "bandwidth factor and fleet size): a worker silent this long is "
+        "terminated and its job requeued (default: no hang detection)",
     )
     p.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
-        help="requeues per point after worker deaths/hangs before it "
-        "is recorded as failed (default 2)",
+        help="requeues per job after worker deaths/hangs before its "
+        "points are recorded as failed (default 2)",
     )
     p.add_argument(
         "--faults", default=None, metavar="SPEC",

@@ -7,8 +7,10 @@ Two services on top of the single-device optimizer and the partitioner:
   engines, shared across processes and sweeps (``repro cache
   {stats,gc,clear}``).
 * :mod:`repro.dse.grid` / :mod:`repro.dse.sweep` — declarative sweep
-  grids expanded into independent jobs, fanned out over a process
-  pool, journaled per point for ``--resume`` (``repro sweep-grid``).
+  grids expanded into points, run as jobs of the points that share a
+  model, device, bandwidth factor and fleet size (one search context
+  each), fanned out over a process pool and journaled per point for
+  ``--resume`` (``repro sweep-grid``).
 
 See ``docs/dse.md`` for the full guide.
 """

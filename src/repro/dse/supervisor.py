@@ -16,11 +16,11 @@ generality for supervision:
   in-flight job **requeued** with bounded retry + backoff, and a fresh
   worker spawned in its place;
 * when a job exhausts ``max_retries`` the caller's ``on_exhausted``
-  callback synthesizes a failure record — the sweep records the loss
+  callback synthesizes its failure result — the sweep records the loss
   and moves on, it never stalls and never silently drops a point.
 
-The pool yields records as they land (like ``imap_unordered``); callers
-own ordering.  ``SupervisorStats`` counts every intervention so the
+The pool yields one result per job as it lands (like
+``imap_unordered``); callers own ordering.  ``SupervisorStats`` counts every intervention so the
 sweep's telemetry can report exactly how much supervision happened.
 """
 
@@ -108,12 +108,12 @@ class _WorkerSlot:
 
 
 class SupervisedPool:
-    """Run jobs through supervised worker processes; yield records.
+    """Run jobs through supervised worker processes; yield results.
 
     Args:
-        worker_fn: Top-level picklable callable ``job dict -> record
-            dict`` (the sweep passes
-            :func:`repro.dse.sweep.run_point_job`).
+        worker_fn: Top-level picklable callable ``job dict -> result``
+            (the sweep passes :func:`repro.dse.sweep.run_job`, whose
+            result is a list of point records).
         workers: Worker process count (>= 1).
         mp_context: A ``multiprocessing`` context (the sweep passes its
             fork context).
@@ -122,8 +122,8 @@ class SupervisedPool:
             still detected).
         max_retries: Retries per job after its first failure before
             ``on_exhausted`` is consulted.
-        on_exhausted: ``(job, reason) -> record`` synthesizing the
-            failure record for a job that kept dying; ``None`` re-raises
+        on_exhausted: ``(job, reason) -> result`` synthesizing the
+            failure result for a job that kept dying; ``None`` re-raises
             the loss as ``RuntimeError`` (library misuse — the sweep
             always provides one).
         attempt_key: Job-dict key carrying the attempt ordinal; the
@@ -157,7 +157,7 @@ class SupervisedPool:
     # -- the run loop --------------------------------------------------------
 
     def run(self, jobs: List[dict]):
-        """Yield one record per job, supervising until all have landed."""
+        """Yield one result per job, supervising until all have landed."""
         if not jobs:
             return
         results = self.ctx.Queue()

@@ -1,28 +1,33 @@
 """The parallel, resumable design-space sweep engine.
 
-A sweep is an embarrassingly parallel bag of compile/partition jobs (the
-:class:`~repro.dse.grid.GridPoint` expansion of a
-:class:`~repro.dse.grid.GridSpec`), run through a ``multiprocessing``
-pool with three pieces of shared state:
+A sweep expands a :class:`~repro.dse.grid.GridSpec` into
+:class:`~repro.dse.grid.GridPoint` objects and runs them as *jobs*: the
+points that share a model, device, bandwidth factor and fleet size run
+in sequence in one worker on one :class:`~repro.perf.cost.EvalContext`,
+whose group memo hands each later point the ``fusion[i][j]`` searches
+an earlier one finished, so a job searches each range once, as
+:func:`~repro.optimizer.dp.optimize_many` does.  Jobs run through a
+supervised ``multiprocessing`` pool with three pieces of shared state:
 
 * the **persistent cost store** (:mod:`repro.dse.store`) of finished
-  ``fusion[i][j]`` searches — every worker's
-  :class:`~repro.perf.cost.EvalContext` recalls the group records it
-  holds, each with its engines, and flushes the searches it ran back,
-  so later points (and later *sweeps*) skip searches earlier ones
-  already paid for;
+  ``fusion[i][j]`` searches — every job's context recalls the group
+  records it holds, each with its engines, and each point flushes the
+  searches it ran back, so later jobs (and later *sweeps*) skip
+  searches earlier ones already paid for;
 * the **journal** — each finished point is appended to
   ``journal.jsonl`` as an independently checksummed envelope line the
-  moment it lands, so a killed sweep resumes with ``--resume`` skipping
-  every completed point (matched by content-derived ``point_id``, not
-  position);
+  moment its job lands, so a killed sweep resumes with ``--resume``
+  computing only the points not journaled (matched by content-derived
+  ``point_id``, not position);
 * the **results artifact** — when the sweep completes, the full record
   set is written as one ``sweep_results`` envelope.
 
-Strategies produced by a store-backed or ``workers=N`` sweep are
-bit-identical to the in-memory single-process path: points are
-independent, and every cached value is a pure function of its key
-(asserted in ``tests/test_sweep_grid.py``).
+Records stay per point: each holds its own result, error and
+telemetry (what its own calls added to the job's context).  Strategies
+produced by a store-backed or ``workers=N`` sweep are bit-identical to
+the in-memory single-process path, and to a lone ``optimize`` of each
+point: every cached value is a pure function of its key (asserted in
+``tests/test_sweep_grid.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from repro.check.artifacts import (
 from repro.dse.grid import GridPoint, GridSpec
 from repro.dse.store import CostStore, resolve_store
 from repro.dse.supervisor import SupervisedPool
-from repro.errors import ArtifactError, ReproError, SweepError, SweepInterrupted
+from repro.errors import ArtifactError, ReproError, SweepInterrupted
 from repro.faults.process import (
     POINT_SWEEP_DONE,
     POINT_SWEEP_JOURNALED,
@@ -64,50 +69,31 @@ JOURNAL_NAME = "journal.jsonl"
 RESULTS_NAME = "sweep_results.json"
 
 #: The store of each sweep this process is running, by root, while it
-#: runs.  Inline points and the pool's forked workers reuse it through
-#: :func:`_point_store`, so each process reads the store's log once and
+#: runs.  Inline jobs and the pool's forked workers reuse it through
+#: :func:`_job_store`, so each process reads the store's log once and
 #: then only the records appended since.
 _RUNNING_STORES: Dict[str, CostStore] = {}
 
 
-def _resolve_grid_network(name: str):
-    """Model-zoo name or prototxt path -> accelerated-prefix Network."""
-    from repro.nn import models
-    from repro.nn.caffe import network_from_prototxt
-
-    zoo = models.catalog()
-    if name in zoo:
-        network = zoo[name]()
-    else:
-        path = Path(name)
-        if not path.exists():
-            raise SweepError(
-                f"model {name!r} is neither a model-zoo name "
-                f"({', '.join(sorted(zoo))}) nor an existing prototxt file"
-            )
-        network = network_from_prototxt(path.read_text())
-    return network.accelerated_prefix()
-
-
-def _execute_point(point: GridPoint, store: Optional[CostStore]) -> dict:
-    """Run one grid point; returns its JSON-serializable result body."""
+def _execute_point(point: GridPoint, context) -> dict:
+    """Run one grid point on its job's context; returns its
+    JSON-serializable result body, telemetry aside."""
     from repro.hardware.device import get_device
     from repro.hardware.dse import scale_bandwidth
+    from repro.nn.models import load_chain
     from repro.optimizer.dp import optimize
     from repro.optimizer.serialize import strategy_to_dict
-    from repro.perf.cost import EvalContext
 
-    network = _resolve_grid_network(point.model)
+    network = load_chain(point.model)
     device = get_device(point.device)
     if point.bandwidth_factor != 1.0:
         device = scale_bandwidth(device, point.bandwidth_factor)
-    context = EvalContext(store=store)
     if point.fleet_size == 1:
         transfer = point.transfer_bytes
         if transfer is None:
             transfer = network.feature_map_bytes(device.element_bytes)
         strategy = optimize(network, device, transfer, context=context)
-        result = {
+        return {
             "kind": "strategy",
             "latency_cycles": strategy.latency_cycles,
             "latency_seconds": strategy.latency_seconds(),
@@ -115,72 +101,60 @@ def _execute_point(point: GridPoint, store: Optional[CostStore]) -> dict:
             "groups": len(strategy.designs),
             "strategy": strategy_to_dict(strategy),
         }
-    else:
-        from repro.partition.cut import partition_network
-        from repro.partition.fleet import DeviceFleet
+    from repro.partition.cut import partition_network
+    from repro.partition.fleet import DeviceFleet
 
-        fleet = DeviceFleet.from_spec([device] * point.fleet_size)
-        plan = partition_network(
-            network,
-            fleet,
-            transfer_constraint_bytes=point.transfer_bytes,
-            context=context,
-        )
-        result = {
-            "kind": "partition_plan",
-            "stages": plan.num_stages,
-            "latency_seconds": plan.latency_seconds,
-            "bottleneck_seconds": plan.bottleneck_seconds,
-            "effective_gops": plan.effective_gops(),
-            "plan": plan.to_dict(),
-        }
-    # The point's result is already computed and correct; a failed
-    # write-back only costs future warm starts.  EvalContext degrades
-    # itself (counted in its telemetry); the belt-and-braces except
-    # covers stores that are not EvalContext-managed.
-    try:
-        context.flush_store()
-        telemetry = context.stats.to_dict()
-    except (OSError, ArtifactError) as exc:
-        telemetry = context.stats.to_dict()
-        telemetry["store_flush_errors"] = 1
-        telemetry["store_flush_error"] = str(exc)
-    result["telemetry"] = telemetry
-    return result
+    fleet = DeviceFleet.from_spec([device] * point.fleet_size)
+    plan = partition_network(
+        network,
+        fleet,
+        transfer_constraint_bytes=point.transfer_bytes,
+        context=context,
+    )
+    return {
+        "kind": "partition_plan",
+        "stages": plan.num_stages,
+        "latency_seconds": plan.latency_seconds,
+        "bottleneck_seconds": plan.bottleneck_seconds,
+        "effective_gops": plan.effective_gops(),
+        "plan": plan.to_dict(),
+    }
 
 
 def run_point_job(job: dict) -> dict:
-    """Pool worker entry: one grid point -> one journal record payload.
+    """One point of a job -> its journal record payload.
 
-    Takes a plain dict (pickled across the process boundary) of the
-    point, the store root and an optional
-    :class:`~repro.faults.process.ProcessFaultSpec`; every
-    :class:`~repro.errors.ReproError` is folded into the record so one
-    infeasible point never kills the sweep.  The fault seed is derived
-    per ``(point, attempt)``: a retried point redraws its fate, so an
-    injected kill costs one requeue, never the whole sweep.
+    Takes a dict of the point and the job's shared
+    :class:`~repro.perf.cost.EvalContext`.  Every
+    :class:`~repro.errors.ReproError` is folded into the record, so one
+    infeasible point never fails its job or the sweep.  The record's
+    telemetry holds what this point's own calls added to the context,
+    its store flush included.
     """
     point = GridPoint.from_dict(job["point"])
-    store = _point_store(job["store_root"]) if job.get("store_root") else None
-    faults: Optional[ProcessFaultSpec] = job.get("faults")
-    if faults is not None:
-        install_process_faults(
-            faults,
-            seed=derive_seed(
-                job.get("fault_seed", 0), point.point_id, job.get("attempt", 0)
-            ),
-        )
+    context = job["context"]
+    before = dataclasses.replace(context.stats)
     started = time.perf_counter()
     try:
         crash_point(POINT_SWEEP_START)
-        result = _execute_point(point, store)
+        result = _execute_point(point, context)
+        # The point's result is already computed and correct; a failed
+        # write-back only costs future warm starts.  EvalContext
+        # degrades itself (counted in its telemetry); the
+        # belt-and-braces except covers stores that are not
+        # EvalContext-managed.
+        try:
+            context.flush_store()
+            telemetry = context.stats.since(before).to_dict()
+        except (OSError, ArtifactError) as exc:
+            telemetry = context.stats.since(before).to_dict()
+            telemetry["store_flush_errors"] = 1
+            telemetry["store_flush_error"] = str(exc)
+        result["telemetry"] = telemetry
         crash_point(POINT_SWEEP_DONE)
         ok, error = True, None
     except ReproError as exc:
         result, ok, error = {}, False, str(exc)
-    finally:
-        if faults is not None:
-            clear_process_faults()
     return {
         "point_id": point.point_id,
         "point": point.to_dict(),
@@ -191,7 +165,45 @@ def run_point_job(job: dict) -> dict:
     }
 
 
-def _point_store(root: str) -> CostStore:
+def run_job(job: dict) -> List[dict]:
+    """Pool worker entry: one job's points -> one record per point.
+
+    Takes a plain dict (pickled across the process boundary) of the
+    job's points, the store root and an optional
+    :class:`~repro.faults.process.ProcessFaultSpec`.  The points share
+    a model, device, bandwidth factor and fleet size, and run in
+    sequence on one :class:`~repro.perf.cost.EvalContext`, whose group
+    memo hands each later point the ranges an earlier one searched.
+    The fault seed is derived per ``(job, attempt)``: a retried job
+    redraws its fate, so an injected kill costs one requeue, never the
+    whole sweep.
+    """
+    from repro.perf.cost import EvalContext
+
+    points = job["points"]
+    store = _job_store(job["store_root"]) if job.get("store_root") else None
+    faults: Optional[ProcessFaultSpec] = job.get("faults")
+    if faults is not None:
+        # A point belongs to one job, so the first names the job.
+        job_id = GridPoint.from_dict(points[0]).point_id
+        install_process_faults(
+            faults,
+            seed=derive_seed(
+                job.get("fault_seed", 0), job_id, job.get("attempt", 0)
+            ),
+        )
+    context = EvalContext(store=store)
+    try:
+        return [
+            run_point_job({"point": point, "context": context})
+            for point in points
+        ]
+    finally:
+        if faults is not None:
+            clear_process_faults()
+
+
+def _job_store(root: str) -> CostStore:
     """The running sweep's store, caught up with other workers'
     appends; a fresh one when no sweep of ``root`` runs here."""
     store = _RUNNING_STORES.get(root)
@@ -201,17 +213,19 @@ def _point_store(root: str) -> CostStore:
     return store
 
 
-def _worker_failure_record(job: dict, reason: str) -> dict:
-    """The journal record for a point whose workers kept dying."""
-    point = GridPoint.from_dict(job["point"])
-    return {
-        "point_id": point.point_id,
-        "point": point.to_dict(),
-        "ok": False,
-        "error": f"retries exhausted: {reason}",
-        "result": {},
-        "elapsed_s": 0.0,
-    }
+def _worker_failure_records(job: dict, reason: str) -> List[dict]:
+    """One journal record per point of a job whose workers kept dying."""
+    return [
+        {
+            "point_id": GridPoint.from_dict(point).point_id,
+            "point": point,
+            "ok": False,
+            "error": f"retries exhausted: {reason}",
+            "result": {},
+            "elapsed_s": 0.0,
+        }
+        for point in job["points"]
+    ]
 
 
 def records_digest(records: List[dict]) -> str:
@@ -344,7 +358,7 @@ class SweepResult:
 
 
 class SweepEngine:
-    """Expand a grid, fan it out, journal it, resume it.
+    """Expand a grid, fan its jobs out, journal it, resume it.
 
     Args:
         spec: The declarative grid.
@@ -359,13 +373,14 @@ class SweepEngine:
             torture harness's handle for killing workers and failing
             their writes mid-sweep.  Inline runs strip the lethal kinds
             (``kill``/``crash``) so the engine process survives.
-        fault_seed: Seed the per-(point, attempt) fault draws derive
+        fault_seed: Seed the per-(job, attempt) fault draws derive
             from.
-        point_timeout_s: Per-point hang budget; a worker silent this
-            long after picking a point up is terminated and the point
-            requeued.  ``None`` disables hang detection.
-        max_retries: Requeues per point after worker deaths/hangs before
-            it is recorded as failed.
+        point_timeout_s: Per-job hang budget (the name predates jobs of
+            several points); a worker silent this long after picking a
+            job up is terminated and the job requeued.  ``None``
+            disables hang detection.
+        max_retries: Requeues per job after worker deaths/hangs before
+            each of its points is recorded as failed.
     """
 
     def __init__(
@@ -577,7 +592,7 @@ class SweepEngine:
         return self.workers
 
     def _worker_faults(self, pooled: bool) -> Optional[ProcessFaultSpec]:
-        """The fault spec one executed point sees.
+        """The fault spec one executed job sees.
 
         Inline execution shares the engine's process, so the lethal
         fault kinds (hard kills, crash points) are stripped — they are
@@ -591,7 +606,8 @@ class SweepEngine:
         return softened if not softened.empty else None
 
     def _run_pending(self, pending: List[GridPoint]):
-        """Yield one journal record per pending point (pool or inline)."""
+        """Yield one journal record per pending point (pool or inline);
+        a job's records land together."""
         size = self._pool_size()
         pooled = size > 0
         if pooled:
@@ -611,13 +627,13 @@ class SweepEngine:
                 pooled = False
         jobs = [
             {
-                "point": point.to_dict(),
+                "points": [point.to_dict() for point in points],
                 "store_root": str(self.store.root) if self.store else None,
                 "faults": self._worker_faults(pooled),
                 "fault_seed": self.fault_seed,
                 "attempt": 0,
             }
-            for point in pending
+            for points in _group_jobs(pending)
         ]
         if not jobs:
             return
@@ -626,28 +642,39 @@ class SweepEngine:
         try:
             if not pooled:
                 for job in jobs:
-                    yield run_point_job(job)
+                    yield from run_job(job)
                 return
             pool = SupervisedPool(
-                run_point_job,
+                run_job,
                 workers=min(size, len(jobs)),
                 mp_context=ctx,
                 timeout_s=self.point_timeout_s,
                 max_retries=self.max_retries,
-                on_exhausted=_worker_failure_record,
+                on_exhausted=_worker_failure_records,
             )
             try:
                 # Records land in completion order; the journal
                 # tolerates any order and the results list is
                 # re-assembled in grid order, so supervision never
                 # affects the artifact.
-                for record in pool.run(jobs):
-                    yield record
+                for records in pool.run(jobs):
+                    yield from records
             finally:
                 self._supervision = pool.stats.to_dict()
         finally:
             if self.store is not None:
                 _RUNNING_STORES.pop(str(self.store.root), None)
+
+
+def _group_jobs(points: List[GridPoint]) -> List[List[GridPoint]]:
+    """The sweep's jobs: points grouped by all but the transfer budget,
+    in grid order."""
+    jobs: Dict[tuple, List[GridPoint]] = {}
+    for point in points:
+        key = (point.model, point.device, point.bandwidth_factor,
+               point.fleet_size)
+        jobs.setdefault(key, []).append(point)
+    return list(jobs.values())
 
 
 def sweep_grid(

@@ -272,7 +272,7 @@ def derive_seed(seed: int, *tokens) -> int:
     """Decorrelated child seed for ``(seed, token, ...)``.
 
     The sweep engine seeds each worker attempt with
-    ``derive_seed(fault_seed, point_id, attempt)`` so a retried point
+    ``derive_seed(fault_seed, job_id, attempt)`` so a retried job
     redraws its fate — a killed attempt does not kill forever — while
     the whole schedule stays a pure function of the sweep's fault seed.
     """

@@ -20,8 +20,11 @@ comparison baseline for the chain-only paths.
 
 from __future__ import annotations
 
-from typing import List
+from pathlib import Path
+from typing import List, Union
 
+from repro.errors import ReproError
+from repro.nn.caffe import model_from_prototxt
 from repro.nn.graph import Graph, GraphNode
 from repro.nn.layers import (
     ConcatLayer,
@@ -458,3 +461,41 @@ def graph_catalog() -> dict:
         "tiny_branch": tiny_branch,
         "tiny_resnet": tiny_resnet,
     }
+
+
+def load_model(name_or_path: str) -> Union[Network, Graph]:
+    """Resolve a zoo name (chain or graph) or a prototxt path.
+
+    A branching prototxt resolves to a :class:`Graph`; chains stay
+    :class:`Network` objects.
+    """
+    zoo = catalog()
+    if name_or_path in zoo:
+        return zoo[name_or_path]()
+    graph_zoo = graph_catalog()
+    if name_or_path in graph_zoo:
+        return graph_zoo[name_or_path]()
+    path = Path(name_or_path)
+    if path.exists():
+        return model_from_prototxt(path.read_text())
+    names = sorted(zoo) + sorted(graph_zoo)
+    raise ReproError(
+        f"{name_or_path!r} is neither a model-zoo name ({', '.join(names)}) "
+        "nor an existing prototxt file"
+    )
+
+
+def load_chain(name_or_path: str) -> Network:
+    """:func:`load_model` for the chain-only sweeps (``repro sweep`` and
+    sweep grids): the chain's accelerated prefix.
+
+    Raises:
+        ReproError: The model is unknown or a branching graph.
+    """
+    model = load_model(name_or_path)
+    if isinstance(model, Graph):
+        raise ReproError(
+            f"sweeps are chain-only and {name_or_path!r} is a branching "
+            "graph; compile it with 'repro compile' (vary --transfer per run)"
+        )
+    return model.accelerated_prefix()

@@ -269,16 +269,22 @@ def optimize(
         explore_tile_sizes: Also search Winograd tile sizes (extension;
             the paper uses uniform F(4x4, 3x3)).
         context: Shared :class:`~repro.perf.cost.EvalContext`; pass one
-            to reuse ``implement()`` results across calls (e.g. a DSE
-            sweep) and to collect telemetry externally.  A context built
-            with a persistent ``store`` warms the search from it and is
+            to reuse ``implement()`` results and finished
+            ``fusion[i][j]`` searches across calls (e.g. a DSE sweep)
+            and to collect telemetry externally.  A context built with
+            a persistent ``store`` warms the search from it and is
             flushed to it on return; the strategy is bit-identical to a
             store-less run.
     """
-    return optimize_many(
-        network, device, [transfer_constraint_bytes],
-        explore_tile_sizes=explore_tile_sizes, context=context,
-    )[0]
+    optimizer = FrontierOptimizer(
+        network, device, explore_tile_sizes=explore_tile_sizes,
+        context=context,
+    )
+    plan = optimizer.best_plan(transfer_constraint_bytes)
+    strategy = optimizer.materialize(plan)
+    strategy.validate(transfer_constraint_bytes)
+    _flush_context(context)
+    return strategy
 
 
 def optimize_many(
@@ -288,28 +294,23 @@ def optimize_many(
     explore_tile_sizes: bool = False,
     context: Optional[CostModel] = None,
 ) -> List[Strategy]:
-    """Optimize under several transfer constraints, sharing the search.
+    """:func:`optimize` per constraint, all on one shared context.
 
-    Equivalent to calling :func:`optimize` per constraint, but amortizes
-    the Algorithm-2 ``fusion[i][j]`` table and the signature-keyed
-    evaluation cache across all of them; this is how the Figure 5 sweep
-    is produced.  The frontier is built once, for the largest
-    constraint; every other constraint filters it.
+    The context's group memo hands every later constraint the
+    ``fusion[i][j]`` searches an earlier one finished, so each range is
+    searched once across the whole list, as Algorithm 1 reads one
+    offline ``fusion`` table at every budget; this is how the Figure 5
+    sweep is produced.
     """
-    optimizer = FrontierOptimizer(
-        network, device, explore_tile_sizes=explore_tile_sizes,
-        context=context,
-    )
-    if transfer_constraints_bytes:
-        optimizer.frontier(0, len(network), max(transfer_constraints_bytes))
-    strategies = []
-    for constraint in transfer_constraints_bytes:
-        plan = optimizer.best_plan(constraint)
-        strategy = optimizer.materialize(plan)
-        strategy.validate(constraint)
-        strategies.append(strategy)
-    _flush_context(context)
-    return strategies
+    if context is None:
+        context = EvalContext()
+    return [
+        optimize(
+            network, device, constraint,
+            explore_tile_sizes=explore_tile_sizes, context=context,
+        )
+        for constraint in transfer_constraints_bytes
+    ]
 
 
 def minimum_transfer_bytes(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.errors import ArtifactError
@@ -215,6 +215,15 @@ class SearchTelemetry:
             "partition_stage_queries": self.partition_stage_queries,
             "partition_cuts_considered": self.partition_cuts_considered,
         }
+
+    def since(self, earlier: "SearchTelemetry") -> "SearchTelemetry":
+        """The counters added after ``earlier``, a copy of this
+        telemetry taken before (per-group wall times are not kept)."""
+        return SearchTelemetry(**{
+            item.name: getattr(self, item.name) - getattr(earlier, item.name)
+            for item in fields(self)
+            if item.name != "group_wall_times"
+        })
 
     def summary(self, slowest: int = 5) -> str:
         """Human-readable telemetry block (``repro compile --stats``)."""

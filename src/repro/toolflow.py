@@ -361,14 +361,16 @@ def sweep_grid(
 
     The batch sibling of :func:`compile_model` / :func:`partition_model`:
     ``spec`` (a :class:`repro.dse.GridSpec`, a spec dict, or a JSON spec
-    file path) expands into independent compile/partition points, fanned
-    out over ``workers`` processes, each warming from and flushing to
-    the shared persistent cost ``store``.  Per-point results are
-    journaled into ``out_dir`` as they land, so an interrupted sweep
-    finishes with ``resume=True`` without recomputing (CLI
-    ``repro sweep-grid``).  Workers are supervised: a killed or hung
-    worker's point is requeued (``max_retries`` times, hang budget
-    ``point_timeout_s``), and ``faults`` injects deterministic
+    file path) expands into compile/partition points.  The points that
+    share a model, device, bandwidth factor and fleet size form one job,
+    run in sequence on one search context; jobs fan out over ``workers``
+    processes, each warming from and flushing to the shared persistent
+    cost ``store``.  Per-point results are journaled into ``out_dir`` as
+    they land, so an interrupted sweep finishes with ``resume=True``
+    without recomputing (CLI ``repro sweep-grid``).  Workers are
+    supervised: a killed or hung worker's job is requeued
+    (``max_retries`` times, per-job hang budget ``point_timeout_s``),
+    and ``faults`` injects deterministic
     process/filesystem failures for torture runs
     (:class:`repro.faults.ProcessFaultSpec` grammar, seeded by
     ``fault_seed``).  Returns a :class:`repro.dse.SweepResult`.

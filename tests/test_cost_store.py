@@ -608,6 +608,33 @@ class TestHygiene:
         assert warm.stats.groups_searched == warm.stats.evaluations == 0
         assert CostStore(tmp_path / "s").stats().corrupt_shards == 0
 
+    def test_point_entry_log_compacts_at_first_flush(
+        self, tiny_net, testchip, tmp_path
+    ):
+        """A read that meets a stale record sets the compaction flag, so
+        a key_version 1 log plus one flush is one current record."""
+        from repro.check.artifacts import append_envelope_line
+        from repro.dse.store import SHARD_KIND
+
+        key, impl = _first_key_and_impl(tiny_net, testchip)
+        store = CostStore(tmp_path / "s")
+        store.root.mkdir(parents=True)
+        old = {"key": stable_key_text(key), "created": 0.0,
+               "impl": implementation_to_dict(impl)}
+        append_envelope_line(
+            store.log_path, SHARD_KIND,
+            {"key_version": 1, "entries": {"0" * 64: old}},
+        )
+        optimize(
+            tiny_net, testchip, tiny_net.feature_map_bytes(),
+            context=EvalContext(store=store),
+        )
+        assert store.corrupt_shards == 0
+        stats = CostStore(tmp_path / "s").stats()
+        assert stats.shards == 1
+        assert stats.entries > 0
+        assert stats.corrupt_shards == 0
+
     def test_resolve_store_coercions(self, tmp_path):
         assert resolve_store(None) is None
         store = CostStore(tmp_path)

@@ -1,17 +1,16 @@
-"""Tests for device design-space exploration sweeps."""
+"""Tests for device variants and the sweeps that run them."""
 
 import pytest
 
+from repro.dse.grid import GridSpec
+from repro.dse.sweep import sweep_grid
 from repro.errors import OptimizationError
 from repro.hardware.device import get_device
-from repro.hardware.dse import (
-    bandwidth_sweep,
-    binding_resource,
-    fabric_sweep,
-    scale_bandwidth,
-    scale_fabric,
-)
+from repro.hardware.dse import scale_bandwidth, scale_fabric
 from repro.nn import models
+from repro.optimizer.dp import optimize
+from repro.perf.cost import EvalContext
+from repro.perf.implement import Algorithm
 
 
 @pytest.fixture(scope="module")
@@ -46,28 +45,38 @@ class TestScaling:
 
 
 class TestSweeps:
-    def test_bandwidth_sweep_monotone(self, setup):
+    def test_bandwidth_sweep_monotone(self, setup, tmp_path):
         net, dev, budget = setup
-        points = bandwidth_sweep(net, dev, budget, factors=(0.5, 1.0, 4.0))
-        latencies = [p.latency_cycles for p in points]
+        spec = GridSpec(
+            models=("tiny_cnn",),
+            devices=(dev.name,),
+            bandwidth_factors=(0.5, 1.0, 4.0),
+            transfer_bytes=(budget,),
+        )
+        result = sweep_grid(spec, tmp_path / "out")
+        assert result.ok
+        latencies = [r["result"]["latency_cycles"] for r in result.records]
         # More bandwidth can never hurt the optimum.
         assert latencies == sorted(latencies, reverse=True) or len(set(latencies)) == 1
 
     def test_fabric_sweep_monotone(self, setup):
         net, dev, budget = setup
-        points = fabric_sweep(net, dev, budget, factors=(0.5, 1.0, 2.0))
-        latencies = [p.latency_cycles for p in points]
+        context = EvalContext()
+        latencies = [
+            optimize(net, scale_fabric(dev, factor), budget, context=context)
+            .latency_cycles
+            for factor in (0.5, 1.0, 2.0)
+        ]
         assert latencies[0] >= latencies[-1]
 
     def test_sweep_points_carry_strategies(self, setup):
         net, dev, budget = setup
-        points = bandwidth_sweep(net, dev, budget, factors=(1.0,))
-        point = points[0]
-        assert point.effective_gops > 0
-        assert point.winograd_layers >= 0
-        assert point.strategy.peak_resources.fits(point.device.resources)
-
-    def test_binding_resource_is_valid_dimension(self, setup):
-        net, dev, budget = setup
-        point = bandwidth_sweep(net, dev, budget, factors=(1.0,))[0]
-        assert binding_resource(point) in ("bram18k", "dsp", "ff", "lut")
+        variant = scale_bandwidth(dev, 1.0)
+        strategy = optimize(net, variant, budget, context=EvalContext())
+        winograd_layers = sum(
+            choice.algorithm == Algorithm.WINOGRAD
+            for choice in strategy.choices()
+        )
+        assert strategy.effective_gops() > 0
+        assert winograd_layers >= 0
+        assert strategy.peak_resources.fits(variant.resources)

@@ -142,6 +142,7 @@ class TestChaosSweep:
         # The faults are real: seed 7 kills at least one worker, and
         # every intervention is visible, never silent.
         assert isinstance(outcome["supervision"], dict)
+        assert outcome["supervision"]["worker_deaths"] >= 1, outcome
         assert isinstance(outcome["telemetry"], dict)
 
 

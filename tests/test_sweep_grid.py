@@ -33,6 +33,14 @@ TINY = GridSpec(
     transfer_bytes=(None, 1 << 20),
 )
 
+#: Two one-point jobs (the points differ in bandwidth factor), so a
+#: two-worker pool runs both workers.
+TWO_JOBS = GridSpec(
+    models=("tiny_cnn",),
+    devices=("testchip",),
+    bandwidth_factors=(1.0, 2.0),
+)
+
 
 def _strategies(result):
     """The per-point payloads with volatile fields stripped."""
@@ -208,9 +216,15 @@ class TestSweepEngine:
         assert fresh.computed == 2 and fresh.resumed == 0
 
     def test_workers_bit_identical_to_serial(self, tmp_path):
-        serial = sweep_grid(TINY, tmp_path / "serial")
+        spec = GridSpec(
+            models=("tiny_cnn",),
+            devices=("testchip",),
+            bandwidth_factors=(1.0, 2.0),
+            transfer_bytes=(None, 1 << 20),
+        )
+        serial = sweep_grid(spec, tmp_path / "serial")
         parallel = sweep_grid(
-            TINY, tmp_path / "par", store=tmp_path / "store", workers=2
+            spec, tmp_path / "par", store=tmp_path / "store", workers=2
         )
         assert _strategies(serial) == _strategies(parallel)
 
@@ -255,6 +269,24 @@ class TestSweepEngine:
         result = sweep_grid(spec, tmp_path / "out")
         assert result.failed == 1
         assert "no_such_model" in result.records[0]["error"]
+
+    def test_graph_model_fails_per_point_like_repro_sweep(
+        self, tmp_path, capsys
+    ):
+        """A graph-zoo name resolves, then fails as chain-only with the
+        error ``repro sweep`` prints; the chain beside it succeeds."""
+        from repro.cli import main
+
+        spec = GridSpec(
+            models=("googlenet_graph", "tiny_cnn"), devices=("testchip",)
+        )
+        result = sweep_grid(spec, tmp_path / "out")
+        assert result.failed == 1
+        graph, chain = result.records
+        assert not graph["ok"] and "chain-only" in graph["error"]
+        assert chain["ok"]
+        assert main(["sweep", "googlenet_graph", "--device", "testchip"]) == 1
+        assert capsys.readouterr().err == f"error: {graph['error']}\n"
 
     def test_bandwidth_factor_changes_the_device(self, tmp_path):
         spec = GridSpec(
@@ -448,7 +480,7 @@ class TestFaultedSweeps:
         self, tmp_path
     ):
         result = sweep_grid(
-            TINY, tmp_path / "out", workers=2,
+            TWO_JOBS, tmp_path / "out", workers=2,
             faults="kill:p=1.0,point=sweep.point_start",
             fault_seed=1, max_retries=1,
         )
