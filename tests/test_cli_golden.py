@@ -38,8 +38,8 @@ GOLDEN = {
     'compile_graph:json': 'ec41a3fffadf1fde18e3bccf267054483080684d932a5d64b2fb5d45fef19cf2',
     'compile_cached:text': 'a9f85d0c7b596891250a168db3616f52495147478a6fa36dd0fa4cd435ea0659',
     'compile_cached:json': 'd07f3505d36597d47a37ff98b98ba55b8f67ae9ee12c90c00191e2ca3a14a23e',
-    'sweep_baseline:text': 'fe9e96580c961de9a561782eb4f058587813cf007f89b1422dee60969619361f',
-    'sweep_baseline:json': 'f5faf312063c1950985a69868e30ddd48b2a3a596f19e7dbce72e55f645b067e',
+    'sweep_baseline:text': '399ef87e44e8bad17143747bf3539de38867bbdd024d0f6d8c7b274ce1879284',
+    'sweep_baseline:json': '890d5fb6b4dbc9e9e7033caa307f812f643ee38c73a29dc714328740a893c7e8',
     'partition:text': '6063bc665de31d91bf8988451f986143224ceec3ef5312177b6c55b780f9cac5',
     'partition:json': '18b8b96921fdcbbd8e3c3a051fc7686bc736cb328fd74feb7c07e27984d65b73',
     'replan:text': '6d11e36eba763eada08e6df0cbe5e6e6e114f084c10851ebf658ace445935b77',
@@ -53,7 +53,7 @@ GOLDEN = {
     'plan_capacity_faults:text': '77a59fb369af7aa142c2a0dc69a6271222093379fa13e4bd06f7163e2c1f4c5e',
     'plan_capacity_faults:json': 'c492a93f9d8e50c53019bb1ef5d6ee961cc2403659d437599ebc3ce0371b466c',
     'sweep_grid:text': 'afeba2f29c7b27620197871d561a092e99810201271f37ed9fb22e44a8f5d023',
-    'sweep_grid:json': 'fcdf0c6e02cde2d87606b0827e4845a9b1db2a4cf2efdd731acbf86c06b7143d',
+    'sweep_grid:json': 'c8e16f482812242f4bff9a4515e09a4e3a45493e555a8ccc445874e71e9f707f',
     'cache_stats:text': '8e36671c3984e5bfe2204130efd44d848a2ab1ef8f22ae12f96a9c1243500c6a',
     'cache_stats:json': '15db633e3efe4ff0df80e596728386d1803bd61b0ab14903fb61529165e5364f',
     'check:text': 'ea2ed7aad271911cfd6ef51f020d42f0bbb906342a34ce43a0c7257072acff2d',
